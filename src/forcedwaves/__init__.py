@@ -7,6 +7,7 @@ resource profile.  Subpackages:
 
     environment   profiles, eigenvalues, decay shapes, regime classifier
     localsolve    backward shooting for local tail solutions
+    frame         the discrete moving-frame operator and its banded matrices
     wavesolver    collocation + Newton boundary-value solver
     pdesim        semi-implicit time stepper and comparison tests
     oracles       closed-form sub/super-solutions with sign certificates

@@ -575,7 +575,7 @@ def cmd_simulate(args, cfg: dict) -> int:
 def _candidate_ansatz(profile, c, tags) -> list:
     cands = []
     for tag in tags:
-        _, ansatz, _ = wavesolver.resolve_target(profile, c, tag)
+        _, ansatz = wavesolver.resolve_target(profile, c, tag)
         if ansatz is not None:
             cands.append(ansatz)
     return cands

@@ -18,7 +18,6 @@ region z >= z_switch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -135,9 +134,6 @@ class ExpTail:
     def antiderivative(self, z):
         return -self.amplitude / self.kappa * np.exp(-self.kappa * np.asarray(z, dtype=float))
 
-    def sq_antiderivative(self, z):
-        return -self.amplitude ** 2 / (2 * self.kappa) * np.exp(-2 * self.kappa * np.asarray(z, dtype=float))
-
     def za_limits(self):
         return (0.0, 0.0)
 
@@ -190,9 +186,6 @@ class Algebraic:
 
     def antiderivative(self, z):
         return self.gamma * np.log(np.asarray(z, dtype=float))
-
-    def sq_antiderivative(self, z):
-        return -self.gamma ** 2 / np.asarray(z, dtype=float)
 
     def za_limits(self):
         return (self.gamma, self.gamma)
@@ -297,9 +290,6 @@ class IteratedLog:
             cur = np.log(cur)
         return total
 
-    def sq_antiderivative(self, z):
-        return None  # no convenient closed form; quadrature handles finite spans
-
     def za_limits(self):
         return (self.lead, self.lead)
 
@@ -373,13 +363,6 @@ class Power:
     def antiderivative(self, z):
         q = 1.0 - self.p
         return self.gamma * np.asarray(z, dtype=float) ** q / q
-
-    def sq_antiderivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if math.isclose(self.p, 0.5, rel_tol=1e-15):
-            return self.gamma ** 2 * np.log(z)
-        q2 = 1.0 - 2 * self.p
-        return self.gamma ** 2 * z ** q2 / q2
 
     def za_limits(self):
         return (math.inf, math.inf)
@@ -555,21 +538,6 @@ class EnvironmentProfile:
             err += e
         if err > 10 * max(epsabs, epsrel * abs(total)):
             raise QuadratureError("integral of a did not meet tolerance", err)
-        return total
-
-    def integral_a_sq(self, z1: float, z2: float, *, epsabs: float = 1e-10,
-                      epsrel: float = 1e-8) -> float:
-        if z2 < z1:
-            return -self.integral_a_sq(z2, z1, epsabs=epsabs, epsrel=epsrel)
-        pts = [z1] + [p for p in (self.z_star, self.z_switch) if z1 < p < z2] + [z2]
-        total, err = 0.0, 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            val, e = integrate.quad(lambda s: float(self.a(s)) ** 2, lo, hi,
-                                    epsabs=epsabs, epsrel=epsrel, limit=400)
-            total += val
-            err += e
-        if err > 10 * max(epsabs, epsrel * abs(total)):
-            raise QuadratureError("integral of a^2 did not meet tolerance", err)
         return total
 
     def tail_integral_closed(self, z1: float, z2: float) -> float:

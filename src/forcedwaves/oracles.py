@@ -421,15 +421,30 @@ def default_surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
 # tail-window pairs
 # ---------------------------------------------------------------------------
 
-def _scan_start(profile: EnvironmentProfile, probe_ok: Callable[[float], bool],
-                lo: float) -> float:
-    """First point on a doubling grid from lo whose probe window passes."""
-    z = lo
-    for _ in range(60):
-        if probe_ok(z):
-            return z
-        z *= 2.0
-    raise ConstructionError("no admissible support start found below 2^60 lo")
+def _tail_window(kind: str, role: str, profile: EnvironmentProfile, c: float,
+                 params: dict, val, d1, d2, lo: float,
+                 z_start: Optional[float]) -> ComparisonFunction:
+    """Tail construction supported on (z_start, inf).
+
+    Without z_start, the support starts at the first point of a doubling grid
+    from lo where the residual has the role's strict sign over the next four
+    decades.
+    """
+    fn = ComparisonFunction(kind=kind, role=role, support=(lo, math.inf),
+                            params=params, profile=profile, c=c,
+                            _value=val, _d1=d1, _d2=d2)
+    if z_start is None:
+        sign = 1.0 if role == "sub" else -1.0
+        z_start = lo
+        for _ in range(60):
+            if np.all(sign * fn.residual(np.geomspace(z_start, z_start * 1e4, 512)) > 0):
+                break
+            z_start *= 2.0
+        else:
+            raise ConstructionError("no admissible support start found below 2^60 lo")
+    fn.support = (z_start, math.inf)
+    fn.params["z_start"] = z_start
+    return fn
 
 
 def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
@@ -497,18 +512,8 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
         return np.exp(-logg) * (G * G - Gp)
 
     lo0 = max(profile.z_switch, (tail.z_min if math.isfinite(tail.z_min) else 1.0) * 1.5)
-
-    def probe_ok(zs):
-        pts = np.geomspace(zs, zs * 1e4, 512)
-        u = val(pts)
-        r = d2(pts) + c * d1(pts) + u * (profile.a(pts) - u)
-        return bool(np.all(r > 0))
-
-    zs = z_start if z_start is not None else _scan_start(profile, probe_ok, lo0)
-    return ComparisonFunction(
-        kind="G1Sub", role="sub", support=(zs, math.inf),
-        params={"k": k, "lam": lam, "z_start": zs}, profile=profile, c=c,
-        _value=val, _d1=d1, _d2=d2)
+    return _tail_window("G1Sub", "sub", profile, c, {"k": k, "lam": lam},
+                        val, d1, d2, lo0, z_start)
 
 
 def alg_super(profile: EnvironmentProfile, c: float, M: Optional[float] = None,
@@ -555,18 +560,8 @@ def alg_super(profile: EnvironmentProfile, c: float, M: Optional[float] = None,
         zs0 = lo0
         M = 1.5 * float(profile.a(zs0) * zs0 ** q + q * (1 + q) * zs0 ** (q - 2.0))
     val, d1, d2 = make(M)
-
-    def probe_ok(zst):
-        pts = np.geomspace(zst, zst * 1e4, 512)
-        u = val(pts)
-        r = d2(pts) + c * d1(pts) + u * (profile.a(pts) - u)
-        return bool(np.all(r < 0))
-
-    zs = z_start if z_start is not None else _scan_start(profile, probe_ok, lo0)
-    return ComparisonFunction(
-        kind="AlgSuper", role="super", support=(zs, math.inf),
-        params={"M": M, "q": q, "z_start": zs}, profile=profile, c=c,
-        _value=val, _d1=d1, _d2=d2)
+    return _tail_window("AlgSuper", "super", profile, c, {"M": M, "q": q},
+                        val, d1, d2, lo0, z_start)
 
 
 def _profile_band(profile: EnvironmentProfile, c: float, eps: float,
@@ -589,21 +584,9 @@ def _profile_band(profile: EnvironmentProfile, c: float, eps: float,
     def d2(z):
         return m * np.asarray(profile.a_d2(z), dtype=float)
 
-    want_pos = sign < 0
-
-    def probe_ok(zst):
-        pts = np.geomspace(zst, zst * 1e4, 512)
-        u = val(pts)
-        r = d2(pts) + c * d1(pts) + u * (profile.a(pts) - u)
-        return bool(np.all(r > 0)) if want_pos else bool(np.all(r < 0))
-
-    lo0 = profile.z_switch * 1.05
-    zs = z_start if z_start is not None else _scan_start(profile, probe_ok, lo0)
-    kind = "ProfileBandSub" if sign < 0 else "ProfileBandSuper"
-    return ComparisonFunction(
-        kind=kind, role="sub" if sign < 0 else "super", support=(zs, math.inf),
-        params={"eps": eps, "z_start": zs}, profile=profile, c=c,
-        _value=val, _d1=d1, _d2=d2)
+    kind, role = ("ProfileBandSub", "sub") if sign < 0 else ("ProfileBandSuper", "super")
+    return _tail_window(kind, role, profile, c, {"eps": eps}, val, d1, d2,
+                        profile.z_switch * 1.05, z_start)
 
 
 def profile_band_sub(profile: EnvironmentProfile, c: float, eps: float = 0.05,

@@ -9,7 +9,9 @@ nonnegativity and ordering by construction.
 
 A converged wave from the solver is an exact fixed point of the step: the
 IMEX update (I - dt A) u' = u + dt f(u) at u = phi reduces to A phi + f(phi)
-= 0, which is the solved system.  Measured drift therefore reflects only the
+= 0, which is the solved system.  This holds because step and
+wavesolver.discrete_residual build A, boundary rows included, from the one
+stencil in forcedwaves.frame.  Measured drift therefore reflects only the
 Newton tolerance, not the time discretization.
 """
 
@@ -23,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import frame
 from .environment import EnvironmentProfile
 
 __all__ = [
@@ -111,24 +114,6 @@ def default_dt(state: SimulationState) -> float:
     return min(0.5 * state.h ** 2, 0.1 / state.profile.alpha)
 
 
-def _implicit_matrix(n, h, c, dt, robin_sigma):
-    """(I - dt (D2 + c D1)) in solve_banded layout; boundary rows included."""
-    ab = np.zeros((3, n))
-    ab[1, 0] = 1.0
-    ab[2, :-2] = -dt * (1.0 / h**2 - c / (2.0 * h))
-    ab[1, 1:-1] = 1.0 + 2.0 * dt / h**2
-    ab[0, 2:] = -dt * (1.0 / h**2 + c / (2.0 * h))
-    if robin_sigma is None:
-        # homogeneous Neumann ghost: u_{N+1} = u_{N-1}
-        ab[2, -2] = -2.0 * dt / h**2
-        ab[1, -1] = 1.0 + 2.0 * dt / h**2
-    else:
-        s = robin_sigma
-        ab[2, -2] = -2.0 * dt / h**2
-        ab[1, -1] = 1.0 + 2.0 * dt / h**2 - 2.0 * dt * s / h - dt * c * s
-    return ab
-
-
 def step(state: SimulationState, dt: float) -> SimulationState:
     """One IMEX step; rejects dt that breaks the explicit-reaction bound."""
     if dt <= 0:
@@ -141,8 +126,8 @@ def step(state: SimulationState, dt: float) -> SimulationState:
             suggested_dt=0.9 / m)
     rhs = state.u + dt * state.u * (a - state.u)
     rhs[0] = state.left_value
-    ab = _implicit_matrix(len(state.u), state.h, state.c, dt,
-                          state.robin_sigma)
+    sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
+    ab = frame.banded(len(state.u), state.h, state.c, sigma, -dt, 1.0)
     u_new = solve_banded((1, 1), ab, rhs)
     return replace(state, t=state.t + dt, u=u_new)
 
@@ -159,13 +144,13 @@ def distance_monitor(reference: np.ndarray) -> Callable[[SimulationState], float
     return mon
 
 
-def residual_monitor(state_or_none=None) -> Callable[[SimulationState], float]:
+def residual_monitor() -> Callable[[SimulationState], float]:
     """Interior max-norm of u'' + c u' + u (a - u) (steady-state residual)."""
     def mon(state: SimulationState) -> float:
-        u, h, c = state.u, state.h, state.c
+        u = state.u
         a = np.asarray(state.profile.a(state.grid), dtype=float)
-        r = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-             + c * (u[2:] - u[:-2]) / (2.0 * h)
+        # sigma None: the operator on the interior rows only
+        r = (frame.apply(u, state.h, state.c, None)
              + u[1:-1] * (a[1:-1] - u[1:-1]))
         return float(np.max(np.abs(r)))
     return mon

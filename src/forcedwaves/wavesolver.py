@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import solve_banded
 
-from . import oracles
+from . import frame, oracles
 from .environment import (
     AnsatzUnavailableError,
     DecayAnsatz,
@@ -148,44 +148,16 @@ class WaveSolution:
 def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
                       left_value: float, sigma_R: Optional[float],
                       pin_value: Optional[float]) -> np.ndarray:
-    """Residual of the collocation system; boundary rows at both ends.
-
-    The Robin condition enters through the ghost-node elimination
-    phi_{N+1} = phi_{N-1} + 2 h sigma_R phi_N, which keeps the last row a
-    centered second-order discretization and the Jacobian tridiagonal.
-    """
+    """Residual of the collocation system; boundary rows at both ends."""
+    sigma = None if pin_value is not None else sigma_R
     F = np.empty_like(phi)
     F[0] = phi[0] - left_value
-    F[1:-1] = ((phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / h**2
-               + c * (phi[2:] - phi[:-2]) / (2.0 * h)
-               + phi[1:-1] * (a[1:-1] - phi[1:-1]))
+    Au = frame.apply(phi, h, c, sigma)
+    free = slice(1, 1 + len(Au))
+    F[free] = Au + phi[free] * (a[free] - phi[free])
     if pin_value is not None:
         F[-1] = phi[-1] - pin_value
-    else:
-        F[-1] = ((2.0 * phi[-2] - 2.0 * phi[-1] + 2.0 * h * sigma_R * phi[-1]) / h**2
-                 + c * sigma_R * phi[-1]
-                 + phi[-1] * (a[-1] - phi[-1]))
     return F
-
-
-def _jacobian_ab(phi: np.ndarray, a: np.ndarray, h: float, c: float,
-                 sigma_R: Optional[float], pin_value: Optional[float]) -> np.ndarray:
-    """Tridiagonal Jacobian in solve_banded's (3, N) layout."""
-    n = len(phi)
-    ab = np.zeros((3, n))
-    # row 0: superdiagonal shifted right; row 1: diagonal; row 2: subdiagonal shifted left
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, :-2] = 1.0 / h**2 - c / (2.0 * h)
-    ab[1, 1:-1] = -2.0 / h**2 + a[1:-1] - 2.0 * phi[1:-1]
-    ab[0, 2:] = 1.0 / h**2 + c / (2.0 * h)
-    if pin_value is not None:
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-    else:
-        ab[2, -2] = 2.0 / h**2
-        ab[1, -1] = (-2.0 + 2.0 * h * sigma_R) / h**2 + c * sigma_R + a[-1] - 2.0 * phi[-1]
-    return ab
 
 
 def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
@@ -199,19 +171,8 @@ def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
     the Jacobian u'' + c u' + a u has near-zero oscillatory modes and damped
     Newton stalls.
     """
-    n = len(phi0)
     M = 2.0 * float(np.max(np.abs(phi0))) + float(np.max(a)) + 1.0
-    ab = np.zeros((3, n))
-    ab[1, 0] = 1.0
-    ab[2, :-2] = -(1.0 / h**2 - c / (2.0 * h))
-    ab[1, 1:-1] = 2.0 / h**2 + M
-    ab[0, 2:] = -(1.0 / h**2 + c / (2.0 * h))
-    if pin_value is not None:
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-    else:
-        ab[2, -2] = -2.0 / h**2
-        ab[1, -1] = (2.0 - 2.0 * h * sigma_R) / h**2 - c * sigma_R + M
+    ab = frame.banded(len(phi0), h, c, sigma_R, -1.0, M)
     phi = phi0.astype(float).copy()
     for _ in range(max_sweeps):
         rhs = M * phi + phi * (a - phi)
@@ -231,6 +192,7 @@ def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
 
 def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig):
     phi = phi0.astype(float).copy()
+    free = slice(1, len(phi) if sigma_R is not None else len(phi) - 1)
     history = []
     F = discrete_residual(phi, a, h, c, left_value, sigma_R, pin_value)
     nrm = float(np.max(np.abs(F)))
@@ -241,7 +203,8 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig):
         if not math.isfinite(nrm):
             raise NewtonDivergenceError("residual became non-finite",
                                         last_iterate=phi, residual_history=history)
-        ab = _jacobian_ab(phi, a, h, c, sigma_R, pin_value)
+        ab = frame.banded(len(phi), h, c, sigma_R, 1.0, a)
+        ab[1, free] -= 2.0 * phi[free]
         try:
             delta = solve_banded((1, 1), ab, -F)
         except np.linalg.LinAlgError as exc:
@@ -273,8 +236,8 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 def resolve_target(profile: EnvironmentProfile, c: float,
-                   target: Union[DecayAnsatz, str]) -> tuple[str, Optional[DecayAnsatz], float]:
-    """(tag, ansatz-or-None, sigma_R at L-independent callable input).
+                   target: Union[DecayAnsatz, str]) -> tuple[str, Optional[DecayAnsatz]]:
+    """(tag, ansatz-or-None) for a target.
 
     Accepts either a constructed ansatz or one of the tags pure_exp / sigma1 /
     tilde_a / slow_maximal / profile_itself.  slow_maximal in a regime where
@@ -282,7 +245,7 @@ def resolve_target(profile: EnvironmentProfile, c: float,
     the tilde_a value -a(L)/c, which is returned via a None ansatz.
     """
     if isinstance(target, DecayAnsatz):
-        return target.tag, target, math.nan
+        return target.tag, target
     tag = str(target)
     if tag not in TARGET_TAGS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGET_TAGS}")
@@ -298,8 +261,8 @@ def resolve_target(profile: EnvironmentProfile, c: float,
         else:
             ansatz = ProfileItself(profile)
     except AnsatzUnavailableError:
-        return tag, None, math.nan
-    return tag, ansatz, math.nan
+        return tag, None
+    return tag, ansatz
 
 
 def _sigma_R_for(profile: EnvironmentProfile, c: float, tag: str,
@@ -399,7 +362,7 @@ def solve_wave(profile: EnvironmentProfile, c: float,
     a = np.asarray(profile.a(grid), dtype=float)
     left_value = float(a[0])
 
-    tag, ansatz, _ = resolve_target(profile, c, target)
+    tag, ansatz = resolve_target(profile, c, target)
     sigma_R: Optional[float] = None
     if pin_amplitude is None:
         sigma_R = _sigma_R_for(profile, c, tag, ansatz, float(grid[-1]))

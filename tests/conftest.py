@@ -41,7 +41,7 @@ def alg05():
 
 @pytest.fixture(scope="session")
 def pow2():
-    # stretched-exponential-of-log family: a = exp(-gamma (log z)^p)
+    # power tail Power(gamma=2, p=0.5): a = 2 z^{-1/2}
     return EnvironmentProfile(1.0, Power(gamma=2.0, p=0.5), 15.0, 10.0)
 
 

@@ -194,7 +194,7 @@ def test_11_pde_cross_validation(exp2, alg3, pow2, exp_wave_c1, alg3_minimal,
 
 
 def test_12_weighted_kernel_closed_form(alg3):
-    _, ansatz, _ = ws.resolve_target(alg3, 1.0, "tilde_a")
+    _, ansatz = ws.resolve_target(alg3, 1.0, "tilde_a")
     z0 = 15.0  # past the blend, where a is exactly gamma/z
     zs = np.geomspace(z0, 1000.0 * z0, 120)
     measured = np.asarray(ansatz.value(zs)) / float(ansatz.value(z0))

@@ -14,7 +14,7 @@ from forcedwaves.analysis import FitWindowError
 def candidates_for(profile, c, tags):
     out = []
     for t in tags:
-        _, a, _ = ws.resolve_target(profile, c, t)
+        _, a = ws.resolve_target(profile, c, t)
         if a is not None:
             out.append(a)
     return out
@@ -48,7 +48,7 @@ class TestSyntheticRecovery:
     def test_exact_ansatz_recovered(self, alg3):
         # field manufactured from the candidate itself: amplitude comes back
         # to machine precision and the rms log-error is numerically zero
-        _, ans, _ = ws.resolve_target(alg3, 1.0, "tilde_a")
+        _, ans = ws.resolve_target(alg3, 1.0, "tilde_a")
         grid = np.linspace(-60.0, 200.0, 4001)
         phi = 2.5 * ans.value(np.maximum(grid, 12.0))
         wave = SimpleNamespace(grid=grid, phi=phi)
@@ -59,7 +59,7 @@ class TestSyntheticRecovery:
         assert rk.winner.n_points >= 100
 
     def test_fit_fields(self, alg3):
-        _, ans, _ = ws.resolve_target(alg3, 1.0, "tilde_a")
+        _, ans = ws.resolve_target(alg3, 1.0, "tilde_a")
         grid = np.linspace(-60.0, 200.0, 4001)
         wave = SimpleNamespace(grid=grid, phi=ans.value(np.maximum(grid, 12.0)))
         f = an.fit_decay(wave, [ans]).winner

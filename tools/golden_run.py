@@ -1,0 +1,161 @@
+"""Golden run of the forcedwaves CLI: exit codes and data-file hashes.
+
+Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
+and alpha) and verify-oracles on two configs, the README exp.ini and an
+algebraic gamma = 3 profile, and writes golden.json with each run's exit
+code and the sha256 of every file it wrote except manifest.json (the only
+file that carries timings and versions).  A refactor that must not change
+results is checked by running this on the code before and after it and
+comparing the two.
+
+    python tools/golden_run.py OUT [--src SRC]
+    python tools/golden_run.py --compare A B
+
+OUT is a new directory; each run's files stay under OUT/<run>.  SRC is the
+source tree to import forcedwaves from (default: src next to this script).
+--compare takes two golden.json files (or their directories), lists the
+runs and files that differ and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIGS = {
+    "exp": """
+[profile]
+alpha = 1.0
+center = 4.0
+width = 4.0
+tail.kind = exp
+tail.kappa = 2.0
+
+[speed]
+c = 1.0
+c.start = 0.2
+c.stop = 2.4
+c.steps = 45
+
+[solver]
+L = 60
+N = 4001
+K = 0.5, 1.0, 2.0
+""",
+    "alg3": """
+[profile]
+alpha = 1.0
+center = 8.0
+width = 4.0
+tail.kind = algebraic
+tail.gamma = 3.0
+
+[speed]
+c = 1.0
+c.start = 0.5
+c.stop = 2.4
+c.steps = 8
+
+[solver]
+L = 200
+N = 8001
+K = 0.5, 1.0, 2.0
+""",
+}
+
+SIMULATION = "\n[simulation]\nT = 1.0\ninitial = {}\n"
+
+# (run suffix, command, simulation initial or None)
+COMMANDS = (
+    ("wave", "wave", None),
+    ("fit", "fit", None),
+    ("family", "family", None),
+    ("sweep", "sweep", None),
+    ("simulate-wave", "simulate", "wave"),
+    ("simulate-bump", "simulate", "bump"),
+    ("simulate-alpha", "simulate", "alpha"),
+    ("verify-oracles", "verify-oracles", None),
+)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_all(out: Path, src: Path) -> dict:
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    runs = {}
+    for cfg_name, text in CONFIGS.items():
+        for suffix, command, initial in COMMANDS:
+            name = f"{cfg_name}-{suffix}"
+            rundir = out / name
+            rundir.mkdir()
+            ini = out / f"{name}.ini"
+            ini.write_text(text + (SIMULATION.format(initial) if initial else ""),
+                           encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, "-m", "forcedwaves.cli", command,
+                 "--config", str(ini), "--out", str(rundir)],
+                env=env, capture_output=True, text=True)
+            files = {p.name: sha256(p) for p in sorted(rundir.iterdir())
+                     if p.is_file() and p.name != "manifest.json"}
+            runs[name] = {"exit": proc.returncode, "files": files}
+            print(f"{name}: exit {proc.returncode}, {len(files)} files",
+                  flush=True)
+    return runs
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    diffs = []
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            diffs.append(f"{name}: only in {'A' if name in a else 'B'}")
+            continue
+        ra, rb = a[name], b[name]
+        if ra["exit"] != rb["exit"]:
+            diffs.append(f"{name}: exit {ra['exit']} != {rb['exit']}")
+        for f in sorted(set(ra["files"]) | set(rb["files"])):
+            if ra["files"].get(f) != rb["files"].get(f):
+                diffs.append(f"{name}/{f}")
+    return diffs
+
+
+def load(path: str) -> dict:
+    p = Path(path)
+    if p.is_dir():
+        p = p / "golden.json"
+    return json.loads(p.read_text(encoding="utf-8"))["runs"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="new output directory")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="source tree holding the forcedwaves package")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two golden.json files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        diffs = compare(load(args.compare[0]), load(args.compare[1]))
+        for d in diffs:
+            print(d)
+        print(f"{len(diffs)} difference(s)")
+        return 1 if diffs else 0
+    if not args.out:
+        parser.error("give OUT or --compare A B")
+    out = Path(args.out)
+    runs = run_all(out, Path(args.src))
+    (out / "golden.json").write_text(
+        json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ region z >= z_switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np

@@ -13,6 +13,10 @@ IMEX update (I - dt A) u' = u + dt f(u) at u = phi reduces to A phi + f(phi)
 wavesolver.discrete_residual build A, boundary rows included, from the one
 stencil in forcedwaves.frame.  Measured drift therefore reflects only the
 Newton tolerance, not the time discretization.
+
+a(grid) is evaluated once per trajectory and I - dt A factored once per dt
+(dgttrf; each step is one dgttrs solve, bit-identical to solve_banded);
+comparison_test advances its pair as the two columns of one solve.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import frame
 from .environment import EnvironmentProfile
@@ -114,22 +118,47 @@ def default_dt(state: SimulationState) -> float:
     return min(0.5 * state.h ** 2, 0.1 / state.profile.alpha)
 
 
-def step(state: SimulationState, dt: float) -> SimulationState:
-    """One IMEX step; rejects dt that breaks the explicit-reaction bound."""
+def _stepper(state: SimulationState, dt: float, a: np.ndarray):
+    """advance(u, left): the IMEX step at one dt for u (a field, or k fields
+    as rows) on state's trajectory, a = a(grid); factors I - dt A once."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a = np.asarray(state.profile.a(state.grid), dtype=float)
-    m = float(np.max(np.abs(a - 2.0 * state.u)))
-    if dt * m >= 1.0:
-        raise StepRejectedError(
-            f"dt = {dt:.3e} too large: dt * max|a - 2u| = {dt * m:.3f} >= 1",
-            suggested_dt=0.9 / m)
-    rhs = state.u + dt * state.u * (a - state.u)
-    rhs[0] = state.left_value
     sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
     ab = frame.banded(len(state.u), state.h, state.c, sigma, -dt, 1.0)
-    u_new = solve_banded((1, 1), ab, rhs)
-    return replace(state, t=state.t + dt, u=u_new)
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info:
+        raise np.linalg.LinAlgError("singular implicit matrix")
+
+    def advance(u: np.ndarray, left) -> np.ndarray:
+        for m in np.atleast_1d(np.max(np.abs(a - 2.0 * u), axis=-1)):
+            if dt * m >= 1.0:
+                raise StepRejectedError(
+                    f"dt = {dt:.3e} too large: dt * max|a - 2u| = {dt * m:.3f} >= 1",
+                    suggested_dt=0.9 / float(m))
+        rhs = u + dt * u * (a - u)
+        rhs[..., 0] = left
+        # the fields are b's columns, finite-checked as solve_banded did
+        return dgttrs(*lu, np.asarray_chkfinite(rhs.T))[0].T
+    return advance
+
+
+def _march(state: SimulationState, u: np.ndarray, left, T: float, dt: float):
+    """Yield (t, u) after each step to state.t + T; one LU per distinct dt."""
+    t, t_end, d_lu = state.t, state.t + T, None
+    a = state.profile.a(state.grid)
+    while t < t_end - 1e-12:
+        d = min(dt, t_end - t)
+        if d != d_lu:
+            advance, d_lu = _stepper(state, d, a), d
+        u = advance(u, left)
+        t += d
+        yield t, u
+
+
+def step(state: SimulationState, dt: float) -> SimulationState:
+    """One IMEX step; rejects dt that breaks the explicit-reaction bound."""
+    advance = _stepper(state, dt, state.profile.a(state.grid))
+    return replace(state, t=state.t + dt, u=advance(state.u, state.left_value))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +175,16 @@ def distance_monitor(reference: np.ndarray) -> Callable[[SimulationState], float
 
 def residual_monitor() -> Callable[[SimulationState], float]:
     """Interior max-norm of u'' + c u' + u (a - u) (steady-state residual)."""
+    last = [None, None, None]  # grid, profile and a(grid) of the last call
+
     def mon(state: SimulationState) -> float:
         u = state.u
-        a = np.asarray(state.profile.a(state.grid), dtype=float)
+        if last[0] is not state.grid or last[1] is not state.profile:
+            last[:] = (state.grid, state.profile,
+                       np.asarray(state.profile.a(state.grid), dtype=float))
         # sigma None: the operator on the interior rows only
         r = (frame.apply(u, state.h, state.c, None)
-             + u[1:-1] * (a[1:-1] - u[1:-1]))
+             + u[1:-1] * (last[2][1:-1] - u[1:-1]))
         return float(np.max(np.abs(r)))
     return mon
 
@@ -199,11 +232,9 @@ def evolve(state: SimulationState, T: float, dt: Optional[float] = None,
     if dt is None:
         dt = default_dt(state)
     monitors = monitors or {}
-    n_steps = int(math.ceil(T / dt - 1e-12))
     if monitor_every is None:
-        monitor_every = max(1, n_steps // 200)
+        monitor_every = max(1, int(math.ceil(T / dt - 1e-12)) // 200)
     cur = state.copy()
-    t_end = state.t + T
     initial_u = state.u.copy()
     times, series = [], {k: [] for k in monitors}
 
@@ -214,9 +245,8 @@ def evolve(state: SimulationState, T: float, dt: Optional[float] = None,
 
     record()
     k = 0
-    while cur.t < t_end - 1e-12:
-        cur = step(cur, min(dt, t_end - cur.t))
-        k += 1
+    for k, (t, u) in enumerate(_march(cur, cur.u, cur.left_value, T, dt), 1):
+        cur = replace(cur, t=t, u=u)
         if k % monitor_every == 0:
             record()
     if not times or times[-1] < cur.t:
@@ -234,11 +264,12 @@ def comparison_test(state_lo: SimulationState, state_hi: SimulationState,
     A nonpositive return certifies the discrete comparison principle held
     along the whole trajectory.
     """
-    if state_lo.grid.shape != state_hi.grid.shape or \
-            not np.array_equal(state_lo.grid, state_hi.grid):
+    if not np.array_equal(state_lo.grid, state_hi.grid):
         raise ValueError("comparison requires identical grids")
-    if state_lo.robin_sigma != state_hi.robin_sigma:
-        raise ValueError("comparison requires identical boundary conditions")
+    if (state_lo.robin_sigma, state_lo.c, state_lo.profile) != \
+            (state_hi.robin_sigma, state_hi.c, state_hi.profile):
+        raise ValueError("comparison requires identical boundary conditions, "
+                         "speed and profile")
     if state_lo.left_value > state_hi.left_value:
         raise ValueError("left boundary values are not ordered")
     v0 = float(np.max(state_lo.u - state_hi.u))
@@ -246,12 +277,7 @@ def comparison_test(state_lo: SimulationState, state_hi: SimulationState,
         raise ValueError(f"states are not ordered initially (max lo-hi = {v0:.3e})")
     if dt is None:
         dt = min(default_dt(state_lo), default_dt(state_hi))
-    lo, hi = state_lo.copy(), state_hi.copy()
-    t_end = lo.t + T
-    worst = v0
-    while lo.t < t_end - 1e-12:
-        d = min(dt, t_end - lo.t)
-        lo = step(lo, d)
-        hi = step(hi, d)
-        worst = max(worst, float(np.max(lo.u - hi.u)))
-    return worst
+    pair = np.array([state_lo.u, state_hi.u])  # rows lo, hi: one solve
+    left = [state_lo.left_value, state_hi.left_value]
+    return max([v0] + [float(np.max(p[0] - p[1]))
+                       for _, p in _march(state_lo, pair, left, T, dt)])

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import frame, oracles
 from .environment import (
@@ -173,13 +174,16 @@ def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
     """
     M = 2.0 * float(np.max(np.abs(phi0))) + float(np.max(a)) + 1.0
     ab = frame.banded(len(phi0), h, c, sigma_R, -1.0, M)
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])  # one LU for all sweeps
+    if info:
+        raise np.linalg.LinAlgError("singular sweep matrix")
     phi = phi0.astype(float).copy()
     for _ in range(max_sweeps):
         rhs = M * phi + phi * (a - phi)
         rhs[0] = left_value
         if pin_value is not None:
             rhs[-1] = pin_value
-        new = solve_banded((1, 1), ab, rhs)
+        new = dgttrs(*lu, np.asarray_chkfinite(rhs))[0]
         dmax = float(np.max(np.abs(new - phi)))
         phi = new
         if dmax < 1e-13:

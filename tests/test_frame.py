@@ -3,6 +3,8 @@ step must all describe the same discrete A u = u'' + c u'."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from forcedwaves import frame
 from forcedwaves import pdesim as ps
@@ -74,3 +76,20 @@ def test_step_from_solved_wave_moves_by_at_most_dt_residual(exp_wave_c1, exp2):
     dt = ps.default_dt(state)
     moved = float(np.max(np.abs(ps.step(state, dt).u - exp_wave_c1.phi)))
     assert moved <= dt * exp_wave_c1.residual_norm + 1e-14
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0, -0.7])
+@pytest.mark.parametrize("scale, shift", [(-0.01, 1.0), (-1.0, 3.5)])  # IMEX, sweep
+@pytest.mark.parametrize("cols", [None, 2])
+def test_factored_solve_is_bit_identical_to_solve_banded(sigma, scale, shift, cols):
+    # the IMEX step and the sweeps factor once with dgttrf and solve with
+    # dgttrs; that must reproduce solve_banded's gtsv to the last bit
+    rng = np.random.default_rng(1)
+    n, h, c = 401, 0.05, 1.0
+    ab = frame.banded(n, h, c, sigma, scale, shift)
+    b = rng.uniform(0.0, 1.0, n if cols is None else (n, cols))
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    assert info == 0
+    x, info = dgttrs(*lu, b)
+    assert info == 0
+    assert np.array_equal(x, solve_banded((1, 1), ab, b))

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from forcedwaves import frame
 from forcedwaves import oracles as orc
 from forcedwaves import pdesim as ps
 from forcedwaves import wavesolver as ws
+from forcedwaves.environment import EnvironmentProfile
 from forcedwaves.pdesim import StepRejectedError
 
 
@@ -110,11 +112,37 @@ class TestStepControl:
             ps.step(st, 1.0)
         ps.step(st, ei.value.suggested_dt)  # must not raise
 
+    def test_evolve_and_comparison_reject_like_step(self, exp2, exp_wave_c1):
+        # dt = 0.95 passes the zero state (max|a| = 1) and fails the plateau
+        # (max|a - 2| = 2), so the pair must be checked field by field
+        grid = exp_wave_c1.grid
+        lo = ps.make_state(exp2, 1.0, grid, np.zeros_like(grid), left_value=0.0)
+        hi = ps.make_state(exp2, 1.0, grid, np.ones_like(grid))
+        ps.step(lo, 0.95)
+        with pytest.raises(StepRejectedError) as ref:
+            ps.step(hi, 0.95)
+        for run in (lambda: ps.evolve(hi, 2.0, dt=0.95),
+                    lambda: ps.comparison_test(lo, hi, 2.0, dt=0.95)):
+            with pytest.raises(StepRejectedError) as ei:
+                run()
+            assert ei.value.suggested_dt == ref.value.suggested_dt
+            assert str(ei.value) == str(ref.value)
+
     def test_nonpositive_inputs(self, wave_state):
         with pytest.raises(ValueError):
             ps.step(wave_state, 0.0)
         with pytest.raises(ValueError):
             ps.evolve(wave_state, 0.0)
+
+    def test_non_finite_field_rejected(self, wave_state):
+        # the factored solve keeps solve_banded's finiteness check
+        bad = wave_state.copy()
+        bad.u[len(bad.u) // 2] = np.nan
+        for run in (lambda: ps.step(bad, 0.01),
+                    lambda: ps.evolve(bad, 0.1, dt=0.01),
+                    lambda: ps.comparison_test(bad, wave_state, 0.1, dt=0.01)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                run()
 
 
 class TestComparison:
@@ -153,6 +181,31 @@ class TestComparison:
         with pytest.raises(ValueError, match="boundary"):
             ps.comparison_test(lo, hi, 1.0)  # Neumann vs Robin
 
+    def test_rejects_mismatched_speed_or_profile(self, exp2, alg3, exp_wave_c1):
+        # the pair is advanced by one matrix and one a(grid): two different
+        # equations would certify nothing
+        hi = ps.state_from_wave(exp_wave_c1, exp2)
+        zero = np.zeros_like(exp_wave_c1.phi)
+        for c, profile in ((1.1, exp2), (1.0, alg3)):
+            lo = ps.make_state(profile, c, exp_wave_c1.grid, zero,
+                               robin_sigma=hi.robin_sigma, left_value=0.0)
+            with pytest.raises(ValueError, match="speed and profile"):
+                ps.comparison_test(lo, hi, 1.0)
+
+    def test_equals_hand_stepped_pair(self, exp2, exp_wave_c1):
+        # the two-column solve must reproduce stepping each state alone
+        hi0 = ps.state_from_wave(exp_wave_c1, exp2)
+        lo0 = ps.make_state(exp2, 1.0, hi0.grid, 0.5 * hi0.u,
+                            robin_sigma=hi0.robin_sigma, left_value=0.5)
+        lo, hi = lo0, hi0
+        expect = float(np.max(lo.u - hi.u))
+        while lo.t < 0.35 - 1e-12:
+            d = min(0.1, 0.35 - lo.t)
+            lo, hi = ps.step(lo, d), ps.step(hi, d)
+            expect = max(expect, float(np.max(lo.u - hi.u)))
+        assert lo.t == pytest.approx(0.35) and expect < 0.0
+        assert ps.comparison_test(lo0, hi0, 0.35, dt=0.1) == expect
+
 
 class TestEvolveBookkeeping:
     def test_monitor_series_aligned_with_times(self, wave_state, exp_wave_c1):
@@ -176,3 +229,41 @@ class TestEvolveBookkeeping:
         res = ps.evolve(wave_state, 0.35, dt=0.1)  # non-divisible horizon
         assert res.state.t == pytest.approx(0.35, abs=1e-12)
         assert res.steps_taken == 4
+
+    @pytest.mark.parametrize("robin", [False, True])
+    def test_equals_hand_stepped_trajectory(self, exp2, exp_wave_c1, robin):
+        # steps of 0.1, 0.1, 0.1 and then the 0.05 remainder: the factored
+        # trajectory must end on exactly the bits of repeated step calls
+        grid = exp_wave_c1.grid
+        st = ps.make_state(exp2, 1.0, grid, 0.5 * np.exp(-(grid / 5.0) ** 2),
+                           robin_sigma=exp_wave_c1.bc_right if robin else None)
+        cur = st
+        while cur.t < 0.35 - 1e-12:
+            cur = ps.step(cur, min(0.1, 0.35 - cur.t))
+        res = ps.evolve(st, 0.35, dt=0.1)
+        assert np.array_equal(res.state.u, cur.u)
+        assert res.state.t == cur.t
+
+    def test_trajectory_work_is_done_once(self, monkeypatch, wave_state,
+                                          exp_wave_c1):
+        # a(grid) once for the steps and once for the residual monitor, one
+        # implicit matrix per distinct dt (not per step)
+        counts = {"a": 0, "dt": []}
+        a, banded = EnvironmentProfile.a, frame.banded
+
+        def counted_a(self, z):
+            counts["a"] += 1
+            return a(self, z)
+
+        def counted_banded(n, h, c, sigma, scale, shift):
+            counts["dt"].append(-scale)
+            return banded(n, h, c, sigma, scale, shift)
+
+        monkeypatch.setattr(EnvironmentProfile, "a", counted_a)
+        monkeypatch.setattr(frame, "banded", counted_banded)
+        res = ps.evolve(wave_state, 1.0, dt=0.01, monitor_every=10,
+                        monitors={"res": ps.residual_monitor(),
+                                  "dist": ps.distance_monitor(exp_wave_c1.phi)})
+        assert res.steps_taken == 100 and len(res.times) == 11
+        assert counts["a"] <= 2
+        assert 1 <= len(counts["dt"]) == len(set(counts["dt"])) <= 2

@@ -95,6 +95,25 @@ class TestSlowWaves:
         assert float(np.min(w.phi[m] - sub.on_grid(w.grid[m]))) >= -1e-12
         assert float(np.min(sup.on_grid(w.grid) - w.phi)) >= -1e-12
 
+    def test_rescue_factors_its_sweep_matrix_once(self, monkeypatch, alg3):
+        # the monotone sweeps reuse one LU; solve_banded stays Newton's
+        calls = {"sweeps": 0, "dgttrf": 0}
+        sweeps, dgttrf = ws._monotone_sweeps, ws.dgttrf
+
+        def counted_sweeps(*args, **kwargs):
+            calls["sweeps"] += 1
+            return sweeps(*args, **kwargs)
+
+        def counted_dgttrf(*args):
+            calls["dgttrf"] += 1
+            return dgttrf(*args)
+
+        monkeypatch.setattr(ws, "_monotone_sweeps", counted_sweeps)
+        monkeypatch.setattr(ws, "dgttrf", counted_dgttrf)
+        ws.solve_wave(alg3, 1.0, "slow_maximal")
+        assert calls["sweeps"] >= 1
+        assert calls["dgttrf"] == calls["sweeps"]
+
     def test_profile_itself_wave_tracks_a(self, pow2_maximal, pow2):
         w = pow2_maximal
         assert w.decay_tag == "profile_itself"

@@ -1,12 +1,15 @@
-"""Golden run of the forcedwaves CLI: exit codes and data-file hashes.
+"""Golden run of the forcedwaves CLI and acceptance gate: exit codes,
+data-file hashes and the ACCEPTANCE lines.
 
 Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
 and alpha) and verify-oracles on two configs, the README exp.ini and an
 algebraic gamma = 3 profile, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
-file that carries timings and versions).  A refactor that must not change
-results is checked by running this on the code before and after it and
-comparing the two.
+file that carries timings and versions).  It also runs
+tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
+which carry each criterion's measured numbers.  A refactor that must not
+change results is checked by running this on the code before and after it
+and comparing the two.
 
     python tools/golden_run.py OUT [--src SRC]
     python tools/golden_run.py --compare A B
@@ -14,18 +17,22 @@ comparing the two.
 OUT is a new directory; each run's files stay under OUT/<run>.  SRC is the
 source tree to import forcedwaves from (default: src next to this script).
 --compare takes two golden.json files (or their directories), lists the
-runs and files that differ and exits 1 if any do.
+runs, files and ACCEPTANCE lines that differ and exits 1 if any do.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIGS = {
     "exp": """
@@ -111,8 +118,24 @@ def run_all(out: Path, src: Path) -> dict:
     return runs
 
 
+def acceptance_lines(src: Path) -> list[str]:
+    """The ACCEPTANCE lines tests/test_acceptance.py prints against src."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_acceptance.py")],
+        env=env, cwd=ROOT, capture_output=True, text=True)
+    # -s interleaves pytest's progress dots with the printed lines
+    lines = re.findall(r"ACCEPTANCE \d+ .*", proc.stdout)
+    print(f"acceptance: exit {proc.returncode}, {len(lines)} lines", flush=True)
+    return lines
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    diffs = []
+    diffs = [f"acceptance: {la!r} != {lb!r}" for la, lb in
+             itertools.zip_longest(a.get("acceptance", []),
+                                   b.get("acceptance", [])) if la != lb]
+    a, b = a["runs"], b["runs"]
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             diffs.append(f"{name}: only in {'A' if name in a else 'B'}")
@@ -130,13 +153,13 @@ def load(path: str) -> dict:
     p = Path(path)
     if p.is_dir():
         p = p / "golden.json"
-    return json.loads(p.read_text(encoding="utf-8"))["runs"]
+    return json.loads(p.read_text(encoding="utf-8"))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="new output directory")
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+    parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding the forcedwaves package")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two golden.json files")
@@ -151,9 +174,10 @@ def main(argv=None) -> int:
         parser.error("give OUT or --compare A B")
     out = Path(args.out)
     runs = run_all(out, Path(args.src))
+    lines = acceptance_lines(Path(args.src))
     (out / "golden.json").write_text(
-        json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+        json.dumps({"runs": runs, "acceptance": lines}, indent=2,
+                   sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

@@ -180,6 +180,73 @@ class TestSlowScale:
         with pytest.raises(ValueError, match="z_switch"):
             alg3.slow_scale(1.0, 5.0)
 
+    # iterated-log tails below lead: no closed form, one panel pass per call
+
+    @staticmethod
+    def _mp_slow_scale(tail, z, c):
+        # B(z) = z int_{ln z}^inf exp(t - ln z - (F(e^t) - F(z))/c) dt at 30 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            coeffs = [mp.mpf(tail.lead)] * tail.k + [mp.mpf(tail.r)]
+            c = mp.mpf(c)
+
+            def F(t):  # tail antiderivative at e^t
+                out, cur = 0, t
+                for cj in coeffs:
+                    out += cj * cur
+                    cur = mp.log(cur)
+                return out
+
+            t0 = mp.log(mp.mpf(z))
+            d = mp.mpf(tail.lead) / c - 1
+            pts = sorted({t0 + x for x in (0, 1, 1 / d, 10 / d)}) + [mp.inf]
+            return float(z * mp.quad(lambda t: mp.exp(t - t0 - (F(t) - F(t0)) / c), pts))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("c", [0.2, 0.6, 0.9, 0.99])
+    def test_iterated_log_below_lead_matches_mpmath(self, k, c):
+        tail = IteratedLog(k=k, r=2.0, lead=1.0)
+        zs = np.array([25.0, 200.0, 3200.0, 51200.0, 204800.0])
+        got = tail.slow_scale(zs, c)
+        ref = np.array([self._mp_slow_scale(tail, z, c) for z in zs])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+    def test_iterated_log_below_lead_shapes_and_duplicates(self):
+        tail = IteratedLog(k=1, r=2.0, lead=1.0)
+        z = np.array([900.0, 25.0, 4000.0, 25.0, 130.0, 900.0])
+        out = tail.slow_scale(z, 0.6)
+        # one pass over the sorted unique points, mapped back
+        uniq = tail.slow_scale(np.array([25.0, 130.0, 900.0, 4000.0]), 0.6)
+        assert out.shape == z.shape
+        np.testing.assert_array_equal(out, uniq[[2, 0, 3, 0, 1, 2]])
+        np.testing.assert_array_equal(tail.slow_scale(z.reshape(2, 3), 0.6),
+                                      out.reshape(2, 3))
+        scalars = [tail.slow_scale(float(zi), 0.6) for zi in z]
+        assert all(isinstance(b, float) for b in scalars)
+        # the panel edges depend on the other points: equal to rounding only
+        np.testing.assert_allclose(out, scalars, rtol=1e-13, atol=0.0)
+
+    def test_iterated_log_near_lead_is_finite_and_increasing(self):
+        tail = IteratedLog(k=1, r=2.0, lead=1.0)
+        B = tail.slow_scale(np.linspace(25.0, 225.0, 1001), 1.0 - 1e-6)
+        assert np.all(np.isfinite(B)) and np.all(B > 0)
+        assert np.all(np.diff(B) > 0)
+        # continuous into the critical closed form c z ln z / (r - c)
+        assert B[0] == pytest.approx(25.0 * math.log(25.0), rel=1e-4)
+
+    def test_iterated_log_below_lead_makes_no_quad_call(self, monkeypatch):
+        calls = []
+        quad = env.integrate.quad
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(env.integrate, "quad", counted_quad)
+        B = IteratedLog(k=1, r=2.0, lead=1.0).slow_scale(np.linspace(25.0, 225.0, 1001), 0.6)
+        assert B.shape == (1001,)
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # spectral quantities

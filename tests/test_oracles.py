@@ -169,6 +169,14 @@ class TestSlowConstructions:
         assert orc.default_surrogate(pow2, 1.0).gamma == 1.0
         assert orc.default_surrogate(itlog, 1.0).r == pytest.approx(1.5)
 
+    def test_slow_subs_pass_on_iterated_log_below_lead(self, itlog):
+        # lead = 1 > c: B has no closed form, so this reaches the panel pass
+        for fn in (orc.slow_sub(itlog, 0.6),
+                   orc.sub2_slow(itlog, 0.6, orc.default_surrogate(itlog, 0.6))):
+            res = _check(fn)
+            assert res.passed, res
+            assert math.isfinite(res.min_residual) and math.isfinite(res.max_residual)
+
     def test_g1_sub_validates_lambda_window(self, alg3):
         for lam in (0.9, 1.0, 3.0, 3.5):
             with pytest.raises(ConstructionError, match="lam"):

@@ -1,9 +1,12 @@
 """Truncated-domain Newton solver: waves, families, continuation, checks."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
@@ -113,6 +116,16 @@ class TestSlowWaves:
         ws.solve_wave(alg3, 1.0, "slow_maximal")
         assert calls["sweeps"] >= 1
         assert calls["dgttrf"] == calls["sweeps"]
+
+    def test_iterated_log_below_lead_solves(self, itlog):
+        # ROADMAP 3c: the slow_sub start below lead used to NaN at large z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            sub = orc.slow_sub(itlog, 0.9)
+            w = ws.solve_wave(itlog, 0.9, "sigma1", SolverConfig(L=200.0, N=1001))
+        assert math.isfinite(sub.params["z_M"])
+        assert float(np.min(w.phi)) > 0.0
+        assert abs(w.phi[1] - w.phi[0]) <= 1e-6 * itlog.alpha
 
     def test_profile_itself_wave_tracks_a(self, pow2_maximal, pow2):
         w = pow2_maximal

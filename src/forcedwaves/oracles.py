@@ -15,6 +15,7 @@ argument work, so a failed check is evidence of a bug, not of bad luck.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -283,21 +284,26 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
     def log_b(z):
         return log_ta(z) + np.log(tail.slow_scale(z, c))
 
-    def find_zM(Av, horizon=1e12):
+    @functools.cache  # halving A re-walks the same exact M lattice 2.5 A/c 2^k
+    def probe(Mv):
+        """z_M for M (A-free): None to try 2M, inf if b > 1/M to the horizon."""
+        if float(log_b(z0)) <= -math.log(Mv):
+            return None  # b already below 1/M at z0: shrink 1/M to recover a root
+        hi = 2.0 * z0
+        while float(log_b(hi)) > -math.log(Mv):
+            hi *= 2.0
+            if hi > 1e12:
+                return math.inf
+        zM = float(brentq(lambda s: float(log_b(s)) + math.log(Mv), z0, hi, xtol=1e-12))
+        return zM if float(tail.value(zM)) <= c * c / 6.0 else None
+
+    def find_zM(Av):
         """Smallest (M, z_M) with M > 2Av/c, M b(z_M) = 1 and a(z_M) <= c^2/6."""
         Mv = 2.5 * Av / c
         for _ in range(80):
-            if float(log_b(z0)) <= -math.log(Mv):
-                Mv *= 2.0  # b already below 1/M at z0: shrink 1/M to recover a root
-                continue
-            hi = 2.0 * z0
-            while float(log_b(hi)) > -math.log(Mv):
-                hi *= 2.0
-                if hi > horizon:
-                    return None, Mv
-            zM = float(brentq(lambda s: float(log_b(s)) + math.log(Mv), z0, hi, xtol=1e-12))
-            if float(tail.value(zM)) <= c * c / 6.0:
-                return zM, Mv
+            zM = probe(Mv)
+            if zM is not None:
+                return (None if zM == math.inf else zM), Mv
             Mv *= 2.0
         return None, Mv
 

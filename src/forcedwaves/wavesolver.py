@@ -303,10 +303,16 @@ def _target_predicted(profile: EnvironmentProfile, c: float, tag: str) -> bool:
 SLOW_TAGS = ("tilde_a", "slow_maximal", "profile_itself")
 
 
+def _tanh_start(profile: EnvironmentProfile, grid: np.ndarray) -> np.ndarray:
+    """Smooth front from alpha down to 0 across the transition zone."""
+    w = max(1.0, profile.transition_width / 2.0)
+    return 0.5 * profile.alpha * (1.0 - np.tanh((grid - profile.transition_center) / w))
+
+
 def standard_starts(profile: EnvironmentProfile, c: float,
                     grid: np.ndarray) -> dict[str, np.ndarray]:
     """The three canonical Newton starts: oracle sub-solution, tanh front,
-    oracle super-solution."""
+    oracle super-solution.  solve_wave does not call this."""
     alpha = profile.alpha
     starts: dict[str, np.ndarray] = {}
 
@@ -321,8 +327,7 @@ def standard_starts(profile: EnvironmentProfile, c: float,
         pass
     starts["sub"] = sub
 
-    w = max(1.0, profile.transition_width / 2.0)
-    starts["tanh"] = 0.5 * alpha * (1.0 - np.tanh((grid - profile.transition_center) / w))
+    starts["tanh"] = _tanh_start(profile, grid)
 
     eps = 0.5 * c
     starts["super"] = oracles.exp_super(alpha, c, eps, profile).on_grid(grid)
@@ -354,9 +359,11 @@ def solve_wave(profile: EnvironmentProfile, c: float,
                pin_amplitude: Optional[float] = None) -> WaveSolution:
     """Solve the truncated boundary value problem for one targeted wave.
 
-    pin_amplitude, when given, replaces the Robin row by the Dirichlet
-    condition phi(L) = pin_amplitude (used by wave_family to separate slow
-    family members, which share the same Robin coefficient).
+    Without initial_guess, Newton starts from the tanh front alone; no
+    oracle is constructed.  pin_amplitude, when given, replaces the Robin
+    row by the Dirichlet condition phi(L) = pin_amplitude (used by
+    wave_family to separate slow family members, which share the same
+    Robin coefficient).
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -372,7 +379,7 @@ def solve_wave(profile: EnvironmentProfile, c: float,
         sigma_R = _sigma_R_for(profile, c, tag, ansatz, float(grid[-1]))
 
     if initial_guess is None:
-        initial_guess = standard_starts(profile, c, grid)["tanh"]
+        initial_guess = _tanh_start(profile, grid)
     phi0 = np.asarray(initial_guess, dtype=float)
     if phi0.shape != grid.shape:
         raise ValueError("initial guess does not match the grid")
@@ -453,9 +460,9 @@ def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
                       cfg: Optional[SolverConfig] = None) -> ContinuationResult:
     """March c over `steps` uniform values, warm-starting from the last success.
 
-    All points are attempted; failures are recorded and do not stop the march
-    (each later point falls back to the standard tanh start if the warm start
-    is stale).
+    All points are attempted; failures are recorded and do not stop the march.
+    Points before the first success start from solve_wave's default tanh
+    front; every later point starts from the last converged wave.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -177,6 +177,44 @@ class TestSlowConstructions:
             assert res.passed, res
             assert math.isfinite(res.min_residual) and math.isfinite(res.max_residual)
 
+    def test_failing_z_M_search_probes_each_M_once(self, monkeypatch, pow2):
+        # every halving of A re-walks the same M lattice; 3147 brentq solves
+        # when each walk re-solved every M
+        calls = []
+        brentq = orc.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "brentq", counted)
+        with pytest.raises(ConstructionError, match="any amplitude"):
+            orc.slow_sub(pow2, 0.7)
+        assert len(calls) <= 150
+
+    @pytest.mark.parametrize("fixture,c,kind,params", [
+        # found after five halvings of A, on M values earlier walks probed
+        ("itlog", 1.0, "slow_sub",
+         {"A": 0.03125, "M": 0.078125, "z_M": 614699263.0325497, "z0": 25.0}),
+        ("alg3", 0.2, "slow_sub",
+         {"A": 1.0, "M": 1.4757395258967641e+22, "z_M": 454.88333460986075,
+          "z0": 12.0}),
+        ("pow2", 0.9, "slow_sub",
+         {"A": 1.0, "M": 1.6012798675095096e+18, "z_M": 220.88956417676036,
+          "z0": 25.0}),
+        ("pow2", 0.6, "sub2_slow",
+         {"A": 1.0, "M": 9382499223688534.0, "z_M": 279.91102124804473,
+          "z0": 25.0, "surrogate": {"gamma": 1.0, "p": 0.5}}),
+    ])
+    def test_z_M_search_params_exact(self, request, fixture, c, kind, params):
+        # exact values: probing each M once must not move any bit
+        profile = request.getfixturevalue(fixture)
+        if kind == "slow_sub":
+            fn = orc.slow_sub(profile, c)
+        else:
+            fn = orc.sub2_slow(profile, c, orc.default_surrogate(profile, c))
+        assert fn.params == params
+
     def test_g1_sub_validates_lambda_window(self, alg3):
         for lam in (0.9, 1.0, 3.0, 3.5):
             with pytest.raises(ConstructionError, match="lam"):

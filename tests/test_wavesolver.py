@@ -216,6 +216,29 @@ class TestStartIndependence:
             assert float(np.max(np.abs(s.phi - sols[0].phi))) < 1e-12
 
 
+class TestDefaultStart:
+    @pytest.mark.parametrize("fixture,c,target", [
+        ("pow2", 0.7, "profile_itself"), ("alg3", 1.0, "slow_maximal")])
+    def test_default_start_builds_no_oracle(self, monkeypatch, request,
+                                            fixture, c, target):
+        # the default start is the tanh front alone, so no oracle is built;
+        # on pow2 at c = 0.7 a slow_sub start fails after a costly search
+        profile = request.getfixturevalue(fixture)
+        grid = SolverConfig.default_for(profile).grid()
+        want = ws.solve_wave(profile, c, target, initial_guess=ws.standard_starts(
+            profile, c, grid)["tanh"])
+
+        def built(*args, **kwargs):
+            raise AssertionError("the default start built an oracle")
+
+        for name in ("cos_bump_sub", "slow_sub", "exp_super"):
+            monkeypatch.setattr(orc, name, built)
+        got = ws.solve_wave(profile, c, target)
+        assert np.array_equal(got.phi, want.phi)
+        assert got.iterations == want.iterations
+        assert got.residual_norm == want.residual_norm
+
+
 class TestAboveThreshold:
     def test_no_positive_wave_at_high_speed(self, exp2):
         # the solver converges to the truncated-domain parasite and the

@@ -2,10 +2,11 @@
 data-file hashes and the ACCEPTANCE lines.
 
 Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
-and alpha) and verify-oracles on two configs, the README exp.ini and an
-algebraic gamma = 3 profile, and writes golden.json with each run's exit
-code and the sha256 of every file it wrote except manifest.json (the only
-file that carries timings and versions).  It also runs
+and alpha) and verify-oracles on three configs, the README exp.ini, an
+algebraic gamma = 3 profile and a power-tail profile at c = 0.7, and
+writes golden.json with each run's exit code and the sha256 of every file
+it wrote except manifest.json (the only file that carries timings and
+versions).  It also runs
 tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
 which carry each criterion's measured numbers.  A refactor that must not
 change results is checked by running this on the code before and after it
@@ -71,6 +72,27 @@ c.steps = 8
 [solver]
 L = 200
 N = 8001
+K = 0.5, 1.0, 2.0
+""",
+    # case 3 below c = 0.8, where the slow_sub start construction fails;
+    # the sweep starts at 1.2, clear of the power-tail sigma1 crash at low c
+    "pow2": """
+[profile]
+alpha = 1.0
+center = 15.0
+width = 10.0
+tail.kind = power
+tail.gamma = 2.0
+tail.p = 0.5
+
+[speed]
+c = 0.7
+c.start = 1.2
+c.stop = 2.4
+c.steps = 4
+
+[solver]
+target = profile_itself
 K = 0.5, 1.0, 2.0
 """,
 }

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import DecayAnsatz, EnvironmentProfile, classify
+from .environment import (AnsatzUnavailableError, DecayAnsatz,
+                          EnvironmentProfile, classify)
 
 __all__ = [
     "DecayFit",
@@ -39,7 +40,10 @@ LOG_FLOOR = 10.0 * np.finfo(float).tiny
 
 
 class FitWindowError(ValueError):
-    """Tail window unusable: too short, or field underflowed in log space."""
+    """Tail window unusable: too short, field underflowed in log space, or
+    no candidate defined on it."""
+
+    kind = "fit_window"
 
 
 @dataclass(frozen=True)
@@ -147,14 +151,19 @@ def fit_decay(wave, candidates: Sequence[DecayAnsatz],
 
     fits = []
     for cand in candidates:
-        shape = np.asarray(cand.value(z), dtype=float)
+        # a candidate undefined on the window (e.g. sigma1 complex there)
+        # is not a competing law at this speed: leave it out of the ranking
+        try:
+            shape = np.asarray(cand.value(z), dtype=float)
+            rate = np.asarray(cand.log_derivative(z), dtype=float)
+        except AnsatzUnavailableError:
+            continue
         if np.any(shape <= 0.0) or not np.all(np.isfinite(shape)):
             raise FitWindowError(
                 f"candidate {cand.tag} is not positive/finite on the window")
         r = logv - np.log(shape)
         logK = float(np.mean(r))
         rms = float(np.sqrt(np.mean((r - logK) ** 2)))
-        rate = np.asarray(cand.log_derivative(z), dtype=float)
         rate_err = float(np.max(np.abs(dlogv - rate)))
         fits.append(DecayFit(candidate=cand,
                              window=(float(z[0]), float(z[-1])),
@@ -162,6 +171,9 @@ def fit_decay(wave, candidates: Sequence[DecayAnsatz],
                              rms_log_error=rms,
                              local_rate_error=rate_err,
                              n_points=len(z)))
+    if not fits:
+        raise FitWindowError("no candidate is defined on the tail window: "
+                             + ", ".join(cand.tag for cand in candidates))
     fits.sort(key=lambda f: f.rms_log_error)
     ambiguous = (len(fits) >= 2
                  and fits[1].rms_log_error <= 1.2 * fits[0].rms_log_error)

@@ -6,14 +6,17 @@ sections or keys are rejected before any computation starts.  Data files
 (CSV/JSON/SVG) carry no timestamps, so identical configs produce
 byte-identical outputs; run metadata goes to a separate manifest.json.
 
-Exit codes: 0 success, 2 config error, 3 exceptional classification,
-4 solver failure, 5 check failure.
+Exit codes: 0 success, 2 config error (no output directory is created),
+3 exceptional classification, 4 solver failure, 5 check failure.  Exits 4
+and 5 write failure.json, whose "kind" is the error class's `kind`; only a
+Newton failure adds residual_history.csv.  manifest.json lists the files.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -23,8 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (Algebraic, EnvironmentProfile, ExpTail, IteratedLog,
-                          Power, classify)
+from .environment import (Algebraic, AnsatzUnavailableError,
+                          EnvironmentProfile, ExpTail, IteratedLog, Power,
+                          classify)
 from . import analysis, oracles, pdesim, wavesolver
 from .wavesolver import (NewtonDivergenceError, NoPositiveWaveError,
                          SolverConfig, TARGET_TAGS)
@@ -114,6 +118,8 @@ def load_config(path) -> dict:
 
 
 def _require(cfg: dict, section: str, key: str):
+    if section not in cfg:
+        raise ConfigError(f"missing required section [{section}]")
     try:
         return cfg[section][key]
     except KeyError:
@@ -122,9 +128,6 @@ def _require(cfg: dict, section: str, key: str):
 
 
 def build_profile(cfg: dict) -> EnvironmentProfile:
-    if "profile" not in cfg:
-        raise ConfigError("missing required section [profile]")
-    sec = cfg["profile"]
     alpha = _require(cfg, "profile", "alpha")
     center = _require(cfg, "profile", "center")
     width = _require(cfg, "profile", "width")
@@ -133,7 +136,7 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
         raise ConfigError(f"tail.kind = {kind!r}; expected one of "
                           f"{sorted(_TAIL_KEYS)}")
     params = {}
-    for key, val in sec.items():
+    for key, val in cfg["profile"].items():
         if not key.startswith("tail.") or key == "tail.kind":
             continue
         name = key[len("tail."):]
@@ -156,14 +159,10 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
 
 
 def get_speed(cfg: dict) -> float:
-    if "speed" not in cfg:
-        raise ConfigError("missing required section [speed]")
     return _require(cfg, "speed", "c")
 
 
 def get_speed_range(cfg: dict) -> np.ndarray:
-    if "speed" not in cfg:
-        raise ConfigError("missing required section [speed]")
     start = _require(cfg, "speed", "c.start")
     stop = _require(cfg, "speed", "c.stop")
     steps = _require(cfg, "speed", "c.steps")
@@ -173,18 +172,11 @@ def get_speed_range(cfg: dict) -> np.ndarray:
 
 
 def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
-    base = SolverConfig.default_for(profile)
     sec = cfg.get("solver", {})
     kw = {k: sec[k] for k in ("L", "N", "newton_tol", "newton_max_iter",
                               "max_halvings") if k in sec}
-    if not kw:
-        return base
     try:
-        return SolverConfig(
-            L=kw.get("L", base.L), N=kw.get("N", base.N),
-            newton_tol=kw.get("newton_tol", base.newton_tol),
-            newton_max_iter=kw.get("newton_max_iter", base.newton_max_iter),
-            max_halvings=kw.get("max_halvings", base.max_halvings))
+        return dataclasses.replace(SolverConfig.default_for(profile), **kw)
     except ValueError as exc:
         raise ConfigError(f"invalid [solver] section: {exc}") from None
 
@@ -366,7 +358,7 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args, cfg: dict) -> int:
+def cmd_classify(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     report = classify(profile, c)
@@ -374,40 +366,17 @@ def cmd_classify(args, cfg: dict) -> int:
     print(text)
     outdir = _outdir(args, cfg)
     (outdir / "classify.json").write_text(text + "\n", encoding="utf-8")
-    _write_manifest(outdir, args, ["classify.json"])
-    return EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
+    code = EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
+    return code, ["classify.json"]
 
 
-def _solve_or_report(args, cfg, profile, c, target, solver_cfg, outdir,
-                     pin_amplitude=None):
-    """Shared wave solve with the exit-4 failure protocol."""
-    try:
-        return wavesolver.solve_wave(profile, c, target, solver_cfg,
-                                     pin_amplitude=pin_amplitude)
-    except (NewtonDivergenceError, NoPositiveWaveError) as exc:
-        kind = ("no_positive_wave" if isinstance(exc, NoPositiveWaveError)
-                else "divergence")
-        hist = list(getattr(exc, "residual_history", ()) or ())
-        _csv_rows(outdir / "residual_history.csv",
-                  ["iteration", "max_residual"],
-                  [(i, float(r)) for i, r in enumerate(hist)])
-        _write_json(outdir / "failure.json",
-                    {"c": c, "kind": kind, "message": str(exc)})
-        _write_manifest(outdir, args,
-                        ["residual_history.csv", "failure.json"])
-        print(f"solver failure at c = {c:g}: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_wave(args, cfg: dict) -> int:
+def cmd_wave(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile, c)
     outdir = _outdir(args, cfg)
-    wave = _solve_or_report(args, cfg, profile, c, target, solver_cfg, outdir)
-    if wave is None:
-        return EXIT_SOLVER
+    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     wave.to_csv(outdir / "wave.csv")
     side = wave.sidecar_dict()
     side["profile"] = profile.params_dict()
@@ -426,13 +395,12 @@ def cmd_wave(args, cfg: dict) -> int:
                       title=f"tail decay, c = {c:g}", xlabel="z",
                       ylabel="phi (log)", logy=True)
         outputs += ["wave_profile.svg", "wave_tail.svg"]
-    _write_manifest(outdir, args, outputs)
     print(f"wave solved: c = {c:g}, target = {wave.decay_tag}, "
           f"residual = {wave.residual_norm:.3e}, files in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
-def cmd_family(args, cfg: dict) -> int:
+def cmd_family(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     solver_cfg = build_solver_config(cfg, profile)
@@ -444,16 +412,6 @@ def cmd_family(args, cfg: dict) -> int:
         waves = wavesolver.wave_family(profile, c, K_values, solver_cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except (NewtonDivergenceError, NoPositiveWaveError) as exc:
-        hist = list(getattr(exc, "residual_history", ()) or ())
-        _csv_rows(outdir / "residual_history.csv",
-                  ["iteration", "max_residual"],
-                  [(i, float(r)) for i, r in enumerate(hist)])
-        _write_json(outdir / "failure.json",
-                    {"c": c, "kind": "family", "message": str(exc)})
-        _write_manifest(outdir, args, ["residual_history.csv", "failure.json"])
-        print(f"family solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
     outputs = []
     members = []
@@ -481,10 +439,9 @@ def cmd_family(args, cfg: dict) -> int:
                       title=f"slow family tails, c = {c:g}", xlabel="z",
                       ylabel="phi (log)", logy=True)
         outputs.append("family_tail.svg")
-    _write_manifest(outdir, args, outputs)
     ok = all(o["ordered"] for o in orderings)
     print(f"family of {len(waves)} solved; pairwise ordered: {ok}")
-    return EXIT_OK if ok else EXIT_CHECK
+    return (EXIT_OK if ok else EXIT_CHECK), outputs
 
 
 def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
@@ -504,13 +461,11 @@ def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
         f"[simulation] initial = {kind!r}; expected wave, alpha or bump")
 
 
-def cmd_simulate(args, cfg: dict) -> int:
+def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     sec = cfg.get("simulation", {})
-    if "T" not in sec:
-        raise ConfigError("missing required key 'T' in section [simulation]")
-    T = sec["T"]
+    T = _require(cfg, "simulation", "T")
     if T <= 0:
         raise ConfigError("[simulation] T must be positive")
     solver_cfg = build_solver_config(cfg, profile)
@@ -518,10 +473,7 @@ def cmd_simulate(args, cfg: dict) -> int:
 
     if sec.get("initial", "alpha") == "wave":
         target = resolve_cli_target(cfg, profile, c)
-        wave = _solve_or_report(args, cfg, profile, c, target, solver_cfg,
-                                outdir)
-        if wave is None:
-            return EXIT_SOLVER
+        wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
         state = pdesim.state_from_wave(wave, profile)
     else:
         grid = solver_cfg.grid()
@@ -533,18 +485,8 @@ def cmd_simulate(args, cfg: dict) -> int:
         "steady_residual": pdesim.residual_monitor(),
         "front_position": pdesim.front_position_monitor(profile.alpha),
     }
-    try:
-        result = pdesim.evolve(state, T, dt=sec.get("dt"),
-                               monitors=monitors,
-                               monitor_every=sec.get("monitor_every"))
-    except pdesim.StepRejectedError as exc:
-        _write_json(outdir / "failure.json",
-                    {"kind": "step_rejected", "message": str(exc),
-                     "suggested_dt": exc.suggested_dt})
-        _write_manifest(outdir, args, ["failure.json"])
-        print(f"time step rejected: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    result = pdesim.evolve(state, T, dt=sec.get("dt"), monitors=monitors,
+                           monitor_every=sec.get("monitor_every"))
     state.snapshot_to_csv(outdir / "state_initial.csv")
     result.state.snapshot_to_csv(outdir / "state_final.csv")
     result.monitors_to_csv(outdir / "monitors.csv")
@@ -566,10 +508,9 @@ def cmd_simulate(args, cfg: dict) -> int:
                       title=f"u at t = 0 and t = {result.state.t:g}",
                       xlabel="z", ylabel="u")
         outputs.append("simulate_states.svg")
-    _write_manifest(outdir, args, outputs)
     print(f"evolved to t = {result.state.t:g} in {result.steps_taken} steps; "
           f"drift/time = {result.drift_per_unit_time:.3e}")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
 def _candidate_ansatz(profile, c, tags) -> list:
@@ -581,7 +522,7 @@ def _candidate_ansatz(profile, c, tags) -> list:
     return cands
 
 
-def cmd_fit(args, cfg: dict) -> int:
+def cmd_fit(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     solver_cfg = build_solver_config(cfg, profile)
@@ -595,30 +536,20 @@ def cmd_fit(args, cfg: dict) -> int:
     if not 0.0 < wfrac < 1.0:
         raise ConfigError("[fit] window_fraction must lie in (0, 1)")
     outdir = _outdir(args, cfg)
-    wave = _solve_or_report(args, cfg, profile, c, target, solver_cfg, outdir)
-    if wave is None:
-        return EXIT_SOLVER
+    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     cands = _candidate_ansatz(profile, c, tags)
     if not cands:
         raise ConfigError(f"no fit candidate among {tags} is defined for "
                           "this profile and speed")
-    try:
-        ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
-    except analysis.FitWindowError as exc:
-        _write_json(outdir / "failure.json",
-                    {"kind": "fit_window", "message": str(exc)})
-        _write_manifest(outdir, args, ["failure.json"])
-        print(f"fit rejected: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+    ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
     ranking.to_csv(outdir / "fit.csv")
     (outdir / "fit.json").write_text(ranking.to_json() + "\n",
                                      encoding="utf-8")
-    _write_manifest(outdir, args, ["fit.csv", "fit.json"])
     w = ranking.winner
     flag = " (ambiguous)" if ranking.ambiguous else ""
     print(f"winner: {w.tag}{flag}, K = {w.amplitude:.6g}, "
           f"rms log error = {w.rms_log_error:.3e}")
-    return EXIT_OK
+    return EXIT_OK, ["fit.csv", "fit.json"]
 
 
 def _oracle_suite(profile: EnvironmentProfile, c: float) -> list[dict]:
@@ -664,7 +595,7 @@ def _oracle_suite(profile: EnvironmentProfile, c: float) -> list[dict]:
     return rows
 
 
-def cmd_verify_oracles(args, cfg: dict) -> int:
+def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     outdir = _outdir(args, cfg)
@@ -678,7 +609,6 @@ def cmd_verify_oracles(args, cfg: dict) -> int:
                 r["note"]) for r in rows])
     _write_json(outdir / "oracles.json", {"c": c, "results": rows,
                                           "profile": profile.params_dict()})
-    _write_manifest(outdir, args, ["oracles.csv", "oracles.json"])
     n_app = sum(r["applicable"] for r in rows)
     n_pass = sum(r.get("passed", False) for r in rows)
     for r in rows:
@@ -686,7 +616,8 @@ def cmd_verify_oracles(args, cfg: dict) -> int:
                   "FAIL" if r["applicable"] else "n/a ")
         print(f"  {status}  {r['construction']}")
     print(f"{n_pass}/{n_app} applicable constructions pass")
-    return EXIT_OK if n_pass == n_app else EXIT_CHECK
+    code = EXIT_OK if n_pass == n_app else EXIT_CHECK
+    return code, ["oracles.csv", "oracles.json"]
 
 
 def _sweep_point(packed):
@@ -694,10 +625,8 @@ def _sweep_point(packed):
     profile, c, target, solver_cfg, fit_tags = packed
     try:
         wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
-    except NoPositiveWaveError:
-        return {"c": c, "status": "no_positive_wave"}
-    except NewtonDivergenceError:
-        return {"c": c, "status": "divergence"}
+    except (NoPositiveWaveError, NewtonDivergenceError) as exc:
+        return {"c": c, "status": exc.kind}
     row = {"c": c, "status": "solved",
            "residual_norm": wave.residual_norm,
            "iterations": wave.iterations,
@@ -719,7 +648,7 @@ def _sweep_point(packed):
     return row
 
 
-def cmd_sweep(args, cfg: dict) -> int:
+def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     cs = get_speed_range(cfg)
     solver_cfg = build_solver_config(cfg, profile)
@@ -773,13 +702,12 @@ def cmd_sweep(args, cfg: dict) -> int:
                       title="wave amplitude over the speed range",
                       xlabel="c", ylabel="max phi")
         outputs.append("sweep.svg")
-    _write_manifest(outdir, args, outputs)
     if boundary:
         print(f"sweep: {len(solved)}/{len(rows)} solved; existence boundary "
               f"in [{boundary[0]:g}, {boundary[1]:g}]")
     else:
         print(f"sweep: {len(solved)}/{len(rows)} solved")
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +743,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# typed error -> (exit code, stderr lead, whether the failure is tied to the
+# run's speed c); failure.json's "kind" is the error class's own `kind`
+_FAILURES = {
+    NewtonDivergenceError: (EXIT_SOLVER, "solver failure", True),
+    NoPositiveWaveError: (EXIT_SOLVER, "solver failure", True),
+    AnsatzUnavailableError: (EXIT_SOLVER, "solver failure", True),
+    pdesim.StepRejectedError: (EXIT_SOLVER, "time step rejected", False),
+    analysis.FitWindowError: (EXIT_CHECK, "fit rejected", False),
+}
+
+
+def _report_failure(args, cfg: dict, exc: Exception) -> tuple[int, list]:
+    """Write failure.json for a typed error, plus residual_history.csv when
+    the error carries a Newton residual history; return the exit code and
+    the files written."""
+    code, lead, at_c = next(v for cls, v in _FAILURES.items()
+                            if isinstance(exc, cls))
+    # a sweep spans a speed range, so its failure names no single c
+    c = cfg["speed"]["c"] if at_c and args.command != "sweep" else None
+    where = "" if c is None else f" at c = {c:g}"
+    print(f"{lead}{where}: {exc}", file=sys.stderr)
+    outdir = _outdir(args, cfg)
+    record = {"kind": exc.kind, "message": str(exc)}
+    if c is not None:
+        record["c"] = c
+    if isinstance(exc, pdesim.StepRejectedError):
+        record["suggested_dt"] = exc.suggested_dt
+    _write_json(outdir / "failure.json", record)
+    outputs = ["failure.json"]
+    hist = getattr(exc, "residual_history", None)
+    if hist is not None:
+        _csv_rows(outdir / "residual_history.csv",
+                  ["iteration", "max_residual"],
+                  [(i, float(r)) for i, r in enumerate(hist)])
+        outputs.append("residual_history.csv")
+    return code, outputs
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.workers < 1:
@@ -822,10 +788,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        code, outputs = _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except tuple(_FAILURES) as exc:
+        code, outputs = _report_failure(args, cfg, exc)
+    _write_manifest(_outdir(args, cfg), args, outputs)
+    return code
 
 
 if __name__ == "__main__":

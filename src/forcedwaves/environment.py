@@ -66,6 +66,8 @@ class QuadratureError(RuntimeError):
 class AnsatzUnavailableError(ValueError):
     """The requested decay shape does not exist in this regime."""
 
+    kind = "ansatz_unavailable"
+
 
 # ---------------------------------------------------------------------------
 # iterated logarithms

@@ -49,6 +49,8 @@ __all__ = [
 
 
 class StepRejectedError(ValueError):
+    kind = "step_rejected"
+
     def __init__(self, message, suggested_dt):
         super().__init__(message)
         self.suggested_dt = suggested_dt

@@ -89,6 +89,8 @@ class SolverConfig:
 
 
 class NewtonDivergenceError(RuntimeError):
+    kind = "divergence"
+
     def __init__(self, message, last_iterate=None, residual_history=None):
         super().__init__(message)
         self.last_iterate = last_iterate
@@ -97,6 +99,8 @@ class NewtonDivergenceError(RuntimeError):
 
 class NoPositiveWaveError(RuntimeError):
     """Newton converged, but the converged state is not a positive wave."""
+
+    kind = "no_positive_wave"
 
     def __init__(self, message, phi=None, residual_norm=None, residual_history=None):
         super().__init__(message)
@@ -434,7 +438,7 @@ def solve_wave(profile: EnvironmentProfile, c: float,
 @dataclass(frozen=True)
 class FailureRecord:
     c: float
-    kind: str  # "divergence" | "no_positive_wave"
+    kind: str  # the kind of the error that stopped the solve
     message: str
 
 
@@ -475,10 +479,8 @@ def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
             w = solve_wave(profile, float(cv), target, cfg, initial_guess=warm)
             solutions.append(w)
             warm = w.phi
-        except NoPositiveWaveError as exc:
-            failures.append(FailureRecord(float(cv), "no_positive_wave", str(exc)))
-        except NewtonDivergenceError as exc:
-            failures.append(FailureRecord(float(cv), "divergence", str(exc)))
+        except (NoPositiveWaveError, NewtonDivergenceError) as exc:
+            failures.append(FailureRecord(float(cv), exc.kind, str(exc)))
     return ContinuationResult(c_values=cs, solutions=solutions, failures=failures)
 
 

@@ -89,6 +89,18 @@ class TestWindowErrors:
         with pytest.raises(ValueError, match="no candidates"):
             an.fit_decay(exp_wave_c1, [])
 
+    def test_unavailable_candidate_skipped(self, pow2):
+        # sigma1 is complex on the pow2 tail window at c = 0.7: it drops out
+        # of the ranking, and with no candidate left the window is rejected
+        sigma1, itself = candidates_for(pow2, 0.7, ["sigma1", "profile_itself"])
+        grid = np.linspace(-200.0, 200.0, 8001)
+        wave = SimpleNamespace(grid=grid,
+                               phi=itself.value(np.maximum(grid, 20.0)))
+        rk = an.fit_decay(wave, [sigma1, itself])
+        assert [f.tag for f in rk] == ["profile_itself"]
+        with pytest.raises(FitWindowError, match="no candidate"):
+            an.fit_decay(wave, [sigma1])
+
 
 class TestComputedWaveFits:
     def test_exp_wave_is_exponential_but_ambiguous(self, exp2, exp_wave_c1):

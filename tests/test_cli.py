@@ -8,7 +8,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from forcedwaves import cli
+from forcedwaves import analysis, cli, pdesim, wavesolver
+from forcedwaves.environment import AnsatzUnavailableError
+from forcedwaves.wavesolver import NoPositiveWaveError
 
 EXP_INI = """\
 [profile]
@@ -36,6 +38,25 @@ tail.gamma = 3.0
 
 [speed]
 c = 1.0
+"""
+
+# power tail a = 2 z^{-1/2}: case 3 at c = 0.7, and sigma1 is complex on the
+# tail for c below about 0.8
+POW2_INI = """\
+[profile]
+alpha = 1.0
+center = 15.0
+width = 10.0
+tail.kind = power
+tail.gamma = 2.0
+tail.p = 0.5
+
+[speed]
+c = 0.7
+
+[solver]
+target = profile_itself
+K = 0.5, 1.0, 2.0
 """
 
 
@@ -312,6 +333,14 @@ class TestFit:
         fail = json.loads((outdir / "failure.json").read_text())
         assert fail["kind"] == "fit_window"
 
+    def test_pow2_fit_skips_complex_sigma1(self, tmp_path, outdir, capsys):
+        cfg = cfg_file(tmp_path, POW2_INI)
+        assert run("fit", cfg, outdir) == 0
+        capsys.readouterr()
+        tags = [f["candidate"] for f in
+                json.loads((outdir / "fit.json").read_text())["fits"]]
+        assert tags and "sigma1" not in tags
+
 
 class TestVerifyOracles:
     def test_full_pass_on_algebraic(self, tmp_path, outdir, capsys):
@@ -372,6 +401,52 @@ class TestSweep:
         rows = (outdir / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 1  # header only
         assert json.loads((outdir / "sweep.json").read_text())["n_points"] == 0
+
+
+POW2_LOW = POW2_INI.replace("target = profile_itself\n", "")
+
+
+class TestFailureContract:
+    """Exits 4 and 5: failure.json carries the raised error class's kind,
+    and manifest.json lists exactly the files the run wrote."""
+
+    @pytest.mark.parametrize("command,ini,error,code,c", [
+        ("wave", EXP_INI.replace("c = 1.0", "c = 2.2"),
+         NoPositiveWaveError, 4, 2.2),
+        ("simulate", EXP_INI + "\n[simulation]\nT = 5.0\ndt = 1.0\n",
+         pdesim.StepRejectedError, 4, None),
+        ("fit", EXP_INI + "\n[fit]\nwindow_fraction = 0.01\n",
+         analysis.FitWindowError, 5, None),
+        ("family", POW2_INI, NoPositiveWaveError, 4, 0.7),
+        ("wave", POW2_LOW.replace("c = 0.7", "c = 0.5"),
+         AnsatzUnavailableError, 4, 0.5),
+        ("sweep", POW2_LOW.replace("c = 0.7", "c.start = 0.5\nc.stop = 0.6\n"
+                                   "c.steps = 2"),
+         AnsatzUnavailableError, 4, None),
+    ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1",
+            "pow2-sweep"])
+    def test_failure_json_and_manifest(self, tmp_path, outdir, capsys,
+                                       command, ini, error, code, c):
+        cfg = cfg_file(tmp_path, ini)
+        assert run(command, cfg, outdir) == code
+        assert capsys.readouterr().err
+        fail = json.loads((outdir / "failure.json").read_text())
+        assert fail["kind"] == error.kind
+        assert fail.get("c") == c  # a sweep has no single speed
+        written = sorted(p.name for p in outdir.iterdir()
+                         if p.name != "manifest.json")
+        assert json.loads((outdir / "manifest.json").read_text())["outputs"] \
+            == written
+        newton = error in (NoPositiveWaveError,
+                           wavesolver.NewtonDivergenceError)
+        assert ("residual_history.csv" in written) == newton
+
+    def test_continuation_records_the_same_kind(self, exp2):
+        c = 2.2
+        res = wavesolver.continuation_in_c(
+            exp2, c, c, 1, cli.resolve_cli_target({}, exp2, c),
+            wavesolver.SolverConfig(L=40.0, N=2001))
+        assert [f.kind for f in res.failures] == [NoPositiveWaveError.kind]
 
 
 @pytest.mark.skipif(shutil.which("forcedwaves") is None,

@@ -2,11 +2,12 @@
 data-file hashes and the ACCEPTANCE lines.
 
 Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
-and alpha) and verify-oracles on three configs, the README exp.ini, an
-algebraic gamma = 3 profile and a power-tail profile at c = 0.7, and
-writes golden.json with each run's exit code and the sha256 of every file
-it wrote except manifest.json (the only file that carries timings and
-versions).  It also runs
+and alpha) and verify-oracles, plus two runs that must fail (simulate with
+a step too large for the stability limit, fit with a window too short), on
+three configs, the README exp.ini, an algebraic gamma = 3 profile and a
+power-tail profile at c = 0.7, and writes golden.json with each run's exit
+code and the sha256 of every file it wrote except manifest.json (the only
+file that carries timings and versions).  It also runs
 tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
 which carry each criterion's measured numbers.  A refactor that must not
 change results is checked by running this on the code before and after it
@@ -99,16 +100,20 @@ K = 0.5, 1.0, 2.0
 
 SIMULATION = "\n[simulation]\nT = 1.0\ninitial = {}\n"
 
-# (run suffix, command, simulation initial or None)
+# (run suffix, command, INI text appended to the config)
 COMMANDS = (
-    ("wave", "wave", None),
-    ("fit", "fit", None),
-    ("family", "family", None),
-    ("sweep", "sweep", None),
-    ("simulate-wave", "simulate", "wave"),
-    ("simulate-bump", "simulate", "bump"),
-    ("simulate-alpha", "simulate", "alpha"),
-    ("verify-oracles", "verify-oracles", None),
+    ("wave", "wave", ""),
+    ("fit", "fit", ""),
+    ("family", "family", ""),
+    ("sweep", "sweep", ""),
+    ("simulate-wave", "simulate", SIMULATION.format("wave")),
+    ("simulate-bump", "simulate", SIMULATION.format("bump")),
+    ("simulate-alpha", "simulate", SIMULATION.format("alpha")),
+    ("verify-oracles", "verify-oracles", ""),
+    # failure runs: failure.json kinds step_rejected and fit_window
+    ("simulate-step-rejected", "simulate",
+     "\n[simulation]\nT = 5.0\ndt = 1.0\n"),
+    ("fit-window", "fit", "\n[fit]\nwindow_fraction = 0.01\n"),
 )
 
 
@@ -121,13 +126,12 @@ def run_all(out: Path, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     runs = {}
     for cfg_name, text in CONFIGS.items():
-        for suffix, command, initial in COMMANDS:
+        for suffix, command, extra in COMMANDS:
             name = f"{cfg_name}-{suffix}"
             rundir = out / name
             rundir.mkdir()
             ini = out / f"{name}.ini"
-            ini.write_text(text + (SIMULATION.format(initial) if initial else ""),
-                           encoding="utf-8")
+            ini.write_text(text + extra, encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, "-m", "forcedwaves.cli", command,
                  "--config", str(ini), "--out", str(rundir)],

@@ -38,6 +38,12 @@ EXni_TAGS = ("pure_exp", "sigma1")
 # smallest field value whose log is still meaningful rather than underflow noise
 LOG_FLOOR = 10.0 * np.finfo(float).tiny
 
+# fits whose rms log-error is within this relative gap of the best are tied
+# and keep the caller's candidate order: on an exponential tail sigma1 = -c to
+# machine precision, so pure_exp and sigma1 are one law and rounding alone
+# would pick between them
+_RMS_TIE = 1e-6
+
 
 class FitWindowError(ValueError):
     """Tail window unusable: too short, field underflowed in log space, or
@@ -174,7 +180,8 @@ def fit_decay(wave, candidates: Sequence[DecayAnsatz],
     if not fits:
         raise FitWindowError("no candidate is defined on the tail window: "
                              + ", ".join(cand.tag for cand in candidates))
-    fits.sort(key=lambda f: f.rms_log_error)
+    tie = (1.0 + _RMS_TIE) * min(f.rms_log_error for f in fits)
+    fits.sort(key=lambda f: f.rms_log_error if f.rms_log_error > tie else 0.0)
     ambiguous = (len(fits) >= 2
                  and fits[1].rms_log_error <= 1.2 * fits[0].rms_log_error)
     return FitRanking(fits=tuple(fits), ambiguous=ambiguous)

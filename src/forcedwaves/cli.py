@@ -26,9 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (Algebraic, AnsatzUnavailableError,
-                          EnvironmentProfile, ExpTail, IteratedLog, Power,
-                          classify)
+from .environment import (_TAIL_KINDS, Algebraic, AnsatzUnavailableError,
+                          EnvironmentProfile, IteratedLog, Power, classify)
 from . import analysis, oracles, pdesim, wavesolver
 from .wavesolver import (NewtonDivergenceError, NoPositiveWaveError,
                          SolverConfig, TARGET_TAGS)
@@ -47,13 +46,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
-
-_TAIL_KEYS = {
-    "exp": {"kappa", "amplitude"},
-    "algebraic": {"gamma"},
-    "power": {"gamma", "p"},
-    "iterated_log": {"k", "r", "lead"},
-}
 
 # section -> key -> python type ('floats'/'strs' are comma lists)
 _SCHEMA = {
@@ -132,28 +124,22 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
     center = _require(cfg, "profile", "center")
     width = _require(cfg, "profile", "width")
     kind = _require(cfg, "profile", "tail.kind")
-    if kind not in _TAIL_KEYS:
+    if kind not in _TAIL_KINDS:
         raise ConfigError(f"tail.kind = {kind!r}; expected one of "
-                          f"{sorted(_TAIL_KEYS)}")
+                          f"{sorted(_TAIL_KINDS)}")
+    tail_cls = _TAIL_KINDS[kind]
+    names = {f.name for f in dataclasses.fields(tail_cls)}
     params = {}
     for key, val in cfg["profile"].items():
         if not key.startswith("tail.") or key == "tail.kind":
             continue
         name = key[len("tail."):]
-        if name not in _TAIL_KEYS[kind]:
+        if name not in names:
             raise ConfigError(
                 f"key {key!r} does not belong to tail.kind = {kind!r}")
         params[name] = val
     try:
-        if kind == "exp":
-            tail = ExpTail(**params)
-        elif kind == "algebraic":
-            tail = Algebraic(**params)
-        elif kind == "power":
-            tail = Power(**params)
-        else:
-            tail = IteratedLog(**params)
-        return EnvironmentProfile(alpha, tail, center, width)
+        return EnvironmentProfile(alpha, tail_cls(**params), center, width)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid profile: {exc}") from None
 

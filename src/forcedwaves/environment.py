@@ -565,6 +565,9 @@ class EnvironmentProfile:
 
     def cumulative_integral_a(self, z0: float, zs: np.ndarray) -> np.ndarray:
         """int_{z0}^{z} a for every z in the ascending array zs (panel Gauss)."""
+        zs = np.asarray(zs, dtype=float)
+        if zs.ndim != 1 or np.any(np.diff(zs) < 0):
+            raise ValueError("zs must be an ascending 1-d array")
         return _cumulative_gauss(self.a, z0, zs,
                                  breakpoints=(self.z_star, self.z_switch))
 
@@ -598,30 +601,32 @@ class EnvironmentProfile:
 # ---------------------------------------------------------------------------
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_MESH_STEP = 1.0 / 12.0  # panel-mesh step in asinh(z/8)
 
 
-def _cumulative_gauss(f: Callable, z0: float, zs: np.ndarray,
-                      breakpoints=()) -> np.ndarray:
-    """Cumulative int_{z0}^{zs[i]} f with composite 8-point Gauss panels.
+def _cumulative_gauss(f: Callable, z0: float, zs, breakpoints=()) -> np.ndarray:
+    """int_{z0}^{z} f for every z in zs (any order or shape, either side of z0).
 
-    zs must be ascending.  Extra breakpoints (blend edges) are inserted so no
-    panel straddles a C^1 kink in higher derivatives.
+    Composite 8-point Gauss panels with edges at z0, at every query point, at
+    the breakpoints (blend edges, where higher derivatives jump) and on a
+    fixed mesh uniform in asinh(z/8), which keeps every panel narrower than
+    about max(1, |z|/8).  The mesh does not depend on the query, so a point's
+    value is the same alone and inside any batch, and a span costs
+    O(log(z_max/z_min)) panels.  Sums run outward from z0.
     """
     zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 1 or np.any(np.diff(zs) < 0):
-        raise ValueError("zs must be an ascending 1-d array")
-    edges = np.concatenate([[z0], zs])
-    extra = [p for p in breakpoints if edges[0] < p < edges[-1]]
-    grid = np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
-    lo, hi = grid[:-1], grid[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    panel = (f(nodes) * _GAUSS_W[None, :]).sum(axis=1) * half
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    # map back to requested points
-    idx = np.searchsorted(grid, zs)
-    return cum[idx]
+    lo, hi = min(z0, zs.min()), max(z0, zs.max())
+    u = np.arange(math.ceil(math.asinh(lo / 8.0) / _MESH_STEP),
+                  math.floor(math.asinh(hi / 8.0) / _MESH_STEP) + 1) * _MESH_STEP
+    extra = [p for p in breakpoints if lo < p < hi]
+    grid = np.unique(np.concatenate([[z0], zs.ravel(), 8.0 * np.sinh(u), extra]))
+    half = 0.5 * np.diff(grid)
+    nodes = grid[:-1, None] + half[:, None] * (1.0 + _GAUSS_X)
+    panel = (f(nodes) @ _GAUSS_W) * half
+    k = np.searchsorted(grid, z0)
+    cum = np.concatenate([-np.cumsum(panel[:k][::-1])[::-1], [0.0],
+                          np.cumsum(panel[k:])])
+    return cum[np.searchsorted(grid, zs)]
 
 
 # ---------------------------------------------------------------------------
@@ -807,22 +812,10 @@ class Sigma1Int(DecayAnsatz):
         return (-self.c - np.sqrt(disc)) / 2.0
 
     def log_value(self, z):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        order = np.argsort(z_arr)
-        zs = z_arr[order]
-        out = np.empty_like(zs)
-        bks = (self.profile.z_star, self.profile.z_switch)
-        ahead = zs >= self.z0
-        if np.any(ahead):
-            out[ahead] = _cumulative_gauss(self._sigma1, self.z0, zs[ahead],
-                                           breakpoints=bks)
-        for i in np.where(~ahead)[0]:
-            # int_{z0}^{z} = -int_{z}^{z0}
-            out[i] = -_cumulative_gauss(self._sigma1, zs[i],
-                                        np.asarray([self.z0]), breakpoints=bks)[0]
-        res = np.empty_like(out)
-        res[order] = out + math.log(self.K)
-        return res if np.ndim(z) else float(res[0])
+        out = math.log(self.K) + _cumulative_gauss(
+            self._sigma1, self.z0, z,
+            breakpoints=(self.profile.z_star, self.profile.z_switch))
+        return out if np.ndim(z) else float(out)
 
     def log_derivative(self, z):
         out = self._sigma1(np.asarray(z, dtype=float))
@@ -849,30 +842,18 @@ class TildeA(DecayAnsatz):
         object.__setattr__(self, "z0", float(z0))
 
     def log_value(self, z):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        zswitch = self.profile.z_switch
-        out = np.empty_like(z_arr)
-        # closed form where both z0 and z sit in the pure tail, panels otherwise
-        if self.z0 >= zswitch - 1e-12:
-            F0 = float(self.profile.tail.antiderivative(self.z0))
-            tail_mask = z_arr >= zswitch - 1e-12
-            out[tail_mask] = -(np.asarray(
-                self.profile.tail.antiderivative(z_arr[tail_mask]), dtype=float)
-                - F0) / self.c
-            for i in np.where(~tail_mask)[0]:
-                out[i] = -self.profile.integral_a(self.z0, float(z_arr[i])) / self.c
+        z_arr = np.asarray(z, dtype=float)
+        tail = self.profile.z_switch - 1e-12
+        if self.z0 >= tail and np.all(z_arr >= tail):
+            # both ends in the pure tail: closed form
+            F = self.profile.tail.antiderivative
+            integral = F(z_arr) - float(F(self.z0))
         else:
-            order = np.argsort(z_arr)
-            zs = z_arr[order]
-            vals = np.empty_like(zs)
-            lo = zs >= self.z0
-            if np.any(lo):
-                vals[lo] = -self.profile.cumulative_integral_a(self.z0, zs[lo]) / self.c
-            for i in np.where(~lo)[0]:
-                vals[i] = self.profile.integral_a(float(zs[i]), self.z0) / self.c
-            out[order] = vals
-        out = out + math.log(self.K)
-        return out if np.ndim(z) else float(out[0])
+            integral = _cumulative_gauss(
+                self.profile.a, self.z0, z_arr,
+                breakpoints=(self.profile.z_star, self.profile.z_switch))
+        out = math.log(self.K) - integral / self.c
+        return out if np.ndim(z) else float(out)
 
     def log_derivative(self, z):
         out = -np.asarray(self.profile.a(z), dtype=float) / self.c

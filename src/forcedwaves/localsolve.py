@@ -153,8 +153,7 @@ def consistency_drift(sol: LocalSolution, fraction: float = 0.2) -> float:
     inconsistency.
     """
     m = sol.tail_window(fraction)
-    s = sol.log_psi[m] - np.array([math.log(float(sol.ansatz.value(zz)))
-                                   for zz in sol.grid[m]])
+    s = sol.log_psi[m] - sol.ansatz.log_value(sol.grid[m])
     return float(np.max(s) - np.min(s))
 
 

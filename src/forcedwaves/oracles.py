@@ -73,8 +73,8 @@ class ComparisonFunction:
     profile: EnvironmentProfile
     c: float
     _value: Callable = field(repr=False)
-    _d1: Optional[Callable] = field(repr=False, default=None)
-    _d2: Optional[Callable] = field(repr=False, default=None)
+    _d1: Callable = field(repr=False)
+    _d2: Callable = field(repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -86,13 +86,9 @@ class ComparisonFunction:
         return self._value(np.asarray(z, dtype=float))
 
     def d1(self, z):
-        if self._d1 is None:
-            return _stencil_d1(self._value, np.asarray(z, dtype=float))
         return self._d1(np.asarray(z, dtype=float))
 
     def d2(self, z):
-        if self._d2 is None:
-            return _stencil_d2(self._value, np.asarray(z, dtype=float))
         return self._d2(np.asarray(z, dtype=float))
 
     def residual(self, z):
@@ -136,16 +132,6 @@ class CheckResult:
     max_residual: float
     tolerance: float
     passed: bool
-
-
-def _stencil_d1(f, z, h_rel=1e-6):
-    h = h_rel * np.maximum(1.0, np.abs(z))
-    return (f(z - 2*h) - 8*f(z - h) + 8*f(z + h) - f(z + 2*h)) / (12 * h)
-
-
-def _stencil_d2(f, z, h_rel=1e-5):
-    h = h_rel * np.maximum(1.0, np.abs(z))
-    return (-f(z - 2*h) + 16*f(z - h) - 30*f(z) + 16*f(z + h) - f(z + 2*h)) / (12 * h * h)
 
 
 # ---------------------------------------------------------------------------

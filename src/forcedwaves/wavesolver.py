@@ -66,7 +66,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 120
     max_halvings: int = 30
-    continuation_step: float = 0.05
 
     def __post_init__(self):
         if not self.L > 0:
@@ -447,10 +446,6 @@ class ContinuationResult:
     c_values: np.ndarray
     solutions: list  # converged WaveSolutions in c order
     failures: list   # FailureRecords in c order
-
-    @property
-    def first_failure(self) -> Optional[FailureRecord]:
-        return self.failures[0] if self.failures else None
 
     def solved_c(self) -> list:
         return [w.c for w in self.solutions]

@@ -112,6 +112,14 @@ class TestComputedWaveFits:
         assert rk.ambiguous
         assert {rk[0].tag, rk[1].tag} == {"pure_exp", "sigma1"}
 
+    def test_tied_exponential_laws_keep_candidate_order(self, exp2):
+        # at c = 0.3 the two rms values differ by ~4e-10 relative; rounding
+        # must not pick the winner, so either candidate order wins
+        wave = ws.solve_wave(exp2, 0.3, "sigma1", ws.SolverConfig(L=60.0, N=4001))
+        cands = candidates_for(exp2, 0.3, ("pure_exp", "sigma1"))
+        assert [f.tag for f in an.fit_decay(wave, cands)] == ["pure_exp", "sigma1"]
+        assert [f.tag for f in an.fit_decay(wave, cands[::-1])] == ["sigma1", "pure_exp"]
+
     def test_family_member_fits_tilde_a_with_its_pin(self, alg3, alg3_family):
         cands = candidates_for(alg3, 1.0, ("sigma1", "tilde_a", "slow_maximal"))
         rk = an.fit_decay(alg3_family[1], cands)  # K = 1.0 member

@@ -468,6 +468,81 @@ class TestAnsatzShapes:
             json.dumps(fn.describe())
 
 
+TAIL_FIXTURES = ["exp2", "alg3", "pow2", "itlog"]
+
+
+def _ansatz_points(p):
+    # both sides of the anchor and across the blend [z_star, z_switch]
+    return np.array([400.0, p.z_star - 3.0, 0.5 * (p.z_star + p.z_switch),
+                     p.z_switch + 3.0, 40.0, p.z_star + 0.5])
+
+
+class TestAnsatzIntegrals:
+    """Sigma1Int and TildeA off the pure tail: one panel pass, no quad."""
+
+    @pytest.mark.parametrize("fixture", TAIL_FIXTURES)
+    def test_sigma1_matches_quad(self, fixture, request):
+        from scipy import integrate
+
+        p = request.getfixturevalue(fixture)
+        # c = 2.2 > 2 sqrt(alpha): sigma1 is real everywhere, z0 = z_switch
+        fn = Sigma1Int(profile=p, c=2.2)
+        zs = _ansatz_points(p)
+        want = []
+        for z in zs:
+            # quad on sigma1 + c, which decays, plus the exact -c (z - z0)
+            lo, hi = sorted((fn.z0, float(z)))
+            pts = [lo] + [b for b in (p.z_star, p.z_switch) if lo < b < hi] + [hi]
+            rest = sum(integrate.quad(lambda s: float(fn._sigma1(s)) + 2.2, a, b,
+                                      epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                       for a, b in zip(pts[:-1], pts[1:]))
+            want.append(-2.2 * (z - fn.z0) + (rest if z > fn.z0 else -rest))
+        assert np.max(np.abs(fn.log_value(zs) - np.array(want))) < 1e-10
+
+    @pytest.mark.parametrize("fixture", TAIL_FIXTURES)
+    def test_tilde_a_matches_integral_a(self, fixture, request):
+        p = request.getfixturevalue(fixture)
+        fn = TildeA(profile=p, c=1.0, K=2.0, z0=p.z_star)
+        zs = _ansatz_points(p)
+        want = [math.log(2.0) - p.integral_a(p.z_star, float(z), epsabs=1e-13,
+                                             epsrel=1e-13) for z in zs]
+        assert np.max(np.abs(fn.log_value(zs) - np.array(want))) < 1e-10
+
+    @pytest.mark.parametrize("fixture", TAIL_FIXTURES)
+    def test_value_does_not_depend_on_batch(self, fixture, request):
+        p = request.getfixturevalue(fixture)
+        zs = _ansatz_points(p)
+        minimal = Sigma1Int(profile=p, c=1.0)  # defined from z0 on only
+        for fn, pts in [(minimal, minimal.z0 + np.array([400.0, 1.0, 20.0, 100.0])),
+                        (Sigma1Int(profile=p, c=2.2), zs),
+                        (TildeA(profile=p, c=1.0, z0=p.z_star), zs),
+                        (TildeA(profile=p, c=1.0), zs)]:
+            alone = np.array([fn.log_value(float(z)) for z in pts])
+            assert np.max(np.abs(fn.log_value(pts) - alone)) <= 1e-12
+
+    def test_no_quad_calls(self, alg3, monkeypatch):
+        calls = []
+        real_quad = env.integrate.quad
+        monkeypatch.setattr(env.integrate, "quad",
+                            lambda *a, **k: calls.append(1) or real_quad(*a, **k))
+        zs = _ansatz_points(alg3)
+        Sigma1Int(profile=alg3, c=2.2).log_value(zs)
+        TildeA(profile=alg3, c=1.0).log_value(zs)
+        TildeA(profile=alg3, c=1.0, z0=alg3.z_star).log_value(zs)
+        assert calls == []
+
+    def test_far_point_is_cheap(self, alg3):
+        import time
+
+        fn = Sigma1Int(profile=alg3, c=1.0)
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fn.log_value(1e9)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.01
+
+
 # ---------------------------------------------------------------------------
 # classifier
 

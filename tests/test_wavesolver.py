@@ -31,7 +31,7 @@ class TestSolverConfig:
     ])
     def test_validation(self, field, value):
         good = dict(L=60.0, N=4001, newton_tol=1e-10, newton_max_iter=120,
-                    max_halvings=30, continuation_step=0.05)
+                    max_halvings=30)
         with pytest.raises(ValueError):
             SolverConfig(**dict(good, **{field: value}))
 
@@ -61,7 +61,7 @@ class TestMinimalWave:
 
     def test_custom_config(self, exp2):
         cfg = SolverConfig(L=40.0, N=2001, newton_tol=1e-10, newton_max_iter=120,
-                           max_halvings=30, continuation_step=0.05)
+                           max_halvings=30)
         w = ws.solve_wave(exp2, 1.0, "sigma1", cfg=cfg)
         assert len(w.grid) == 2001 and w.grid[-1] == 40.0
         assert w.residual_norm < 1e-10

@@ -114,12 +114,11 @@ class FitRanking:
                             f"{f.local_rate_error:.17g}"])
 
 
-def tail_window(grid: np.ndarray, window_fraction: float = 0.2,
-                boundary_exclusion: float = 0.02) -> np.ndarray:
+def tail_window(grid: np.ndarray, window_fraction: float = 0.2) -> np.ndarray:
     """Mask for the fit window: last `window_fraction` of the domain minus
-    the final `boundary_exclusion` (Robin rows distort the last cells)."""
+    the final 2% (Robin rows distort the last cells)."""
     span = float(grid[-1] - grid[0])
-    z_b = float(grid[-1]) - boundary_exclusion * span
+    z_b = float(grid[-1]) - 0.02 * span
     z_a = float(grid[-1]) - window_fraction * span
     return (grid >= z_a) & (grid <= z_b)
 

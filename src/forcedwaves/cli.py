@@ -557,8 +557,7 @@ def _oracle_suite(profile: EnvironmentProfile, c: float) -> list[dict]:
         lam = 0.5 * (1.0 + tail.r / c)
         builders.append(("g1_sub", lambda: oracles.g1_sub(
             profile, c, lam, k=tail.k)))
-        builders.append(("alg_super", lambda: oracles.alg_super(
-            profile, c, q=0.5)))
+        builders.append(("alg_super", lambda: oracles.alg_super(profile, c)))
     if isinstance(tail, Power):
         builders.append(("band_sub", lambda: oracles.profile_band_sub(profile, c)))
         builders.append(("band_super", lambda: oracles.profile_band_super(profile, c)))

@@ -18,7 +18,7 @@ closed form except for iterated-log tails below lead (one panel pass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -136,8 +136,9 @@ class ExpTail:
     def antiderivative(self, z):
         return -self.amplitude / self.kappa * np.exp(-self.kappa * np.asarray(z, dtype=float))
 
-    def za_limits(self):
-        return (0.0, 0.0)
+    @property
+    def za_limit(self) -> float:
+        return 0.0
 
     @property
     def integral_finite(self) -> bool:
@@ -152,9 +153,6 @@ class ExpTail:
 
     def slow_scale(self, z, c: float):
         return np.full_like(np.asarray(z, dtype=float), math.inf)
-
-    def params_dict(self):
-        return {"kappa": self.kappa, "amplitude": self.amplitude}
 
 
 def exp_tail_touching(alpha: float, kappa: float, z_left: float) -> ExpTail:
@@ -189,8 +187,9 @@ class Algebraic:
     def antiderivative(self, z):
         return self.gamma * np.log(np.asarray(z, dtype=float))
 
-    def za_limits(self):
-        return (self.gamma, self.gamma)
+    @property
+    def za_limit(self) -> float:
+        return self.gamma
 
     @property
     def integral_finite(self) -> bool:
@@ -209,9 +208,6 @@ class Algebraic:
             return np.full_like(z, math.inf)
         # int_z^inf (s/z)^(-gamma/c) ds = z / (gamma/c - 1), exact
         return c * z / (self.gamma - c)
-
-    def params_dict(self):
-        return {"gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -292,8 +288,9 @@ class IteratedLog:
             cur = np.log(cur)
         return total
 
-    def za_limits(self):
-        return (self.lead, self.lead)
+    @property
+    def za_limit(self) -> float:
+        return self.lead
 
     @property
     def integral_finite(self) -> bool:
@@ -346,9 +343,6 @@ class IteratedLog:
         out = np.exp(tail[np.searchsorted(edges, tq)] - phi(tq) + tq)[inv]
         return out.reshape(z.shape) if z.ndim else float(out[0])
 
-    def params_dict(self):
-        return {"k": self.k, "r": self.r, "lead": self.lead}
-
 
 @dataclass(frozen=True)
 class Power:
@@ -381,8 +375,9 @@ class Power:
         q = 1.0 - self.p
         return self.gamma * np.asarray(z, dtype=float) ** q / q
 
-    def za_limits(self):
-        return (math.inf, math.inf)
+    @property
+    def za_limit(self) -> float:
+        return math.inf
 
     @property
     def integral_finite(self) -> bool:
@@ -422,9 +417,6 @@ class Power:
             out[~small] = vl ** (a_par - 1.0) * acc
         out = out / (q * beta ** a_par)
         return out.reshape(np.shape(v)) if np.ndim(v) else float(out[0])
-
-    def params_dict(self):
-        return {"gamma": self.gamma, "p": self.p}
 
 
 TailFamily = Union[ExpTail, Algebraic, IteratedLog, Power]
@@ -588,7 +580,7 @@ class EnvironmentProfile:
         return {
             "alpha": self.alpha,
             "tail_kind": self.tail.kind,
-            "tail_params": self.tail.params_dict(),
+            "tail_params": asdict(self.tail),
             "transition_center": self.transition_center,
             "transition_width": self.transition_width,
             "z_star": self.z_star,
@@ -686,18 +678,17 @@ def generalized_eigenvalues(alpha: float, c: float) -> tuple[float, float]:
 # tilde_a
 # ---------------------------------------------------------------------------
 
-def sigma1_valid_from(profile: EnvironmentProfile, c: float,
-                      margin: float = 0.1) -> float:
-    """Smallest z >= z_switch with 4 a(z) <= (1 - margin) c^2.
+def sigma1_valid_from(profile: EnvironmentProfile, c: float) -> float:
+    """Smallest z >= z_switch with 4 a(z) <= 0.9 c^2.
 
-    Beyond this point the characteristic roots are real with room to spare,
+    Beyond this point the characteristic roots are real with a 10% margin,
     so exponential-shape ansatz evaluations are well defined.
     """
     from scipy.optimize import brentq
 
-    target = (1.0 - margin) * c * c / 4.0
-    if target <= 0:
-        raise ValueError("margin must be below 1")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    target = 0.9 * c * c / 4.0
     z = profile.z_switch
     if profile.a(z) <= target:
         return z
@@ -759,7 +750,11 @@ class DecayAnsatz:
         return np.exp(self.log_value(z))
 
     def describe(self) -> dict:
-        return {"tag": self.tag}
+        """The tag and every dataclass field except the profile, JSON-ready."""
+        d = {"tag": self.tag}
+        d.update((f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name != "profile")
+        return d
 
 
 @dataclass(frozen=True)
@@ -780,9 +775,6 @@ class PureExp(DecayAnsatz):
 
     def log_derivative(self, z):
         return np.full_like(np.asarray(z, dtype=float), -self.c)
-
-    def describe(self):
-        return {"tag": self.tag, "K": self.K, "c": self.c, "z0": self.z0}
 
 
 @dataclass(frozen=True)
@@ -821,9 +813,6 @@ class Sigma1Int(DecayAnsatz):
         out = self._sigma1(np.asarray(z, dtype=float))
         return out if np.ndim(z) else float(out)
 
-    def describe(self):
-        return {"tag": self.tag, "K": self.K, "c": self.c, "z0": self.z0}
-
 
 @dataclass(frozen=True)
 class TildeA(DecayAnsatz):
@@ -859,9 +848,6 @@ class TildeA(DecayAnsatz):
         out = -np.asarray(self.profile.a(z), dtype=float) / self.c
         return out if np.ndim(z) else float(out)
 
-    def describe(self):
-        return {"tag": self.tag, "K": self.K, "c": self.c, "z0": self.z0}
-
 
 @dataclass(frozen=True)
 class SlowMaximal(DecayAnsatz):
@@ -894,9 +880,6 @@ class SlowMaximal(DecayAnsatz):
         out = (val - np.asarray(self.profile.a(z), dtype=float)) / self.c
         return out if np.ndim(z) else float(out)
 
-    def describe(self):
-        return {"tag": self.tag, "c": self.c}
-
 
 @dataclass(frozen=True)
 class ProfileItself(DecayAnsatz):
@@ -913,9 +896,6 @@ class ProfileItself(DecayAnsatz):
         out = np.asarray(self.profile.a_d1(z), dtype=float) / np.asarray(
             self.profile.a(z), dtype=float)
         return out if np.ndim(z) else float(out)
-
-    def describe(self):
-        return {"tag": self.tag}
 
 
 # ---------------------------------------------------------------------------
@@ -971,18 +951,15 @@ def classify(profile: EnvironmentProfile, c: float) -> RegimeReport:
     if c <= 0:
         raise ValueError("classify needs c > 0")
     tail = profile.tail
-    liminf_za, limsup_za = tail.za_limits()
-    if limsup_za < c * (1 - _REL_EQ):
+    za = tail.za_limit
+    if za < c * (1 - _REL_EQ):
         case_abcd = "A"
-    elif math.isinf(liminf_za):
+    elif math.isinf(za):
         case_abcd = "D"
-    elif abs(liminf_za - c) <= _REL_EQ * max(1.0, c) and \
-            abs(limsup_za - c) <= _REL_EQ * max(1.0, c):
+    elif abs(za - c) <= _REL_EQ * max(1.0, c):
         case_abcd = "B"
-    elif liminf_za > c:
-        case_abcd = "C"
     else:
-        case_abcd = "B"  # limsup touches c from above with liminf below: treat as critical
+        case_abcd = "C"  # za > c: the A and B tests cover all of za <= c
 
     in_l1 = tail.tilde_in_L1(c)
     sq_fin = tail.integral_sq_finite

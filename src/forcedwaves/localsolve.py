@@ -145,14 +145,14 @@ def residual_norm(sol: LocalSolution) -> float:
     return float(np.max(np.abs(res) / np.maximum(psi[i], 1e-300)))
 
 
-def consistency_drift(sol: LocalSolution, fraction: float = 0.2) -> float:
-    """Peak-to-peak of log psi - log(ansatz) over the tail window.
+def consistency_drift(sol: LocalSolution) -> float:
+    """Peak-to-peak of log psi - log(ansatz) over the default tail window.
 
     Small drift certifies the trajectory stays on its seeding law; for seeds
     with no underlying local solution the drift grows and self-reports the
     inconsistency.
     """
-    m = sol.tail_window(fraction)
+    m = sol.tail_window()
     s = sol.log_psi[m] - sol.ansatz.log_value(sol.grid[m])
     return float(np.max(s) - np.min(s))
 
@@ -192,19 +192,16 @@ def _trend_toward_zero(x: np.ndarray, threshold: float) -> bool:
     return late <= early * (1.0 + 1e-6) + 1e-12
 
 
-def check_nonexponential_necessaries(sol: LocalSolution,
-                                     profile: Optional[EnvironmentProfile] = None,
-                                     fraction: float = 0.2) -> NonExpReport:
-    """psi'/psi -> 0, psi''/psi' -> 0, and psi < a, on the tail window.
+def check_nonexponential_necessaries(sol: LocalSolution) -> NonExpReport:
+    """psi'/psi -> 0, psi''/psi' -> 0, and psi < a, on the default tail window.
 
     psi'' comes from the ODE itself (differencing psi' would amplify noise).
     The psi < a comparison carries a 1% tolerance band: families with
     psi ~ a sit exactly on the boundary and are reported as such.
     """
-    profile = sol.profile if profile is None else profile
-    m = sol.tail_window(fraction)
+    m = sol.tail_window()
     z, psi, dpsi = sol.grid[m], sol.psi[m], sol.dpsi[m]
-    a = np.asarray(profile.a(z), dtype=float)
+    a = np.asarray(sol.profile.a(z), dtype=float)
     thr = 1e-2 * sol.c
 
     theta = dpsi / psi

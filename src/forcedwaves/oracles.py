@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -340,19 +340,19 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
         profile=profile, c=c, _value=val, _d1=d1, _d2=d2)
 
 
-def slow_sub(profile: EnvironmentProfile, c: float, A: float = 1.0,
-             z0: Optional[float] = None) -> ComparisonFunction:
-    """A tilde_a (1 - M b) beyond z_M: the slow sub-solution of the tail family."""
+def slow_sub(profile: EnvironmentProfile, c: float, A: float = 1.0) -> ComparisonFunction:
+    """A tilde_a (1 - M b) beyond z_M: the slow sub-solution of the tail family.
+
+    tilde_a is normalized to 1 at z_switch, where the pure tail starts.
+    """
     if A <= 0 or c <= 0:
         raise ValueError("need A > 0 and c > 0")
-    z0 = profile.z_switch if z0 is None else float(z0)
-    if z0 < profile.z_switch:
-        raise ValueError("z0 must be at or beyond z_switch")
-    return _slow_sub_from_tail(profile, c, A, z0, profile.tail, "SlowSub", {})
+    return _slow_sub_from_tail(profile, c, A, profile.z_switch, profile.tail,
+                               "SlowSub", {})
 
 
 def sub2_slow(profile: EnvironmentProfile, c: float,
-              a_plus: TailFamily, A: float = 1.0) -> ComparisonFunction:
+              a_plus: TailFamily) -> ComparisonFunction:
     """Surrogate slow sub-solution built from a smaller tail a_plus.
 
     Valid when a_plus <= a on the tail with int (a - a_plus) = inf and the
@@ -383,8 +383,8 @@ def sub2_slow(profile: EnvironmentProfile, c: float,
     z0 = max(profile.z_switch, a_plus.z_min * 1.0 + 1e-9) if math.isfinite(a_plus.z_min) \
         else profile.z_switch
     z0 = max(z0, profile.z_switch)
-    return _slow_sub_from_tail(profile, c, A, z0, a_plus, "Sub2Slow",
-                               {"surrogate": a_plus.params_dict()})
+    return _slow_sub_from_tail(profile, c, 1.0, z0, a_plus, "Sub2Slow",
+                               {"surrogate": asdict(a_plus)})
 
 
 def default_surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
@@ -414,33 +414,30 @@ def default_surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
 # ---------------------------------------------------------------------------
 
 def _tail_window(kind: str, role: str, profile: EnvironmentProfile, c: float,
-                 params: dict, val, d1, d2, lo: float,
-                 z_start: Optional[float]) -> ComparisonFunction:
+                 params: dict, val, d1, d2, lo: float) -> ComparisonFunction:
     """Tail construction supported on (z_start, inf).
 
-    Without z_start, the support starts at the first point of a doubling grid
-    from lo where the residual has the role's strict sign over the next four
-    decades.
+    The support starts at the first point z_start of a doubling grid from lo
+    where the residual has the role's strict sign over the next four decades.
     """
     fn = ComparisonFunction(kind=kind, role=role, support=(lo, math.inf),
                             params=params, profile=profile, c=c,
                             _value=val, _d1=d1, _d2=d2)
-    if z_start is None:
-        sign = 1.0 if role == "sub" else -1.0
-        z_start = lo
-        for _ in range(60):
-            if np.all(sign * fn.residual(np.geomspace(z_start, z_start * 1e4, 512)) > 0):
-                break
-            z_start *= 2.0
-        else:
-            raise ConstructionError("no admissible support start found below 2^60 lo")
+    sign = 1.0 if role == "sub" else -1.0
+    z_start = lo
+    for _ in range(60):
+        if np.all(sign * fn.residual(np.geomspace(z_start, z_start * 1e4, 512)) > 0):
+            break
+        z_start *= 2.0
+    else:
+        raise ConstructionError("no admissible support start found below 2^60 lo")
     fn.support = (z_start, math.inf)
     fn.params["z_start"] = z_start
     return fn
 
 
 def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
-           k: Optional[int] = None, z_start: Optional[float] = None) -> ComparisonFunction:
+           k: Optional[int] = None) -> ComparisonFunction:
     """1 / (z ln z ... ln^{k-1} z (ln^k z)^lam): tail sub-solution.
 
     k = 0 gives the pure power z^{-lam} used for algebraic tails above the
@@ -505,67 +502,55 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
 
     lo0 = max(profile.z_switch, (tail.z_min if math.isfinite(tail.z_min) else 1.0) * 1.5)
     return _tail_window("G1Sub", "sub", profile, c, {"k": k, "lam": lam},
-                        val, d1, d2, lo0, z_start)
+                        val, d1, d2, lo0)
 
 
-def alg_super(profile: EnvironmentProfile, c: float, M: Optional[float] = None,
-              q: float = 1.0, z_start: Optional[float] = None) -> ComparisonFunction:
-    """M z^{-q}: tail super-solution.
+def alg_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
+    """M z^{-q}: tail super-solution, with (M, q) fixed by the tail family.
 
-    q = 1 with M = gamma + delta handles algebraic tails above the critical
-    line; q in (0, 1) handles iterated-log tails, where any power beats the
-    borderline decay.
+    Algebraic tails above the critical line (gamma > c) take q = 1 and
+    M = gamma + delta, delta = min((gamma - c)/c, 1/2)/2; M > gamma closes the
+    sign.  Iterated-log tails take q = 1/2, since any power beats the
+    borderline decay, and M = 1.5 (a z^q + q(1+q) z^{q-2}) at 1.05 z_switch,
+    the start of the support scan.  Any other tail raises ConstructionError.
     """
     tail = profile.tail
-    if not 0 < q <= 1:
-        raise ConstructionError("need 0 < q <= 1")
-    if q == 1.0:
-        if not isinstance(tail, Algebraic) or tail.gamma <= c:
-            raise ConstructionError("q = 1 needs an algebraic tail with gamma > c")
-        if M is None:
-            delta = 0.5 * min((tail.gamma - c) / c, 0.5)
-            M = tail.gamma + delta
-        if M <= tail.gamma:
-            raise ConstructionError("need M > gamma for the sign to close")
-    else:
-        if not isinstance(tail, IteratedLog):
-            raise ConstructionError("q < 1 is meant for iterated-log tails")
-
-    def make(Mv):
-        def val(z):
-            z = np.asarray(z, dtype=float)
-            return Mv * z ** (-q)
-
-        def d1(z):
-            z = np.asarray(z, dtype=float)
-            return -q * Mv * z ** (-q - 1.0)
-
-        def d2(z):
-            z = np.asarray(z, dtype=float)
-            return q * (q + 1.0) * Mv * z ** (-q - 2.0)
-
-        return val, d1, d2
-
     lo0 = profile.z_switch * 1.05
-    if M is None:
-        # iterated-log branch: pick M to dominate a z^q + q(1+q) z^{q-2}
-        zs0 = lo0
-        M = 1.5 * float(profile.a(zs0) * zs0 ** q + q * (1 + q) * zs0 ** (q - 2.0))
-    val, d1, d2 = make(M)
+    if isinstance(tail, Algebraic):
+        if tail.gamma <= c:
+            raise ConstructionError("algebraic tail needs gamma > c")
+        q = 1.0
+        M = tail.gamma + 0.5 * min((tail.gamma - c) / c, 0.5)
+    elif isinstance(tail, IteratedLog):
+        q = 0.5
+        M = 1.5 * float(profile.a(lo0) * lo0 ** q + q * (1 + q) * lo0 ** (q - 2.0))
+    else:
+        raise ConstructionError("needs an algebraic or iterated-log tail")
+
+    def val(z):
+        return M * np.asarray(z, dtype=float) ** (-q)
+
+    def d1(z):
+        return -q * M * np.asarray(z, dtype=float) ** (-q - 1.0)
+
+    def d2(z):
+        return q * (q + 1.0) * M * np.asarray(z, dtype=float) ** (-q - 2.0)
+
     return _tail_window("AlgSuper", "super", profile, c, {"M": M, "q": q},
-                        val, d1, d2, lo0, z_start)
+                        val, d1, d2, lo0)
 
 
-def _profile_band(profile: EnvironmentProfile, c: float, eps: float,
-                  sign: int, z_start: Optional[float]) -> ComparisonFunction:
-    """(1 +- eps) a(z); needs z a -> inf so eps a^2 dominates a'' + c a'."""
-    liminf_za, _ = profile.tail.za_limits()
-    if not math.isinf(liminf_za):
+_BAND_EPS = 0.05  # band half-width relative to a
+
+
+def _profile_band(profile: EnvironmentProfile, c: float,
+                  sign: int) -> ComparisonFunction:
+    """(1 +- eps) a(z), eps = 0.05; needs z a -> inf so eps a^2 dominates
+    a'' + c a'."""
+    if not math.isinf(profile.tail.za_limit):
         raise ConstructionError(
             "profile band needs z a(z) -> inf (a'/a^2 -> 0 with a^2 dominant)")
-    if not 0 < eps < 1:
-        raise ConstructionError("need 0 < eps < 1")
-    m = 1.0 + sign * eps
+    m = 1.0 + sign * _BAND_EPS
 
     def val(z):
         return m * np.asarray(profile.a(z), dtype=float)
@@ -577,18 +562,18 @@ def _profile_band(profile: EnvironmentProfile, c: float, eps: float,
         return m * np.asarray(profile.a_d2(z), dtype=float)
 
     kind, role = ("ProfileBandSub", "sub") if sign < 0 else ("ProfileBandSuper", "super")
-    return _tail_window(kind, role, profile, c, {"eps": eps}, val, d1, d2,
-                        profile.z_switch * 1.05, z_start)
+    return _tail_window(kind, role, profile, c, {"eps": _BAND_EPS}, val, d1, d2,
+                        profile.z_switch * 1.05)
 
 
-def profile_band_sub(profile: EnvironmentProfile, c: float, eps: float = 0.05,
-                     z_start: Optional[float] = None) -> ComparisonFunction:
-    return _profile_band(profile, c, eps, -1, z_start)
+def profile_band_sub(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
+    """(1 - eps) a(z) on a tail window: sub-solution for tails with z a -> inf."""
+    return _profile_band(profile, c, -1)
 
 
-def profile_band_super(profile: EnvironmentProfile, c: float, eps: float = 0.05,
-                       z_start: Optional[float] = None) -> ComparisonFunction:
-    return _profile_band(profile, c, eps, +1, z_start)
+def profile_band_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
+    """(1 + eps) a(z) on a tail window: super-solution for tails with z a -> inf."""
+    return _profile_band(profile, c, +1)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +617,7 @@ def bracketing_pairs(profile: EnvironmentProfile, c: float
     """Matched (sub, super) tail pairs bracketing slow decay, by family.
 
     Algebraic gamma > c: (z^{-(1+delta)}, (gamma+delta)/z).
-    IteratedLog r > c = lead: (1/g1 with lam in (1, r/c), M z^{-delta}).
+    IteratedLog r > c = lead: (1/g1 with lam in (1, r/c), M z^{-1/2}).
     Power: ((1-eps) a, (1+eps) a).
     """
     tail = profile.tail
@@ -641,14 +626,14 @@ def bracketing_pairs(profile: EnvironmentProfile, c: float
             raise ConstructionError("algebraic pair needs gamma > c")
         delta = 0.5 * min((tail.gamma - c) / c, 0.5)
         sub = g1_sub(profile, c, lam=1.0 + delta, k=0)
-        sup = alg_super(profile, c, M=tail.gamma + delta, q=1.0)
+        sup = alg_super(profile, c)
         return [(sub, sup)]
     if isinstance(tail, IteratedLog):
         if not math.isclose(tail.lead, c, rel_tol=1e-12) or tail.r <= c:
             raise ConstructionError("iterated-log pair needs lead = c and r > c")
         lam = 0.5 * (1.0 + tail.r / c)
         sub = g1_sub(profile, c, lam=lam, k=tail.k)
-        sup = alg_super(profile, c, q=0.5)
+        sup = alg_super(profile, c)
         return [(sub, sup)]
     if isinstance(tail, Power):
         return [(profile_band_sub(profile, c), profile_band_super(profile, c))]

@@ -90,11 +90,11 @@ class SimulationState:
 
 def make_state(profile: EnvironmentProfile, c: float, grid: np.ndarray,
                u0: np.ndarray, robin_sigma: Optional[float] = None,
-               t: float = 0.0,
                left_value: Optional[float] = None) -> SimulationState:
+    """A state at t = 0; left_value defaults to a at the left end."""
     if left_value is None:
         left_value = float(profile.a(float(grid[0])))
-    return SimulationState(t=t, grid=np.asarray(grid, dtype=float),
+    return SimulationState(t=0.0, grid=np.asarray(grid, dtype=float),
                            u=np.asarray(u0, dtype=float).copy(), c=c,
                            profile=profile, left_value=left_value,
                            robin_sigma=robin_sigma)

@@ -165,15 +165,19 @@ def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
 
 
 def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
-                     max_sweeps=2000, target_resid=1e-5):
+                     target_resid):
     """Monotone fixed-point sweeps u <- (M - d2 - c d1)^{-1} (M u + u (a - u)).
 
     With M >= sup |a - 2u| the matrix is an M-matrix and the map preserves the
-    sub/super-solution ordering, so iterates started from an oracle
-    sub-solution climb monotonically toward the minimal discrete solution.
-    Used to carry Newton starts across the unstable near-zero region, where
-    the Jacobian u'' + c u' + a u has near-zero oscillatory modes and damped
-    Newton stalls.
+    sub/super-solution ordering: iterates started from a sub-solution would
+    climb monotonically toward the minimal discrete solution.  solve_wave
+    starts them from the tanh front or the caller's guess (lifted onto the
+    target decay shape for slow targets), which is not a sub-solution, so
+    no monotone climb is guaranteed.  Used to carry Newton starts across the
+    unstable near-zero region, where the Jacobian u'' + c u' + a u has
+    near-zero oscillatory modes and damped Newton stalls.  Stops after 2000
+    sweeps, when an update moves no entry by 1e-13, or when the residual
+    reaches target_resid.
     """
     M = 2.0 * float(np.max(np.abs(phi0))) + float(np.max(a)) + 1.0
     ab = frame.banded(len(phi0), h, c, sigma_R, -1.0, M)
@@ -181,7 +185,7 @@ def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
     if info:
         raise np.linalg.LinAlgError("singular sweep matrix")
     phi = phi0.astype(float).copy()
-    for _ in range(max_sweeps):
+    for _ in range(2000):
         rhs = M * phi + phi * (a - phi)
         rhs[0] = left_value
         if pin_value is not None:
@@ -509,29 +513,28 @@ class OrderingResult:
     direction: str  # "first<=second" | "second<=first" | "none"
 
 
-def ordering_check(w1: WaveSolution, w2: WaveSolution,
-                   tolerance: float = 1e-8) -> OrderingResult:
+def ordering_check(w1: WaveSolution, w2: WaveSolution) -> OrderingResult:
+    """Whether w1 <= w2 or w2 <= w1 on the shared grid, up to 1e-8."""
     if w1.grid.shape != w2.grid.shape or not np.allclose(w1.grid, w2.grid, atol=0, rtol=0):
         raise ValueError("grid mismatch: ordering is defined on a shared grid")
     if w1.c != w2.c:
         raise ValueError("speed mismatch: ordering compares waves at the same c")
     v12 = float(np.max(w1.phi - w2.phi))  # violation of w1 <= w2
     v21 = float(np.max(w2.phi - w1.phi))
-    if v12 <= tolerance:
+    if v12 <= 1e-8:
         return OrderingResult(True, max(v12, 0.0), "first<=second")
-    if v21 <= tolerance:
+    if v21 <= 1e-8:
         return OrderingResult(True, max(v21, 0.0), "second<=first")
     return OrderingResult(False, min(v12, v21), "none")
 
 
-def continuum_residual(wave: WaveSolution, profile: EnvironmentProfile,
-                       margin: float = 5.0, n_probe: int = 2000) -> float:
+def continuum_residual(wave: WaveSolution, profile: EnvironmentProfile) -> float:
     """Max |phi'' + c phi' + phi (a - phi)| of the quintic-spline interpolant,
-    probed away from the boundaries.  Scales like h^2 for the second-order
-    scheme, which is what the grid-convergence check measures."""
+    probed at 2000 points at least 5 away from the boundaries.  Scales like
+    h^2 for the second-order scheme, which is what the grid-convergence
+    check measures."""
     spl = make_interp_spline(wave.grid, wave.phi, k=5)
-    lo, hi = wave.grid[0] + margin, wave.grid[-1] - margin
-    zz = np.linspace(lo, hi, n_probe)
+    zz = np.linspace(wave.grid[0] + 5.0, wave.grid[-1] - 5.0, 2000)
     phi = spl(zz)
     d1 = spl.derivative(1)(zz)
     d2 = spl.derivative(2)(zz)

@@ -295,6 +295,12 @@ class TestSigma1ValidFrom:
     def test_returns_switch_when_already_valid(self, exp2):
         assert sigma1_valid_from(exp2, 3.0) == 8.0
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_nonpositive_speed(self, exp2, c):
+        # c = -1 used to return z_switch and c = 0 to blame a margin
+        with pytest.raises(ValueError, match="c must be positive"):
+            sigma1_valid_from(exp2, c)
+
 
 class TestGeneralizedEigenvalues:
     @pytest.mark.parametrize(

@@ -221,6 +221,21 @@ class TestSlowConstructions:
                 orc.g1_sub(alg3, 1.0, lam=lam, k=0)
 
 
+class TestAlgSuper:
+    def test_iterated_log_takes_half_power(self, itlog):
+        # the constants alg_super(itlog, 1.0, q=0.5) built when q was a
+        # parameter; the iterated-log tail now fixes q = 1/2 by itself
+        fn = orc.alg_super(itlog, 1.0)
+        assert fn.params == {"M": 0.4803270142629871, "q": 0.5, "z_start": 26.25}
+        assert _check(fn).passed
+
+    @pytest.mark.parametrize("fixture", ["pow2", "alg05"])
+    def test_rejects_tails_without_a_power_bound(self, request, fixture):
+        # power tails have z a -> inf; alg05 has gamma = 0.5 <= c
+        with pytest.raises(ConstructionError):
+            orc.alg_super(request.getfixturevalue(fixture), 1.0)
+
+
 class TestBracketingPairs:
     @pytest.mark.parametrize("fixture", ["alg3", "itlog", "pow2"])
     def test_pairs_pass_and_are_ordered(self, fixture, request):

@@ -4,10 +4,11 @@ data-file hashes and the ACCEPTANCE lines.
 Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
 and alpha) and verify-oracles, plus two runs that must fail (simulate with
 a step too large for the stability limit, fit with a window too short), on
-three configs, the README exp.ini, an algebraic gamma = 3 profile and a
-power-tail profile at c = 0.7, and writes golden.json with each run's exit
-code and the sha256 of every file it wrote except manifest.json (the only
-file that carries timings and versions).  It also runs
+four configs, the README exp.ini, an algebraic gamma = 3 profile, a
+power-tail profile at c = 0.7 and a critical iterated-log profile at c = 1,
+and writes golden.json with each run's exit code and the sha256 of every
+file it wrote except manifest.json (the only file that carries timings and
+versions).  It also runs
 tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
 which carry each criterion's measured numbers.  A refactor that must not
 change results is checked by running this on the code before and after it
@@ -95,6 +96,28 @@ c.steps = 4
 [solver]
 target = profile_itself
 K = 0.5, 1.0, 2.0
+""",
+    # critical iterated-log tail (lead = c = 1, r = 2 > c): the only config
+    # whose verify-oracles run builds the g1_sub k >= 1 and alg_super
+    # q = 1/2 pair
+    "itlog": """
+[profile]
+alpha = 1.0
+center = 8.0
+width = 4.0
+tail.kind = iterated_log
+tail.k = 1
+tail.r = 2.0
+tail.lead = 1.0
+
+[speed]
+c = 1.0
+c.start = 0.6
+c.stop = 1.4
+c.steps = 5
+
+[solver]
+K = 0.005, 0.01
 """,
 }
 

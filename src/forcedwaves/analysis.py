@@ -130,18 +130,11 @@ def local_log_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.gradient(np.log(values), grid)
 
 
-def _extract(wave):
-    # WaveSolution carries .phi, LocalSolution carries .psi
-    if hasattr(wave, "phi"):
-        return np.asarray(wave.grid), np.asarray(wave.phi)
-    return np.asarray(wave.grid), np.asarray(wave.psi)
-
-
 def fit_decay(wave, candidates: Sequence[DecayAnsatz],
               window_fraction: float = 0.2) -> FitRanking:
     if not candidates:
         raise ValueError("no candidates given")
-    grid, phi = _extract(wave)
+    grid, phi = np.asarray(wave.grid), np.asarray(wave.phi)
     mask = tail_window(grid, window_fraction)
     z = grid[mask]
     v = phi[mask]

@@ -549,12 +549,6 @@ class EnvironmentProfile:
             raise QuadratureError("integral of a did not meet tolerance", err)
         return total
 
-    def tail_integral_closed(self, z1: float, z2: float) -> float:
-        """Closed-form int_{z1}^{z2} a for z1 >= z_switch (pure tail region)."""
-        if z1 < self.z_switch - 1e-12:
-            raise ValueError("closed tail integral needs z1 >= z_switch")
-        return float(self.tail.antiderivative(z2) - self.tail.antiderivative(z1))
-
     def cumulative_integral_a(self, z0: float, zs: np.ndarray) -> np.ndarray:
         """int_{z0}^{z} a for every z in the ascending array zs (panel Gauss)."""
         zs = np.asarray(zs, dtype=float)

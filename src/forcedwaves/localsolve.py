@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _LOG_CAP = 500.0  # exp() guard inside the RHS; far above any physical amplitude
+_TAIL_FRACTION = 0.2  # z-extent share read by consistency_drift and the nonexp checks
 
 
 @dataclass
@@ -55,10 +56,10 @@ class LocalSolution:
     def theta(self) -> np.ndarray:
         return self.dpsi / self.psi
 
-    def tail_window(self, fraction: float = 0.2) -> np.ndarray:
-        """Boolean mask for the last `fraction` of the grid by z-extent."""
+    def tail_window(self) -> np.ndarray:
+        """Boolean mask for the last _TAIL_FRACTION of the grid by z-extent."""
         z0, z1 = self.grid[0], self.grid[-1]
-        return self.grid >= z1 - fraction * (z1 - z0)
+        return self.grid >= z1 - _TAIL_FRACTION * (z1 - z0)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

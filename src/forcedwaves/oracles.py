@@ -1,7 +1,7 @@
 """Closed-form sub- and super-solutions for the moving-frame operator.
 
-Each construction returns a ComparisonFunction carrying analytic value/d1/d2
-evaluators, its support, and a sign contract for the residual
+Each construction returns a ComparisonFunction carrying one analytic jet
+z -> (u, u', u''), its support, and a sign contract for the residual
 
     R[u] = u'' + c u' + u (a(z) - u),
 
@@ -64,7 +64,11 @@ class ConstructionError(ValueError):
 
 @dataclass
 class ComparisonFunction:
-    """A sub- or super-solution with analytic derivatives on its support."""
+    """A sub- or super-solution with analytic derivatives on its support.
+
+    _jet(z) returns (u, u', u'') and computes what they share once;
+    value, d1 and d2 index it and residual evaluates it once.
+    """
 
     kind: str
     role: str  # "sub" | "super"
@@ -72,9 +76,7 @@ class ComparisonFunction:
     params: dict
     profile: EnvironmentProfile
     c: float
-    _value: Callable = field(repr=False)
-    _d1: Callable = field(repr=False)
-    _d2: Callable = field(repr=False)
+    _jet: Callable = field(repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -83,18 +85,18 @@ class ComparisonFunction:
             raise ValueError("role must be 'sub' or 'super'")
 
     def value(self, z):
-        return self._value(np.asarray(z, dtype=float))
+        return self._jet(np.asarray(z, dtype=float))[0]
 
     def d1(self, z):
-        return self._d1(np.asarray(z, dtype=float))
+        return self._jet(np.asarray(z, dtype=float))[1]
 
     def d2(self, z):
-        return self._d2(np.asarray(z, dtype=float))
+        return self._jet(np.asarray(z, dtype=float))[2]
 
     def residual(self, z):
         z = np.asarray(z, dtype=float)
-        u = self.value(z)
-        return self.d2(z) + self.c * self.d1(z) + u * (self.profile.a(z) - u)
+        u, d1, d2 = self._jet(z)
+        return d2 + self.c * d1 + u * (self.profile.a(z) - u)
 
     def on_grid(self, z) -> np.ndarray:
         """Evaluate on an arbitrary grid (the piecewise formulas handle
@@ -162,32 +164,19 @@ def cos_bump_sub(alpha: float, c: float, profile: EnvironmentProfile) -> Compari
         raise ConstructionError("bump support leaks out of the plateau")
     piL = math.pi / L
 
-    def W(z):
-        return np.cos(piL * z + math.pi)
-
-    def Wp(z):
-        return -piL * np.sin(piL * z + math.pi)
-
-    def inside(z):
-        return (z > lo) & (z < hi)
-
-    def val(z):
-        return np.where(inside(z), delta * np.exp(-c * z / 2.0) * W(z), 0.0)
-
-    def d1(z):
+    def jet(z):
+        inside = (z > lo) & (z < hi)
         e = delta * np.exp(-c * z / 2.0)
-        return np.where(inside(z), e * (-0.5 * c * W(z) + Wp(z)), 0.0)
-
-    def d2(z):
-        e = delta * np.exp(-c * z / 2.0)
-        return np.where(inside(z),
-                        e * (0.25 * c * c * W(z) - c * Wp(z) - piL * piL * W(z)),
-                        0.0)
+        W = np.cos(piL * z + math.pi)
+        Wp = -piL * np.sin(piL * z + math.pi)
+        return (np.where(inside, e * W, 0.0),
+                np.where(inside, e * (-0.5 * c * W + Wp), 0.0),
+                np.where(inside, e * (0.25 * c * c * W - c * Wp - piL * piL * W), 0.0))
 
     return ComparisonFunction(
         kind="CosBumpSub", role="sub", support=(lo, hi),
         params={"a0": a0, "L": L, "delta": delta}, profile=profile, c=c,
-        _value=val, _d1=d1, _d2=d2)
+        _jet=jet)
 
 
 def exp_super(alpha: float, c: float, eps: float,
@@ -215,35 +204,28 @@ def exp_super(alpha: float, c: float, eps: float,
     rate = c - eps
     logk = math.log(alpha) + rate * zbar
 
-    def val(z):
-        return np.minimum(alpha, np.exp(np.minimum(logk - rate * z, 700.0)))
-
-    def d1(z):
+    def jet(z):
         e = np.exp(np.minimum(logk - rate * z, 700.0))
-        return np.where(z > zbar, -rate * e, 0.0)
-
-    def d2(z):
-        e = np.exp(np.minimum(logk - rate * z, 700.0))
-        return np.where(z > zbar, rate * rate * e, 0.0)
+        return (np.minimum(alpha, e),
+                np.where(z > zbar, -rate * e, 0.0),
+                np.where(z > zbar, rate * rate * e, 0.0))
 
     return ComparisonFunction(
         kind="ExpSuper", role="super", support=(-math.inf, math.inf),
         params={"eps": eps, "zbar": zbar, "log_k": logk, "rate": rate},
-        profile=profile, c=c, _value=val, _d1=d1, _d2=d2)
+        profile=profile, c=c, _jet=jet)
 
 
 def alpha_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
     """The constant alpha; a super-solution since a <= alpha everywhere."""
     alpha = profile.alpha
 
-    def val(z):
-        return np.full_like(np.asarray(z, dtype=float), alpha)
+    def jet(z):
+        return np.full_like(z, alpha), np.zeros_like(z), np.zeros_like(z)
 
-    zero = lambda z: np.zeros_like(np.asarray(z, dtype=float))
     return ComparisonFunction(
         kind="AlphaSuper", role="super", support=(-math.inf, math.inf),
-        params={"alpha": alpha}, profile=profile, c=c,
-        _value=val, _d1=zero, _d2=zero)
+        params={"alpha": alpha}, profile=profile, c=c, _jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -304,40 +286,22 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
     if z_M is None:
         raise ConstructionError("could not locate a usable z_M at any amplitude")
 
-    a_t, a_tp = tail.value, tail.d1
-
-    def pieces(z):
-        z = np.asarray(z, dtype=float)
+    def jet(z):
+        inside = z > z_M
         zs = np.maximum(z, z_M)
         ta = np.exp(log_ta(zs))
-        b = np.exp(log_b(zs))
-        return zs, ta, b
-
-    def val(z):
-        z = np.asarray(z, dtype=float)
-        zs, ta, b = pieces(z)
-        return np.where(z > z_M, A * ta * (1.0 - M * b), 0.0)
-
-    def d1(z):
-        z = np.asarray(z, dtype=float)
-        zs, ta, b = pieces(z)
-        av = a_t(zs)
-        out = A * ta * (-(av / c) * (1.0 - M * b) + M * ta)
-        return np.where(z > z_M, out, 0.0)
-
-    def d2(z):
-        z = np.asarray(z, dtype=float)
-        zs, ta, b = pieces(z)
-        av, avp = a_t(zs), a_tp(zs)
-        out = A * ta * ((1.0 - M * b) * (av * av / (c * c) - avp / c)
-                        - 3.0 * M * (av / c) * ta)
-        return np.where(z > z_M, out, 0.0)
+        gap = 1.0 - M * np.exp(log_b(zs))
+        av, avp = tail.value(zs), tail.d1(zs)
+        return (np.where(inside, A * ta * gap, 0.0),
+                np.where(inside, A * ta * (-(av / c) * gap + M * ta), 0.0),
+                np.where(inside, A * ta * (gap * (av * av / (c * c) - avp / c)
+                                           - 3.0 * M * (av / c) * ta), 0.0))
 
     params = {"A": A, "M": M, "z_M": z_M, "z0": z0}
     params.update(extra_params)
     return ComparisonFunction(
         kind=kind, role="sub", support=(z_M, math.inf), params=params,
-        profile=profile, c=c, _value=val, _d1=d1, _d2=d2)
+        profile=profile, c=c, _jet=jet)
 
 
 def slow_sub(profile: EnvironmentProfile, c: float, A: float = 1.0) -> ComparisonFunction:
@@ -414,15 +378,14 @@ def default_surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
 # ---------------------------------------------------------------------------
 
 def _tail_window(kind: str, role: str, profile: EnvironmentProfile, c: float,
-                 params: dict, val, d1, d2, lo: float) -> ComparisonFunction:
+                 params: dict, jet, lo: float) -> ComparisonFunction:
     """Tail construction supported on (z_start, inf).
 
     The support starts at the first point z_start of a doubling grid from lo
     where the residual has the role's strict sign over the next four decades.
     """
     fn = ComparisonFunction(kind=kind, role=role, support=(lo, math.inf),
-                            params=params, profile=profile, c=c,
-                            _value=val, _d1=d1, _d2=d2)
+                            params=params, profile=profile, c=c, _jet=jet)
     sign = 1.0 if role == "sub" else -1.0
     z_start = lo
     for _ in range(60):
@@ -462,7 +425,6 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
 
     def logG_terms(z):
         """g1'/g1 = (1/z)(1 + sum_{j=1}^{k-1} 1/P_j + lam/P_k) and its derivative."""
-        z = np.asarray(z, dtype=float)
         P = _log_products(max(k, 1), z) if k >= 1 else None
         if k == 0:
             G = lam / z
@@ -488,21 +450,13 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
         logg = logg + lam * np.log(iterated_log(k, z))
         return G, Gp, logg
 
-    def val(z):
+    def jet(z):
         G, Gp, logg = logG_terms(z)
-        return np.exp(-logg)
-
-    def d1(z):
-        G, Gp, logg = logG_terms(z)
-        return -np.exp(-logg) * G
-
-    def d2(z):
-        G, Gp, logg = logG_terms(z)
-        return np.exp(-logg) * (G * G - Gp)
+        g = np.exp(-logg)
+        return g, -g * G, g * (G * G - Gp)
 
     lo0 = max(profile.z_switch, (tail.z_min if math.isfinite(tail.z_min) else 1.0) * 1.5)
-    return _tail_window("G1Sub", "sub", profile, c, {"k": k, "lam": lam},
-                        val, d1, d2, lo0)
+    return _tail_window("G1Sub", "sub", profile, c, {"k": k, "lam": lam}, jet, lo0)
 
 
 def alg_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
@@ -527,17 +481,12 @@ def alg_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
     else:
         raise ConstructionError("needs an algebraic or iterated-log tail")
 
-    def val(z):
-        return M * np.asarray(z, dtype=float) ** (-q)
+    def jet(z):
+        return (M * z ** (-q),
+                -q * M * z ** (-q - 1.0),
+                q * (q + 1.0) * M * z ** (-q - 2.0))
 
-    def d1(z):
-        return -q * M * np.asarray(z, dtype=float) ** (-q - 1.0)
-
-    def d2(z):
-        return q * (q + 1.0) * M * np.asarray(z, dtype=float) ** (-q - 2.0)
-
-    return _tail_window("AlgSuper", "super", profile, c, {"M": M, "q": q},
-                        val, d1, d2, lo0)
+    return _tail_window("AlgSuper", "super", profile, c, {"M": M, "q": q}, jet, lo0)
 
 
 _BAND_EPS = 0.05  # band half-width relative to a
@@ -552,17 +501,13 @@ def _profile_band(profile: EnvironmentProfile, c: float,
             "profile band needs z a(z) -> inf (a'/a^2 -> 0 with a^2 dominant)")
     m = 1.0 + sign * _BAND_EPS
 
-    def val(z):
-        return m * np.asarray(profile.a(z), dtype=float)
-
-    def d1(z):
-        return m * np.asarray(profile.a_d1(z), dtype=float)
-
-    def d2(z):
-        return m * np.asarray(profile.a_d2(z), dtype=float)
+    def jet(z):
+        return (m * np.asarray(profile.a(z), dtype=float),
+                m * np.asarray(profile.a_d1(z), dtype=float),
+                m * np.asarray(profile.a_d2(z), dtype=float))
 
     kind, role = ("ProfileBandSub", "sub") if sign < 0 else ("ProfileBandSuper", "super")
-    return _tail_window(kind, role, profile, c, {"eps": _BAND_EPS}, val, d1, d2,
+    return _tail_window(kind, role, profile, c, {"eps": _BAND_EPS}, jet,
                         profile.z_switch * 1.05)
 
 

@@ -122,17 +122,12 @@ class TestProfileIntegrals:
     def test_integral_matches_closed_form_on_tail(self, exp2):
         closed = (math.exp(-16.0) - math.exp(-40.0)) / 2.0
         assert exp2.integral_a(8.0, 20.0) == pytest.approx(closed, rel=1e-10)
-        assert exp2.tail_integral_closed(8.0, 20.0) == pytest.approx(closed, rel=1e-14)
 
     def test_integral_matches_log_on_algebraic_tail(self, alg3):
         assert alg3.integral_a(12.0, 120.0) == pytest.approx(3.0 * math.log(10.0), abs=1e-12)
 
     def test_integral_is_antisymmetric(self, exp2):
         assert exp2.integral_a(20.0, 8.0) == -exp2.integral_a(8.0, 20.0)
-
-    def test_closed_tail_integral_requires_tail_region(self, exp2):
-        with pytest.raises(ValueError, match="z_switch"):
-            exp2.tail_integral_closed(5.0, 20.0)
 
     def test_cumulative_matches_adaptive(self, alg3):
         zs = np.array([13.0, 20.0, 57.0, 300.0])

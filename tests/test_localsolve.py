@@ -193,7 +193,7 @@ class TestPlumbing:
             ls.residual_norm(sol)
 
     def test_tail_window_mask(self, tilde_run):
-        m = tilde_run.tail_window(0.2)
+        m = tilde_run.tail_window()
         assert m[-1] and not m[0]
         assert tilde_run.grid[m][0] >= 399.0 - 1e-12
 

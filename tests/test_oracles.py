@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from forcedwaves import oracles as orc
-from forcedwaves.environment import Algebraic
+from forcedwaves.environment import Algebraic, IteratedLog
 from forcedwaves.oracles import ConstructionError
 
 
@@ -176,6 +176,23 @@ class TestSlowConstructions:
             res = _check(fn)
             assert res.passed, res
             assert math.isfinite(res.min_residual) and math.isfinite(res.max_residual)
+
+    def test_residual_runs_one_slow_scale_pass(self, monkeypatch, itlog):
+        # value, d1 and d2 share b = int tilde_a: one jet evaluates it once
+        fn = orc.slow_sub(itlog, 0.6)
+        calls = []
+        slow_scale = IteratedLog.slow_scale
+
+        def counted(self, z, c):
+            calls.append(c)
+            return slow_scale(self, z, c)
+
+        monkeypatch.setattr(IteratedLog, "slow_scale", counted)
+        fn.residual(orc._sample_support(fn, 1000))
+        assert len(calls) == 1
+        calls.clear()
+        assert orc.residual_sign_check(fn).passed
+        assert len(calls) == 1
 
     def test_failing_z_M_search_probes_each_M_once(self, monkeypatch, pow2):
         # every halving of A re-walks the same M lattice; 3147 brentq solves

@@ -144,6 +144,18 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
         raise ConfigError(f"invalid profile: {exc}") from None
 
 
+_POSITIVE = (("speed", "c"), ("speed", "c.start"), ("speed", "c.stop"),
+             ("simulation", "T"), ("simulation", "dt"),
+             ("simulation", "monitor_every"))
+
+
+def _check_positive(cfg: dict) -> None:
+    """Speeds, T, dt and monitor_every, where given, must be positive."""
+    for section, key in _POSITIVE:
+        if not cfg.get(section, {}).get(key, 1) > 0:
+            raise ConfigError(f"[{section}] {key} must be positive")
+
+
 def get_speed(cfg: dict) -> float:
     return _require(cfg, "speed", "c")
 
@@ -452,8 +464,6 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
     c = get_speed(cfg)
     sec = cfg.get("simulation", {})
     T = _require(cfg, "simulation", "T")
-    if T <= 0:
-        raise ConfigError("[simulation] T must be positive")
     solver_cfg = build_solver_config(cfg, profile)
     outdir = _outdir(args, cfg)
 
@@ -773,6 +783,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
+        _check_positive(cfg)
         code, outputs = _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -127,11 +127,9 @@ class ExpTail:
     def value(self, z):
         return self.amplitude * np.exp(-self.kappa * np.asarray(z, dtype=float))
 
-    def d1(self, z):
-        return -self.kappa * self.value(z)
-
-    def d2(self, z):
-        return self.kappa ** 2 * self.value(z)
+    def jet(self, z):
+        v = self.value(z)
+        return v, -self.kappa * v, self.kappa ** 2 * v
 
     def antiderivative(self, z):
         return -self.amplitude / self.kappa * np.exp(-self.kappa * np.asarray(z, dtype=float))
@@ -178,11 +176,9 @@ class Algebraic:
     def value(self, z):
         return self.gamma / np.asarray(z, dtype=float)
 
-    def d1(self, z):
-        return -self.gamma / np.asarray(z, dtype=float) ** 2
-
-    def d2(self, z):
-        return 2 * self.gamma / np.asarray(z, dtype=float) ** 3
+    def jet(self, z):
+        z = np.asarray(z, dtype=float)
+        return self.gamma / z, -self.gamma / z ** 2, 2 * self.gamma / z ** 3
 
     def antiderivative(self, z):
         return self.gamma * np.log(np.asarray(z, dtype=float))
@@ -248,35 +244,20 @@ class IteratedLog:
             out += cj / (z * P[j])
         return out
 
-    def _Q(self, P):
-        """Q_j = 1 + sum_{i=1..j} 1/P_i for j = 0..k."""
-        Q = [np.ones_like(P[0])]
-        acc = np.ones_like(P[0])
-        for i in range(1, P.shape[0]):
-            acc = acc + 1.0 / P[i]
-            Q.append(acc.copy())
-        return Q
-
-    def d1(self, z):
+    def jet(self, z):
+        """(a, a', a'') from (1/(z P_j))' = -Q_j/(z^2 P_j), Q_j = 1 + sum_{i<=j} 1/P_i."""
         z = np.asarray(z, dtype=float)
         P = _log_products(self.k, z)
-        Q = self._Q(P)
-        out = np.zeros_like(z)
+        a, ap, app = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+        Q, corr = np.ones_like(z), np.zeros_like(z)
         for j, cj in enumerate(self._coeffs()):
-            out += -cj * Q[j] / (z ** 2 * P[j])
-        return out
-
-    def d2(self, z):
-        z = np.asarray(z, dtype=float)
-        P = _log_products(self.k, z)
-        Q = self._Q(P)
-        out = np.zeros_like(z)
-        for j, cj in enumerate(self._coeffs()):
-            corr = np.zeros_like(z)
-            for i in range(1, j + 1):
-                corr += (Q[i] - 1.0) / P[i]
-            out += cj * (Q[j] ** 2 + Q[j] + corr) / (z ** 3 * P[j])
-        return out
+            if j:
+                Q = Q + 1.0 / P[j]
+                corr = corr + (Q - 1.0) / P[j]
+            a += cj / (z * P[j])
+            ap += -cj * Q / (z ** 2 * P[j])
+            app += cj * (Q ** 2 + Q + corr) / (z ** 3 * P[j])
+        return a, ap, app
 
     def antiderivative(self, z):
         z = np.asarray(z, dtype=float)
@@ -365,11 +346,11 @@ class Power:
     def value(self, z):
         return self.gamma * np.asarray(z, dtype=float) ** (-self.p)
 
-    def d1(self, z):
-        return -self.p * self.gamma * np.asarray(z, dtype=float) ** (-self.p - 1)
-
-    def d2(self, z):
-        return self.p * (self.p + 1) * self.gamma * np.asarray(z, dtype=float) ** (-self.p - 2)
+    def jet(self, z):
+        z = np.asarray(z, dtype=float)
+        return (self.gamma * z ** (-self.p),
+                -self.p * self.gamma * z ** (-self.p - 1),
+                self.p * (self.p + 1) * self.gamma * z ** (-self.p - 2))
 
     def antiderivative(self, z):
         q = 1.0 - self.p
@@ -436,14 +417,6 @@ def _smoothstep(x):
     return x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
 
-def _smoothstep_d1(x):
-    return 140.0 * (x * (1.0 - x)) ** 3
-
-
-def _smoothstep_d2(x):
-    return 420.0 * (x * (1.0 - x)) ** 2 * (1.0 - 2.0 * x)
-
-
 @dataclass(frozen=True)
 class EnvironmentProfile:
     """Plateau alpha blended into a decaying tail over [z_star, z_switch].
@@ -501,35 +474,23 @@ class EnvironmentProfile:
         out = self.alpha * (1.0 - s) + t * s
         return out if np.ndim(z) else float(out)
 
-    def a_d1(self, z):
+    def a_jet(self, z):
+        """(a, a', a''); the first equals a(z) bit for bit."""
         z_arr = np.asarray(z, dtype=float)
         w2 = 2.0 * self.transition_width
         x = self._x(z_arr)
         inside = (x > 0) & (x < 1)
         xc = np.clip(x, 0.0, 1.0)
         s = _smoothstep(xc)
-        ds = np.where(inside, _smoothstep_d1(xc) / w2, 0.0)
-        z_safe = np.maximum(z_arr, self.z_star)
-        t = self.tail.value(z_safe)
-        td = np.where(z_arr >= self.z_star, self.tail.d1(z_safe), 0.0)
-        out = ds * (t - self.alpha) + td * s
-        return out if np.ndim(z) else float(out)
-
-    def a_d2(self, z):
-        z_arr = np.asarray(z, dtype=float)
-        w2 = 2.0 * self.transition_width
-        x = self._x(z_arr)
-        inside = (x > 0) & (x < 1)
-        xc = np.clip(x, 0.0, 1.0)
-        s = _smoothstep(xc)
-        ds = np.where(inside, _smoothstep_d1(xc) / w2, 0.0)
-        dss = np.where(inside, _smoothstep_d2(xc) / w2 ** 2, 0.0)
-        z_safe = np.maximum(z_arr, self.z_star)
-        t = self.tail.value(z_safe)
-        td = np.where(z_arr >= self.z_star, self.tail.d1(z_safe), 0.0)
-        tdd = np.where(z_arr >= self.z_star, self.tail.d2(z_safe), 0.0)
-        out = dss * (t - self.alpha) + 2.0 * ds * td + tdd * s
-        return out if np.ndim(z) else float(out)
+        q = xc * (1.0 - xc)
+        ds = np.where(inside, 140.0 * q ** 3 / w2, 0.0)
+        dss = np.where(inside, 420.0 * q ** 2 * (1.0 - 2.0 * xc) / w2 ** 2, 0.0)
+        t, td, tdd = self.tail.jet(np.maximum(z_arr, self.z_star))
+        td = np.where(z_arr >= self.z_star, td, 0.0)
+        tdd = np.where(z_arr >= self.z_star, tdd, 0.0)
+        out = (self.alpha * (1.0 - s) + t * s, ds * (t - self.alpha) + td * s,
+               dss * (t - self.alpha) + 2.0 * ds * td + tdd * s)
+        return out if np.ndim(z) else tuple(float(v) for v in out)
 
     # -- integrals ----------------------------------------------------------
 
@@ -887,8 +848,8 @@ class ProfileItself(DecayAnsatz):
         return out if np.ndim(z) else float(out)
 
     def log_derivative(self, z):
-        out = np.asarray(self.profile.a_d1(z), dtype=float) / np.asarray(
-            self.profile.a(z), dtype=float)
+        a, ap, _ = self.profile.a_jet(z)
+        out = np.asarray(ap, dtype=float) / np.asarray(a, dtype=float)
         return out if np.ndim(z) else float(out)
 
 

@@ -30,8 +30,6 @@ from .environment import (
     IteratedLog,
     Power,
     TailFamily,
-    _log_products,
-    iterated_log,
 )
 
 __all__ = [
@@ -289,9 +287,10 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
     def jet(z):
         inside = z > z_M
         zs = np.maximum(z, z_M)
-        ta = np.exp(log_ta(zs))
-        gap = 1.0 - M * np.exp(log_b(zs))
-        av, avp = tail.value(zs), tail.d1(zs)
+        lt = log_ta(zs)
+        ta = np.exp(lt)
+        gap = 1.0 - M * np.exp(lt + np.log(tail.slow_scale(zs, c)))
+        av, avp, _ = tail.jet(zs)
         return (np.where(inside, A * ta * gap, 0.0),
                 np.where(inside, A * ta * (-(av / c) * gap + M * ta), 0.0),
                 np.where(inside, A * ta * (gap * (av * av / (c * c) - avp / c)
@@ -405,7 +404,8 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
 
     k = 0 gives the pure power z^{-lam} used for algebraic tails above the
     critical line; k >= 1 matches the iterated-log family with lam strictly
-    inside (1, r/c).
+    inside (1, r/c).  g1 = exp(-int G), where G = -g1'/g1 is a unit-lead
+    tail of the same family: Algebraic(lam), or IteratedLog(k, r=lam, lead=1).
     """
     tail = profile.tail
     if k is None:
@@ -423,37 +423,12 @@ def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
         if not 1.0 < lam < tail.r / c:
             raise ConstructionError(f"need 1 < lam < r/c = {tail.r / c}")
 
-    def logG_terms(z):
-        """g1'/g1 = (1/z)(1 + sum_{j=1}^{k-1} 1/P_j + lam/P_k) and its derivative."""
-        P = _log_products(max(k, 1), z) if k >= 1 else None
-        if k == 0:
-            G = lam / z
-            Gp = -lam / z ** 2
-            logg = lam * np.log(z)
-            return G, Gp, logg
-        coeff = np.ones_like(z)
-        for j in range(1, k):
-            coeff = coeff + 1.0 / P[j]
-        coeff = coeff + lam / P[k]
-        G = coeff / z
-        # d/dz: -(coeff)/z^2 + (1/z) d(coeff)/dz, with (1/P_j)' = -(Q_j - 1)/(z P_j)
-        dcoeff = np.zeros_like(z)
-        Qm1 = np.zeros_like(z)
-        for j in range(1, k + 1):
-            Qm1 = Qm1 + 1.0 / P[j]
-            w = 1.0 if j < k else lam
-            dcoeff = dcoeff - w * Qm1 / (z * P[j])
-        Gp = -coeff / z ** 2 + dcoeff / z
-        logg = np.log(z)
-        for j in range(1, k):
-            logg = logg + np.log(iterated_log(j, z))
-        logg = logg + lam * np.log(iterated_log(k, z))
-        return G, Gp, logg
+    G = Algebraic(gamma=lam) if k == 0 else IteratedLog(k=k, r=lam, lead=1.0)
 
     def jet(z):
-        G, Gp, logg = logG_terms(z)
-        g = np.exp(-logg)
-        return g, -g * G, g * (G * G - Gp)
+        g = np.exp(-G.antiderivative(z))
+        Gv, Gp, _ = G.jet(z)
+        return g, -g * Gv, g * (Gv * Gv - Gp)
 
     lo0 = max(profile.z_switch, (tail.z_min if math.isfinite(tail.z_min) else 1.0) * 1.5)
     return _tail_window("G1Sub", "sub", profile, c, {"k": k, "lam": lam}, jet, lo0)
@@ -502,9 +477,8 @@ def _profile_band(profile: EnvironmentProfile, c: float,
     m = 1.0 + sign * _BAND_EPS
 
     def jet(z):
-        return (m * np.asarray(profile.a(z), dtype=float),
-                m * np.asarray(profile.a_d1(z), dtype=float),
-                m * np.asarray(profile.a_d2(z), dtype=float))
+        a, ap, app = profile.a_jet(z)
+        return m * a, m * ap, m * app
 
     kind, role = ("ProfileBandSub", "sub") if sign < 0 else ("ProfileBandSuper", "super")
     return _tail_window(kind, role, profile, c, {"eps": _BAND_EPS}, jet,

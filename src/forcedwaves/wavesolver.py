@@ -295,16 +295,11 @@ def _target_predicted(profile: EnvironmentProfile, c: float, tag: str) -> bool:
     the meaningful outcome and must not be papered over.
     """
     report = classify(profile, c)
-    predicted = set()
-    if report.minimal_decay is not None:
-        predicted.add(report.minimal_decay.tag)
-        predicted.add("pure_exp")
-        predicted.add("sigma1")
-    if report.maximal_decay is not None:
-        predicted.add(report.maximal_decay.tag)
-    if report.case_123 in ("2", "3"):
-        predicted.add("tilde_a")
-    return tag in predicted
+    if tag in ("pure_exp", "sigma1"):
+        return report.minimal_decay is not None
+    # the classifier sets maximal_decay exactly in cases 2 and 3
+    return (report.maximal_decay is not None
+            and tag in ("tilde_a", report.maximal_decay.tag))
 
 
 SLOW_TAGS = ("tilde_a", "slow_maximal", "profile_itself")

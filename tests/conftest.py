@@ -51,6 +51,13 @@ def itlog():
     return EnvironmentProfile(1.0, IteratedLog(k=1, r=2.0, lead=1.0), 15.0, 10.0)
 
 
+@pytest.fixture(scope="session")
+def itlog2():
+    # two-fold iterated-log tail (k = 2, r = 2.8 > c = 1): the only fixture
+    # whose a'' sums more than one correction term
+    return EnvironmentProfile(1.0, IteratedLog(k=2, r=2.8, lead=1.0), 30.0, 4.0)
+
+
 # ---------------------------------------------------------------------------
 # shared solves
 

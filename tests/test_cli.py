@@ -136,6 +136,31 @@ class TestConfigValidation:
         assert run("wave", cfg, outdir) == 2
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, speed, simulation, key", [
+        ("classify", "c = 0.0", "", "[speed] c"),
+        ("classify", "c = -1.0", "", "[speed] c"),
+        ("wave", "c = 0.0", "", "[speed] c"),
+        ("wave", "c = -1.0", "", "[speed] c"),
+        ("fit", "c = 0.0", "", "[speed] c"),
+        ("fit", "c = -1.0", "", "[speed] c"),
+        ("verify-oracles", "c = 0.0", "", "[speed] c"),
+        ("sweep", "c.start = -0.5\nc.stop = 1.0\nc.steps = 3", "", "[speed] c.start"),
+        ("simulate", "c = -1.0", "T = 1.0", "[speed] c"),
+        ("simulate", "c = 1.0", "T = 1.0\ndt = 0", "[simulation] dt"),
+        ("simulate", "c = 1.0", "T = 1.0\ndt = -0.1", "[simulation] dt"),
+        ("simulate", "c = 1.0", "T = 1.0\nmonitor_every = 0", "[simulation] monitor_every"),
+    ], ids=["classify-c0", "classify-cneg", "wave-c0", "wave-cneg", "fit-c0",
+            "fit-cneg", "verify-oracles-c0", "sweep-cstart", "simulate-cneg",
+            "simulate-dt0", "simulate-dtneg", "simulate-monitor0"])
+    def test_nonpositive_values_exit_2(self, tmp_path, outdir, capsys, command,
+                                       speed, simulation, key):
+        ini = EXP_INI.replace("c = 1.0", speed)
+        if simulation:
+            ini += f"\n[simulation]\n{simulation}\n"
+        assert run(command, cfg_file(tmp_path, ini), outdir) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_workers_must_be_positive(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI)
         rc = cli.main(["classify", "--config", str(cfg), "--out", str(outdir),

@@ -61,7 +61,7 @@ class TestProfileGeometry:
 
     def test_scalar_in_scalar_out(self, alg3):
         assert isinstance(alg3.a(5.0), float)
-        assert isinstance(alg3.a_d1(5.0), float)
+        assert all(isinstance(v, float) for v in alg3.a_jet(5.0))
         out = alg3.a(np.array([5.0, 6.0]))
         assert out.shape == (2,)
 
@@ -97,25 +97,42 @@ class TestProfileGeometry:
 
 
 class TestProfileDerivatives:
-    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog", "itlog2"])
     def test_a_d1_matches_central_difference(self, fixture, request):
         p = request.getfixturevalue(fixture)
         zs = np.linspace(p.z_star - 5.0, p.z_switch + 40.0, 3001)
         h = 1e-5
         fd = (p.a(zs + h) - p.a(zs - h)) / (2 * h)
-        assert np.max(np.abs(fd - p.a_d1(zs))) < 5e-9
+        a, ap, _ = p.a_jet(zs)
+        assert np.array_equal(a, p.a(zs))
+        assert np.max(np.abs(fd - ap)) < 5e-9
 
-    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog", "itlog2"])
     def test_a_d2_matches_central_difference(self, fixture, request):
         p = request.getfixturevalue(fixture)
         zs = np.linspace(p.z_star - 5.0, p.z_switch + 40.0, 3001)
         h = 1e-4
         fd = (p.a(zs + h) - 2 * p.a(zs) + p.a(zs - h)) / h**2
-        assert np.max(np.abs(fd - p.a_d2(zs))) < 1e-5
+        assert np.max(np.abs(fd - p.a_jet(zs)[2])) < 1e-5
+
+    @pytest.mark.parametrize("tail", [
+        ExpTail(kappa=2.0), Algebraic(gamma=3.0), Power(gamma=1.3, p=0.8),
+        IteratedLog(k=1, r=2.0, lead=1.0), IteratedLog(k=2, r=2.8, lead=1.0)],
+        ids=["exp", "alg", "pow", "itlog1", "itlog2"])
+    def test_tail_jet_matches_difference_quotients(self, tail):
+        # pointwise relative bounds: the profile tests' absolute bounds cannot
+        # see the ~1% correction sum in an iterated-log a''
+        zs = np.linspace(1.0, 8.0, 41) if tail.kind == "exp" else np.geomspace(40.0, 4e3, 41)
+        h = 1e-4 * zs
+        v, d1, d2 = tail.jet(zs)
+        assert np.array_equal(v, tail.value(zs))
+        fd1 = (tail.value(zs + h) - tail.value(zs - h)) / (2 * h)
+        fd2 = (tail.value(zs + h) - 2 * v + tail.value(zs - h)) / h**2
+        assert np.all(np.abs(fd1 - d1) <= 1e-5 * np.abs(d1))
+        assert np.all(np.abs(fd2 - d2) <= 1e-5 * np.abs(d2))
 
     def test_derivatives_vanish_on_plateau(self, exp2):
-        assert exp2.a_d1(-2.0) == 0.0
-        assert exp2.a_d2(-2.0) == 0.0
+        assert exp2.a_jet(-2.0)[1:] == (0.0, 0.0)
 
 
 class TestProfileIntegrals:

@@ -114,6 +114,32 @@ class TestCosBump:
         assert np.max(np.abs(fd2 - fn.d2(zs))) < 1e-3
 
 
+# tail constructions no other test differentiates: (fixture, builder)
+_TAIL_JETS = {
+    "g1_sub-k0": ("alg3", lambda p: orc.g1_sub(p, 1.0, lam=2.0, k=0)),
+    "g1_sub-k1": ("itlog", lambda p: orc.g1_sub(p, 1.0, lam=1.5, k=1)),
+    "g1_sub-k2": ("itlog2", lambda p: orc.g1_sub(p, 1.0, lam=1.9, k=2)),
+    "alg_super-itlog": ("itlog", lambda p: orc.alg_super(p, 1.0)),
+    "slow_sub-alg3": ("alg3", lambda p: orc.slow_sub(p, 1.0)),
+    "slow_sub-itlog": ("itlog", lambda p: orc.slow_sub(p, 0.6)),
+    "band_sub-pow2": ("pow2", lambda p: orc.profile_band_sub(p, 0.7)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAIL_JETS))
+def test_tail_derivatives_match_difference_quotients(name, request):
+    fixture, build = _TAIL_JETS[name]
+    fn = build(request.getfixturevalue(fixture))
+    lo = fn.support[0]
+    zs = np.geomspace(1.2 * lo, 200.0 * lo, 41)
+    h = 1e-4 * zs
+    fd1 = (fn.value(zs + h) - fn.value(zs - h)) / (2 * h)
+    fd2 = (fn.value(zs + h) - 2 * fn.value(zs) + fn.value(zs - h)) / h**2
+    d1, d2 = fn.d1(zs), fn.d2(zs)
+    assert np.all(np.abs(fd1 - d1) <= 1e-5 * np.abs(d1))
+    assert np.all(np.abs(fd2 - d2) <= 1e-5 * np.abs(d2))
+
+
 class TestExpSuper:
     def test_plateau_then_exponential(self, exp2):
         fn = orc.exp_super(1.0, 1.0, 0.5, exp2)
@@ -178,21 +204,29 @@ class TestSlowConstructions:
             assert math.isfinite(res.min_residual) and math.isfinite(res.max_residual)
 
     def test_residual_runs_one_slow_scale_pass(self, monkeypatch, itlog):
-        # value, d1 and d2 share b = int tilde_a: one jet evaluates it once
+        # value, d1 and d2 share b = int tilde_a: one jet evaluates it once,
+        # and b reuses the jet's one log tilde_a
         fn = orc.slow_sub(itlog, 0.6)
-        calls = []
+        calls, anti = [], []
         slow_scale = IteratedLog.slow_scale
+        antiderivative = IteratedLog.antiderivative
 
         def counted(self, z, c):
             calls.append(c)
             return slow_scale(self, z, c)
 
+        def counted_anti(self, z):
+            anti.append(z)
+            return antiderivative(self, z)
+
         monkeypatch.setattr(IteratedLog, "slow_scale", counted)
+        monkeypatch.setattr(IteratedLog, "antiderivative", counted_anti)
         fn.residual(orc._sample_support(fn, 1000))
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(anti) == 1
         calls.clear()
+        anti.clear()
         assert orc.residual_sign_check(fn).passed
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(anti) == 1
 
     def test_failing_z_M_search_probes_each_M_once(self, monkeypatch, pow2):
         # every halving of A re-walks the same M lattice; 3147 brentq solves

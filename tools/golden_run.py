@@ -4,8 +4,9 @@ data-file hashes and the ACCEPTANCE lines.
 Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
 and alpha) and verify-oracles, plus two runs that must fail (simulate with
 a step too large for the stability limit, fit with a window too short), on
-four configs, the README exp.ini, an algebraic gamma = 3 profile, a
-power-tail profile at c = 0.7 and a critical iterated-log profile at c = 1,
+five configs, the README exp.ini, an algebraic gamma = 3 profile, a
+power-tail profile at c = 0.7, and critical iterated-log profiles with
+k = 1 and k = 2 at c = 1,
 and writes golden.json with each run's exit code and the sha256 of every
 file it wrote except manifest.json (the only file that carries timings and
 versions).  It also runs
@@ -108,6 +109,27 @@ width = 4.0
 tail.kind = iterated_log
 tail.k = 1
 tail.r = 2.0
+tail.lead = 1.0
+
+[speed]
+c = 1.0
+c.start = 0.6
+c.stop = 1.4
+c.steps = 5
+
+[solver]
+K = 0.005, 0.01
+""",
+    # two-fold iterated-log tail at c = lead = 1: the only config whose
+    # verify-oracles run builds g1_sub with k >= 2
+    "itlog2": """
+[profile]
+alpha = 1.0
+center = 30.0
+width = 4.0
+tail.kind = iterated_log
+tail.k = 2
+tail.r = 2.8
 tail.lead = 1.0
 
 [speed]

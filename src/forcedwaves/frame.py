@@ -7,9 +7,9 @@ u_{N+1} = u_{N-1} + 2 h sigma u_N, which keeps that row a centred
 second-order discretization and the matrix tridiagonal; with sigma None it is
 an amplitude pin.  The rows that carry the operator are the free rows.
 
-The Newton solver, the monotone sweeps, the IMEX step and the residual
-monitor all use this one stencil, so a solved wave is an exact fixed point
-of the step.
+The Newton solver (in phi and, rescaled, in log phi), the IMEX step and
+the residual monitor all use this one stencil, so a solved wave is an
+exact fixed point of the step.
 """
 
 from __future__ import annotations

@@ -9,9 +9,14 @@ selecting individual members of the slow family (the Robin coefficient is
 shared across that family, so it cannot separate them).
 
 The nonlinear system is solved by damped Newton with a tridiagonal Jacobian.
-No positivity projection is applied: a converged iterate with phi <= 0
-somewhere is the meaningful "no positive wave" outcome, distinct from Newton
-divergence.
+A target the classifier predicts is solved for v = log phi, with each row
+divided by phi, from the target's own decay shape: the stopping test is then
+relative, so a tail of 1e-50 is resolved instead of passing the absolute
+Robin row for any decay rate, and phi stays positive.  Any other target is
+solved for phi from the tanh front or the caller's guess, with no positivity
+projection: a converged iterate with phi <= 0 somewhere is the meaningful
+"no positive wave" outcome, distinct from Newton divergence.  Either way a
+failure's residual_history holds the phi-residual max |F| at each iterate.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import frame, oracles
 from .environment import (
@@ -57,6 +61,7 @@ __all__ = [
 ]
 
 TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
+MINIMAL_TAGS = ("pure_exp", "sigma1")
 
 
 @dataclass(frozen=True)
@@ -164,82 +169,84 @@ def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
     return F
 
 
-def _monotone_sweeps(phi0, a, h, c, left_value, sigma_R, pin_value,
-                     target_resid):
-    """Monotone fixed-point sweeps u <- (M - d2 - c d1)^{-1} (M u + u (a - u)).
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
+            log: bool = False):
+    """Damped Newton with max-norm step halving on the collocation system.
 
-    With M >= sup |a - 2u| the matrix is an M-matrix and the map preserves the
-    sub/super-solution ordering: iterates started from a sub-solution would
-    climb monotonically toward the minimal discrete solution.  solve_wave
-    starts them from the tanh front or the caller's guess (lifted onto the
-    target decay shape for slow targets), which is not a sub-solution, so
-    no monotone climb is guaranteed.  Used to carry Newton starts across the
-    unstable near-zero region, where the Jacobian u'' + c u' + a u has
-    near-zero oscillatory modes and damped Newton stalls.  Stops after 2000
-    sweeps, when an update moves no entry by 1e-13, or when the residual
-    reaches target_resid.
+    With log False the unknown is phi and the residual F = discrete_residual.
+    With log True the unknown is v = log phi and the residual is G = F / phi,
+    the same system with each row divided by phi_i, whose Jacobian is
+    diag(1/phi) J diag(phi) - diag(G).  Its stopping test is relative, so a
+    tail far below newton_tol is resolved, and phi stays positive.  The
+    iterate is kept as phi and stepped by the increment phi (e^delta - 1):
+    as in phi, an update below half an ulp leaves an entry unchanged, so
+    members of a family stay ordered bit for bit on the plateau.  A log
+    solve needs max |G| and max |F| within newton_tol, then keeps one more
+    full step if it stays within.  Returns phi, max |F|, the iteration
+    count and max |F| (= max |phi G|) at each accepted iterate; every
+    failure raises NewtonDivergenceError.
     """
-    M = 2.0 * float(np.max(np.abs(phi0))) + float(np.max(a)) + 1.0
-    ab = frame.banded(len(phi0), h, c, sigma_R, -1.0, M)
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])  # one LU for all sweeps
-    if info:
-        raise np.linalg.LinAlgError("singular sweep matrix")
-    phi = phi0.astype(float).copy()
-    for _ in range(2000):
-        rhs = M * phi + phi * (a - phi)
-        rhs[0] = left_value
-        if pin_value is not None:
-            rhs[-1] = pin_value
-        new = dgttrs(*lu, np.asarray_chkfinite(rhs))[0]
-        dmax = float(np.max(np.abs(new - phi)))
-        phi = new
-        if dmax < 1e-13:
-            break
+    free = slice(1, len(phi0) if sigma_R is not None else len(phi0) - 1)
+    linear = frame.banded(len(phi0), h, c, sigma_R, 1.0, a)
+
+    def evaluate(phi):
         F = discrete_residual(phi, a, h, c, left_value, sigma_R, pin_value)
-        if float(np.max(np.abs(F))) <= target_resid:
-            break
-    return phi
+        R = F / phi if log else F
+        nrm = float(np.max(np.abs(R)))
+        return R, nrm, float(np.max(np.abs(F))) if log else nrm
 
+    def newton_step(phi, R):
+        ab = linear.copy()
+        ab[1, free] -= 2.0 * phi[free]
+        if log:
+            ratio = phi[1:] / phi[:-1]
+            ab[0, 1:] *= ratio
+            ab[2, :-1] /= ratio
+            ab[1] -= R
+        try:
+            return solve_banded((1, 1), ab, -R)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise NewtonDivergenceError(f"no Newton step: {exc}",
+                                        last_iterate=phi, residual_history=history)
 
-def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig):
+    def moved(phi, delta):
+        return phi + phi * np.expm1(delta) if log else phi + delta
+
     phi = phi0.astype(float).copy()
-    free = slice(1, len(phi) if sigma_R is not None else len(phi) - 1)
-    history = []
-    F = discrete_residual(phi, a, h, c, left_value, sigma_R, pin_value)
-    nrm = float(np.max(np.abs(F)))
-    history.append(nrm)
-    for it in range(1, cfg.newton_max_iter + 1):
-        if nrm <= cfg.newton_tol:
-            return phi, nrm, it - 1, history
+    R, nrm, fnrm = evaluate(phi)
+    history = [fnrm]
+    iters = 0
+    while not (nrm <= cfg.newton_tol and fnrm <= cfg.newton_tol):
+        if iters == cfg.newton_max_iter:
+            raise NewtonDivergenceError(
+                f"not converged after {cfg.newton_max_iter} iterations "
+                f"(residual {nrm:.3e})", last_iterate=phi, residual_history=history)
         if not math.isfinite(nrm):
             raise NewtonDivergenceError("residual became non-finite",
                                         last_iterate=phi, residual_history=history)
-        ab = frame.banded(len(phi), h, c, sigma_R, 1.0, a)
-        ab[1, free] -= 2.0 * phi[free]
-        try:
-            delta = solve_banded((1, 1), ab, -F)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Jacobian: {exc}",
-                                        last_iterate=phi, residual_history=history)
+        delta = newton_step(phi, R)
         step = 1.0
         for _ in range(cfg.max_halvings + 1):
-            trial = phi + step * delta
-            Ft = discrete_residual(trial, a, h, c, left_value, sigma_R, pin_value)
-            nt = float(np.max(np.abs(Ft)))
+            trial = moved(phi, step * delta)
+            tR, nt, ft = evaluate(trial)
             if math.isfinite(nt) and nt < nrm:
-                phi, F, nrm = trial, Ft, nt
+                phi, R, nrm, fnrm = trial, tR, nt, ft
                 break
             step *= 0.5
         else:
             raise NewtonDivergenceError(
                 f"no residual decrease after {cfg.max_halvings} halvings "
                 f"(residual {nrm:.3e})", last_iterate=phi, residual_history=history)
-        history.append(nrm)
-    if nrm <= cfg.newton_tol:
-        return phi, nrm, cfg.newton_max_iter, history
-    raise NewtonDivergenceError(
-        f"not converged after {cfg.newton_max_iter} iterations (residual {nrm:.3e})",
-        last_iterate=phi, residual_history=history)
+        iters += 1
+        history.append(fnrm)
+    if log:
+        trial = moved(phi, newton_step(phi, R))
+        _, nt, ft = evaluate(trial)
+        if nt <= cfg.newton_tol and ft <= cfg.newton_tol:
+            phi, fnrm, iters = trial, ft, iters + 1
+            history.append(fnrm)
+    return phi, fnrm, iters, history
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +297,17 @@ def _sigma_R_for(profile: EnvironmentProfile, c: float, tag: str,
 def _target_predicted(profile: EnvironmentProfile, c: float, tag: str) -> bool:
     """Whether the classifier predicts a wave with this decay exists.
 
-    The monotone-rescue globalization only runs for predicted targets: for a
-    target ruled out by the regime classification, a plain Newton failure is
-    the meaningful outcome and must not be papered over.
+    It chooses solve_wave's variable: a predicted target is solved for
+    log phi from its own decay shape, which resolves a tail far below
+    newton_tol; any other target keeps Newton on phi from the tanh front or
+    the caller's guess, where a failure is the meaningful outcome.
     """
     report = classify(profile, c)
-    if tag in ("pure_exp", "sigma1"):
+    if tag in MINIMAL_TAGS:
         return report.minimal_decay is not None
     # the classifier sets maximal_decay exactly in cases 2 and 3
     return (report.maximal_decay is not None
             and tag in ("tilde_a", report.maximal_decay.tag))
-
-
-SLOW_TAGS = ("tilde_a", "slow_maximal", "profile_itself")
 
 
 def _tanh_start(profile: EnvironmentProfile, grid: np.ndarray) -> np.ndarray:
@@ -336,19 +341,24 @@ def standard_starts(profile: EnvironmentProfile, c: float,
     return starts
 
 
-def _ansatz_start(profile: EnvironmentProfile, ansatz: DecayAnsatz,
-                  grid: np.ndarray) -> np.ndarray:
-    """Plateau glued to the target's own decay shape.
+def _shape_start(profile: EnvironmentProfile, c: float, tag: str,
+                 ansatz: DecayAnsatz, grid: np.ndarray,
+                 guess: Optional[np.ndarray]) -> np.ndarray:
+    """Start of the log-variable Newton: plateau glued to the target's shape.
 
-    Slow waves have tails orders of magnitude fatter than the exponential
-    minimal wave; a front-shaped start underflows on the tail and Newton
-    collapses into the minimal wave's basin (the Robin row loses its gradient
-    signal at that scale).  Starting on the target shape keeps the tail rows
-    alive.
+    The shape is the slow ansatz for slow targets and e^{-c (z - z_switch)}
+    for minimal ones (sigma1 is complex where 4 a > c^2).  It floors the
+    guess, which is a slow target's tanh front by default: a tail below the
+    slow shape sits in the minimal wave's basin, and a zero has no log.
     """
-    z_lo = profile.z_switch
-    vals = np.asarray(ansatz.value(np.maximum(grid, z_lo)), dtype=float)
-    return np.minimum(profile.alpha, vals)
+    minimal = tag in MINIMAL_TAGS
+    if minimal:
+        ansatz = PureExp(K=1.0, c=c, z0=profile.z_switch)
+    tail = ansatz.value(np.maximum(grid, profile.z_switch))
+    shape = np.minimum(profile.alpha, tail)
+    if guess is None:
+        guess = shape if minimal else _tanh_start(profile, grid)
+    return np.maximum(guess, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +371,11 @@ def solve_wave(profile: EnvironmentProfile, c: float,
                pin_amplitude: Optional[float] = None) -> WaveSolution:
     """Solve the truncated boundary value problem for one targeted wave.
 
-    Without initial_guess, Newton starts from the tanh front alone; no
-    oracle is constructed.  pin_amplitude, when given, replaces the Robin
-    row by the Dirichlet condition phi(L) = pin_amplitude (used by
+    A target the classifier predicts is solved by Newton in log phi from
+    its own decay shape, floored by initial_guess (_shape_start); any other
+    by Newton in phi from initial_guess, or from the tanh front without
+    one.  No oracle is constructed.  pin_amplitude, when given, replaces
+    the Robin row by the Dirichlet condition phi(L) = pin_amplitude (used by
     wave_family to separate slow family members, which share the same
     Robin coefficient).
     """
@@ -380,38 +392,17 @@ def solve_wave(profile: EnvironmentProfile, c: float,
     if pin_amplitude is None:
         sigma_R = _sigma_R_for(profile, c, tag, ansatz, float(grid[-1]))
 
-    if initial_guess is None:
-        initial_guess = _tanh_start(profile, grid)
-    phi0 = np.asarray(initial_guess, dtype=float)
-    if phi0.shape != grid.shape:
+    guess = None if initial_guess is None else np.asarray(initial_guess, dtype=float)
+    if guess is not None and guess.shape != grid.shape:
         raise ValueError("initial guess does not match the grid")
 
-    def run(start):
-        return _newton(start, a, h, c, left_value, sigma_R, pin_amplitude, cfg)
-
-    def rescue():
-        base = phi0
-        if tag in SLOW_TAGS and ansatz is not None:
-            # a start whose tail underflowed cannot feel the slow Robin row;
-            # lift it onto the target decay shape before sweeping
-            base = np.maximum(base, _ansatz_start(profile, ansatz, grid))
-        lifted = _monotone_sweeps(base, a, h, c, left_value, sigma_R,
-                                  pin_amplitude,
-                                  target_resid=max(cfg.newton_tol, 1e-6) * 10.0)
-        return run(lifted)
-
-    rescued = False
-    try:
-        phi, nrm, iters, history = run(phi0)
-    except NewtonDivergenceError:
-        if not _target_predicted(profile, c, tag):
-            raise
-        phi, nrm, iters, history = rescue()
-        rescued = True
-    if float(np.min(phi)) <= 0.0 and not rescued and _target_predicted(profile, c, tag):
-        # sign-violating convergence from a start in the wrong basin; retry
-        # once via the monotone lift, which cannot cross zero
-        phi, nrm, iters, history = rescue()
+    log = _target_predicted(profile, c, tag)
+    if log:
+        start = _shape_start(profile, c, tag, ansatz, grid, guess)
+    else:
+        start = _tanh_start(profile, grid) if guess is None else guess
+    phi, nrm, iters, history = _newton(start, a, h, c, left_value, sigma_R,
+                                       pin_amplitude, cfg, log)
     if float(np.min(phi)) <= 0.0:
         raise NoPositiveWaveError(
             f"converged state has min phi = {float(np.min(phi)):.3e} <= 0: "
@@ -459,8 +450,8 @@ def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
     """March c over `steps` uniform values, warm-starting from the last success.
 
     All points are attempted; failures are recorded and do not stop the march.
-    Points before the first success start from solve_wave's default tanh
-    front; every later point starts from the last converged wave.
+    Points before the first success use solve_wave's default start; every
+    later point passes the last converged wave as its initial guess.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -442,7 +442,7 @@ class TestFailureContract:
          pdesim.StepRejectedError, 4, None),
         ("fit", EXP_INI + "\n[fit]\nwindow_fraction = 0.01\n",
          analysis.FitWindowError, 5, None),
-        ("family", POW2_INI, NoPositiveWaveError, 4, 0.7),
+        ("family", POW2_INI, wavesolver.NewtonDivergenceError, 4, 0.7),
         ("wave", POW2_LOW.replace("c = 0.7", "c = 0.5"),
          AnsatzUnavailableError, 4, 0.5),
         ("sweep", POW2_LOW.replace("c = 0.7", "c.start = 0.5\nc.stop = 0.6\n"

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from forcedwaves import analysis as an
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
-from forcedwaves.environment import TildeA
+from forcedwaves.environment import TildeA, classify
 from forcedwaves.wavesolver import (
     NewtonDivergenceError,
     NoPositiveWaveError,
@@ -97,25 +98,6 @@ class TestSlowWaves:
         m = w.grid >= sub.support[0]
         assert float(np.min(w.phi[m] - sub.on_grid(w.grid[m]))) >= -1e-12
         assert float(np.min(sup.on_grid(w.grid) - w.phi)) >= -1e-12
-
-    def test_rescue_factors_its_sweep_matrix_once(self, monkeypatch, alg3):
-        # the monotone sweeps reuse one LU; solve_banded stays Newton's
-        calls = {"sweeps": 0, "dgttrf": 0}
-        sweeps, dgttrf = ws._monotone_sweeps, ws.dgttrf
-
-        def counted_sweeps(*args, **kwargs):
-            calls["sweeps"] += 1
-            return sweeps(*args, **kwargs)
-
-        def counted_dgttrf(*args):
-            calls["dgttrf"] += 1
-            return dgttrf(*args)
-
-        monkeypatch.setattr(ws, "_monotone_sweeps", counted_sweeps)
-        monkeypatch.setattr(ws, "dgttrf", counted_dgttrf)
-        ws.solve_wave(alg3, 1.0, "slow_maximal")
-        assert calls["sweeps"] >= 1
-        assert calls["dgttrf"] == calls["sweeps"]
 
     def test_iterated_log_below_lead_solves(self, itlog):
         # ROADMAP 3c: the slow_sub start below lead used to NaN at large z
@@ -237,6 +219,68 @@ class TestDefaultStart:
         assert np.array_equal(got.phi, want.phi)
         assert got.iterations == want.iterations
         assert got.residual_norm == want.residual_norm
+
+
+class TestLogNewton:
+    """Predicted targets: one Newton in log phi from the target's own shape."""
+
+    @pytest.mark.parametrize("fixture,c,target", [
+        ("alg3", 0.7, "slow_maximal"), ("alg3", 1.0, "slow_maximal"),
+        ("pow2", 1.3, "profile_itself"), ("itlog", 1.0, "slow_maximal")])
+    def test_warm_start_from_the_minimal_wave_finds_the_slow_wave(
+            self, request, fixture, c, target):
+        # the minimal wave's tail is far below newton_tol, so it used to pass
+        # the absolute Robin row and come back after 0 iterations, labelled
+        # with the slow target (0.05-0.42 off the slow wave)
+        profile = request.getfixturevalue(fixture)
+        want = ws.solve_wave(profile, c, target)
+        minimal = ws.solve_wave(profile, c, "sigma1")
+        got = ws.solve_wave(profile, c, target, initial_guess=minimal.phi)
+        assert got.iterations > 0
+        assert float(np.max(np.abs(got.phi - want.phi))) < 1e-9
+
+    @pytest.mark.parametrize("c", [0.9, 1.0])
+    def test_power_tail_minimal_wave_solves(self, pow2, c):
+        # ROADMAP 3a: these raised NoPositiveWaveError (c = 0.9) and
+        # NewtonDivergenceError (c = 1.0) from the default start
+        w = ws.solve_wave(pow2, c, "sigma1")
+        assert float(np.min(w.phi)) > 0.0
+        assert abs(w.phi[1] - w.phi[0]) <= 1e-6 * pow2.alpha
+        assert w.residual_norm <= w.config.newton_tol
+        grid = SolverConfig.default_for(pow2).grid()
+        ref = ws.solve_wave(pow2, c, "sigma1",
+                            initial_guess=ws.standard_starts(pow2, c, grid)["super"])
+        assert float(np.max(np.abs(w.phi - ref.phi))) < 1e-9
+        report = classify(pow2, c)
+        fit = an.fit_decay(w, [report.minimal_decay, report.maximal_decay])
+        verdict = an.inventory_verdict(pow2, c, [w], [fit])
+        minimal = [ck for ck in verdict.checks
+                   if ck["prediction"].startswith("minimal")]
+        assert minimal and minimal[0]["passed"]
+
+    def test_reported_residual_is_the_phi_residual(self, alg3_maximal, alg3):
+        w = alg3_maximal
+        a = alg3.a(w.grid)
+        F = ws.discrete_residual(w.phi, a, w.h, w.c, float(a[0]), w.bc_right, None)
+        assert w.residual_norm == float(np.max(np.abs(F)))
+        assert w.residual_norm <= w.config.newton_tol
+
+    @pytest.mark.parametrize("fixture,c", [("alg3", 0.7), ("pow2", 1.0)])
+    def test_compact_support_guess_fails_typed(self, request, fixture, c):
+        # floored by the decay shape, the sub-solution's support edge leaves
+        # a cliff of 3 (alg3) to 38 (pow2) decades in one cell; the solve
+        # must fail typed, not with an OverflowError or a ValueError
+        profile = request.getfixturevalue(fixture)
+        grid = SolverConfig.default_for(profile).grid()
+        sub = ws.standard_starts(profile, c, grid)["sub"]
+        with pytest.raises(NewtonDivergenceError) as ei:
+            ws.solve_wave(profile, c, "sigma1", initial_guess=sub)
+        assert ei.value.residual_history
+
+    def test_non_finite_guess_fails_typed(self, alg3):
+        guess = np.full(SolverConfig.default_for(alg3).N, np.inf)
+        with pytest.raises(NewtonDivergenceError, match="non-finite"):
+            ws.solve_wave(alg3, 1.0, "slow_maximal", initial_guess=guess)
 
 
 class TestAboveThreshold:

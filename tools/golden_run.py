@@ -21,12 +21,15 @@ and comparing the two.
 OUT is a new directory; each run's files stay under OUT/<run>.  SRC is the
 source tree to import forcedwaves from (default: src next to this script).
 --compare takes two golden.json files (or their directories), lists the
-runs, files and ACCEPTANCE lines that differ and exits 1 if any do.
+runs, files and ACCEPTANCE lines that differ and exits 1 if any do.  For a
+differing CSV file that both directories still hold, it also prints max
+|A - B| per numeric column.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -202,7 +205,29 @@ def acceptance_lines(src: Path) -> list[str]:
     return lines
 
 
-def compare(a: dict, b: dict) -> list[str]:
+def column_deltas(fa: Path, fb: Path) -> str:
+    """max |A - B| per numeric column of two CSV files, row by row."""
+    ra, rb = (list(csv.reader(f.read_text(encoding="utf-8").splitlines()))
+              for f in (fa, fb))
+    if not ra or not rb or ra[0] != rb[0] or len(ra) != len(rb):
+        return "header or row count differs"
+    out = []
+    for j, name in enumerate(ra[0]):
+        deltas = []
+        for x, y in zip(ra[1:], rb[1:]):
+            try:
+                deltas.append(abs(float(x[j]) - float(y[j])))
+            except ValueError:
+                pass  # text or empty cells are covered by the hash
+        if deltas:
+            out.append(f"{name} {max(deltas):.3g}")
+    return "max |delta| " + ", ".join(out)
+
+
+def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:
+    """Differing ACCEPTANCE lines, runs and files of two golden.json records
+    whose run files are under dir_a and dir_b.  A differing CSV that both
+    directories hold also gets max |A - B| per numeric column."""
     diffs = [f"acceptance: {la!r} != {lb!r}" for la, lb in
              itertools.zip_longest(a.get("acceptance", []),
                                    b.get("acceptance", [])) if la != lb]
@@ -215,16 +240,22 @@ def compare(a: dict, b: dict) -> list[str]:
         if ra["exit"] != rb["exit"]:
             diffs.append(f"{name}: exit {ra['exit']} != {rb['exit']}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
-            if ra["files"].get(f) != rb["files"].get(f):
+            if ra["files"].get(f) == rb["files"].get(f):
+                continue
+            fa, fb = dir_a / name / f, dir_b / name / f
+            if f.endswith(".csv") and fa.is_file() and fb.is_file():
+                diffs.append(f"{name}/{f}: {column_deltas(fa, fb)}")
+            else:
                 diffs.append(f"{name}/{f}")
     return diffs
 
 
-def load(path: str) -> dict:
+def load(path: str) -> tuple[dict, Path]:
+    """A golden.json record and the directory holding its run files."""
     p = Path(path)
     if p.is_dir():
         p = p / "golden.json"
-    return json.loads(p.read_text(encoding="utf-8"))
+    return json.loads(p.read_text(encoding="utf-8")), p.parent
 
 
 def main(argv=None) -> int:
@@ -236,7 +267,8 @@ def main(argv=None) -> int:
                         help="compare two golden.json files")
     args = parser.parse_args(argv)
     if args.compare:
-        diffs = compare(load(args.compare[0]), load(args.compare[1]))
+        (a, dir_a), (b, dir_b) = map(load, args.compare)
+        diffs = compare(a, b, dir_a, dir_b)
         for d in diffs:
             print(d)
         print(f"{len(diffs)} difference(s)")

@@ -11,7 +11,6 @@ on desk-scale domains.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 
 from .environment import (AnsatzUnavailableError, DecayAnsatz,
                           EnvironmentProfile, classify)
+from .tables import write_csv
 
 __all__ = [
     "DecayFit",
@@ -105,13 +105,11 @@ class FitRanking:
         return payload
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["candidate", "K", "rms_log_error", "rate_error"])
-            for f in self.fits:
-                w.writerow([f.tag, f"{f.amplitude:.17g}",
-                            f"{f.rms_log_error:.17g}",
-                            f"{f.local_rate_error:.17g}"])
+        write_csv(path, ["candidate", "K", "rms_log_error", "rate_error"],
+                  [[f.tag for f in self.fits],
+                   [f.amplitude for f in self.fits],
+                   [f.rms_log_error for f in self.fits],
+                   [f.local_rate_error for f in self.fits]])
 
 
 def tail_window(grid: np.ndarray, window_fraction: float = 0.2) -> np.ndarray:

@@ -5,6 +5,8 @@ Experiments are described by an INI file ('#' comments, UTF-8); unknown
 sections or keys are rejected before any computation starts.  Data files
 (CSV/JSON/SVG) carry no timestamps, so identical configs produce
 byte-identical outputs; run metadata goes to a separate manifest.json.
+Every CSV file, here and in the library's to_csv methods, is written by
+forcedwaves.tables.write_csv.
 
 Exit codes: 0 success, 2 config error (no output directory is created),
 3 exceptional classification, 4 solver failure, 5 check failure.  Exits 4
@@ -15,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,6 +29,7 @@ import numpy as np
 from .environment import (_TAIL_KINDS, Algebraic, AnsatzUnavailableError,
                           EnvironmentProfile, IteratedLog, Power, classify)
 from . import analysis, oracles, pdesim, wavesolver
+from .tables import write_csv
 from .wavesolver import (NewtonDivergenceError, NoPositiveWaveError,
                          SolverConfig, TARGET_TAGS)
 
@@ -215,18 +216,8 @@ def _write_manifest(outdir: Path, args, outputs: Sequence[str]) -> None:
         "command": args.command,
         "config": str(args.config),
         "svg": bool(args.svg),
-        "workers": int(args.workers),
         "outputs": sorted(outputs),
     })
-
-
-def _csv_rows(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                        for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +586,10 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
     c = get_speed(cfg)
     outdir = _outdir(args, cfg)
     rows = _oracle_suite(profile, c)
-    _csv_rows(outdir / "oracles.csv",
-              ["construction", "applicable", "kind", "role", "passed",
-               "min_residual", "max_residual", "note"],
-              [(r["construction"], r["applicable"], r.get("kind", ""),
-                r.get("role", ""), r.get("passed", ""),
-                r.get("min_residual", ""), r.get("max_residual", ""),
-                r["note"]) for r in rows])
+    header = ["construction", "applicable", "kind", "role", "passed",
+              "min_residual", "max_residual", "note"]
+    write_csv(outdir / "oracles.csv", header,
+              [[r.get(k, "") for r in rows] for k in header])
     _write_json(outdir / "oracles.json", {"c": c, "results": rows,
                                           "profile": profile.params_dict()})
     n_app = sum(r["applicable"] for r in rows)
@@ -615,18 +603,19 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
     return code, ["oracles.csv", "oracles.json"]
 
 
-def _sweep_point(packed):
-    """One independent (profile, c) solve; returns a plain result row."""
-    profile, c, target, solver_cfg, fit_tags = packed
+def _sweep_point(cfg, profile, c, solver_cfg, fit_tags) -> dict:
+    """One (profile, c) solve as a sweep row; cells it lacks stay empty."""
+    report = classify(profile, c)
+    row = {"c": c, "inventory": report.inventory or "",
+           "case_123": report.case_123}
+    target = resolve_cli_target(cfg, profile, c)
     try:
         wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     except (NoPositiveWaveError, NewtonDivergenceError) as exc:
-        return {"c": c, "status": exc.kind}
-    row = {"c": c, "status": "solved",
-           "residual_norm": wave.residual_norm,
-           "iterations": wave.iterations,
-           "phi_max": float(np.max(wave.phi)),
-           "phi_right": float(wave.phi[-1])}
+        return {**row, "status": exc.kind}
+    row.update(status="solved", residual_norm=wave.residual_norm,
+               iterations=wave.iterations, phi_max=float(np.max(wave.phi)),
+               phi_right=float(wave.phi[-1]))
     try:
         cands = _candidate_ansatz(profile, c, fit_tags)
         ranking = analysis.fit_decay(wave, cands)
@@ -637,9 +626,7 @@ def _sweep_point(packed):
                    if ck["prediction"].startswith("minimal")]
         row["minimal_fit_ok"] = minimal[0]["passed"] if minimal else ""
     except (analysis.FitWindowError, ValueError):
-        row["winner"] = ""
-        row["winner_rms"] = ""
-        row["minimal_fit_ok"] = ""
+        pass  # no usable fit: the fit cells stay empty
     return row
 
 
@@ -650,31 +637,13 @@ def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
     outdir = _outdir(args, cfg)
     fit_tags = cfg.get("fit", {}).get("candidates", TARGET_TAGS)
 
-    jobs = []
-    for c in cs:
-        c = float(c)
-        target = resolve_cli_target(cfg, profile, c)
-        jobs.append((profile, c, target, solver_cfg, tuple(fit_tags)))
-
-    if args.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
-
+    rows = [_sweep_point(cfg, profile, float(c), solver_cfg, fit_tags)
+            for c in cs]
     header = ["c", "status", "inventory", "case_123", "residual_norm",
               "iterations", "phi_max", "phi_right", "winner", "winner_rms",
               "minimal_fit_ok"]
-    table = []
-    for row in rows:
-        report = classify(profile, row["c"])
-        table.append([row["c"], row["status"], report.inventory or "",
-                      report.case_123, row.get("residual_norm", ""),
-                      row.get("iterations", ""), row.get("phi_max", ""),
-                      row.get("phi_right", ""), row.get("winner", ""),
-                      row.get("winner_rms", ""),
-                      str(row.get("minimal_fit_ok", ""))])
-    _csv_rows(outdir / "sweep.csv", header, table)
+    write_csv(outdir / "sweep.csv", header,
+              [[r.get(k, "") for r in rows] for k in header])
 
     solved = [r["c"] for r in rows if r["status"] == "solved"]
     failed = [r["c"] for r in rows if r["status"] != "solved"]
@@ -730,8 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default from [output])")
     common.add_argument("--svg", action="store_true",
                         help="also write SVG line plots")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -769,18 +736,15 @@ def _report_failure(args, cfg: dict, exc: Exception) -> tuple[int, list]:
     outputs = ["failure.json"]
     hist = getattr(exc, "residual_history", None)
     if hist is not None:
-        _csv_rows(outdir / "residual_history.csv",
+        write_csv(outdir / "residual_history.csv",
                   ["iteration", "max_residual"],
-                  [(i, float(r)) for i, r in enumerate(hist)])
+                  [range(len(hist)), [float(r) for r in hist]])
         outputs.append("residual_history.csv")
     return code, outputs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
         _check_positive(cfg)

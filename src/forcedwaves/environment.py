@@ -844,12 +844,28 @@ class ProfileItself(DecayAnsatz):
     tag = "profile_itself"
 
     def log_value(self, z):
-        out = np.log(np.asarray(self.profile.a(z), dtype=float))
-        return out if np.ndim(z) else float(out)
+        return self._exact(z, self.profile.a(z), np.log,
+                           lambda t, z: math.log(t.amplitude) - t.kappa * z)
 
     def log_derivative(self, z):
         a, ap, _ = self.profile.a_jet(z)
-        out = np.asarray(ap, dtype=float) / np.asarray(a, dtype=float)
+        return self._exact(z, a, lambda a: ap / a, lambda t, z: -t.kappa)
+
+    def _exact(self, z, a, of_a, exp_tail):
+        """of_a(a) where a(z) is a normal float.  Below the smallest normal,
+        where log a and a'/a lose precision, exp_tail(tail, z): the exp
+        tail's closed form; any other profile raises AnsatzUnavailableError."""
+        z_arr = np.asarray(z, dtype=float)
+        low = np.asarray(a) < np.finfo(float).tiny
+        tail = self.profile.tail
+        closed = isinstance(tail, ExpTail) & (z_arr >= self.profile.z_switch)
+        bad = low & ~closed
+        if np.any(bad):
+            raise AnsatzUnavailableError(
+                f"a(z) underflows at z = {float(np.min(z_arr[bad])):g}")
+        out = of_a(np.where(low, 1.0, a))
+        if np.any(low):
+            out = np.where(low, exp_tail(tail, z_arr), out)
         return out if np.ndim(z) else float(out)
 
 

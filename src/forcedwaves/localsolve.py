@@ -10,7 +10,6 @@ seeding noise, so callers should keep z_hi - z_lo around 15/c for slow seeds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .environment import DecayAnsatz, EnvironmentProfile
+from .tables import write_csv
 
 __all__ = [
     "LocalSolution",
@@ -62,11 +62,8 @@ class LocalSolution:
         return self.grid >= z1 - _TAIL_FRACTION * (z1 - z0)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z", "psi", "dpsi", "log_psi"])
-            for z, p, dp, lp in zip(self.grid, self.psi, self.dpsi, self.log_psi):
-                w.writerow([f"{z:.17g}", f"{p:.17g}", f"{dp:.17g}", f"{lp:.17g}"])
+        write_csv(path, ["z", "psi", "dpsi", "log_psi"],
+                  [self.grid, self.psi, self.dpsi, self.log_psi])
 
 
 def seed_state(ansatz: DecayAnsatz, z_hi: float) -> tuple[float, float]:

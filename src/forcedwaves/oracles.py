@@ -14,7 +14,6 @@ argument work, so a failed check is evidence of a bug, not of bad luck.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import asdict, dataclass, field
@@ -31,6 +30,7 @@ from .environment import (
     Power,
     TailFamily,
 )
+from .tables import write_csv
 
 __all__ = [
     "ComparisonFunction",
@@ -114,13 +114,8 @@ class ComparisonFunction:
 
     def to_csv(self, path, n_samples: int = 1000) -> None:
         z = _sample_support(self, n_samples)
-        vals = self.on_grid(z)
-        res = self.residual(z)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z", "value", "residual"])
-            for zi, vi, ri in zip(z, vals, res):
-                w.writerow([f"{zi:.17g}", f"{vi:.17g}", f"{ri:.17g}"])
+        write_csv(path, ["z", "value", "residual"],
+                  [z, self.on_grid(z), self.residual(z)])
 
 
 @dataclass(frozen=True)

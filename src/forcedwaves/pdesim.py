@@ -21,7 +21,6 @@ comparison_test advances its pair as the two columns of one solve.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -31,6 +30,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import frame
 from .environment import EnvironmentProfile
+from .tables import write_csv
 
 __all__ = [
     "SimulationState",
@@ -80,12 +80,8 @@ class SimulationState:
         return replace(self, u=self.u.copy())
 
     def snapshot_to_csv(self, path) -> None:
-        """Long-format rows (t, z, u)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "z", "u"])
-            for z, v in zip(self.grid, self.u):
-                w.writerow([f"{self.t:.17g}", f"{z:.17g}", f"{v:.17g}"])
+        """Long-format rows (t, z, u); t is formatted once."""
+        write_csv(path, ["t", "z", "u"], [float(self.t), self.grid, self.u])
 
 
 def make_state(profile: EnvironmentProfile, c: float, grid: np.ndarray,
@@ -217,13 +213,12 @@ class EvolveResult:
         return float(np.max(np.abs(self.state.u - self.initial_u))) / span
 
     def monitors_to_csv(self, path) -> None:
-        """Long-format rows (t, metric, value)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "metric", "value"])
-            for name, vals in sorted(self.series.items()):
-                for t, v in zip(self.times, vals):
-                    w.writerow([f"{t:.17g}", name, f"{v:.17g}"])
+        """Long-format rows (t, metric, value), metrics by name."""
+        names = sorted(self.series)
+        write_csv(path, ["t", "metric", "value"],
+                  [[t for _ in names for t in self.times],
+                   [name for name in names for _ in self.times],
+                   [v for name in names for v in self.series[name]]])
 
 
 def evolve(state: SimulationState, T: float, dt: Optional[float] = None,

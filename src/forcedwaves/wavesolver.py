@@ -21,7 +21,6 @@ failure's residual_history holds the phi-residual max |F| at each iterate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -43,6 +42,7 @@ from .environment import (
     TildeA,
     classify,
 )
+from .tables import write_csv
 
 __all__ = [
     "SolverConfig",
@@ -131,11 +131,7 @@ class WaveSolution:
         return float(self.grid[1] - self.grid[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z", "phi"])
-            for z, p in zip(self.grid, self.phi):
-                w.writerow([f"{z:.17g}", f"{p:.17g}"])
+        write_csv(path, ["z", "phi"], [self.grid, self.phi])
 
     def sidecar_dict(self) -> dict:
         return {

@@ -161,13 +161,6 @@ class TestConfigValidation:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_workers_must_be_positive(self, tmp_path, outdir, capsys):
-        cfg = cfg_file(tmp_path, EXP_INI)
-        rc = cli.main(["classify", "--config", str(cfg), "--out", str(outdir),
-                       "--workers", "0"])
-        assert rc == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 class TestClassify:
     def test_classify_writes_report(self, tmp_path, outdir, capsys):
@@ -408,15 +401,6 @@ class TestSweep:
         assert len(rows) == 4
         first = rows[1].split(",")
         assert first[0] == "1.8999999999999999" and first[1] == "solved"
-
-    def test_workers_agree_byte_for_byte(self, tmp_path, capsys):
-        cfg = cfg_file(tmp_path, self.SWEEP_INI)
-        a, b = tmp_path / "w1", tmp_path / "w3"
-        assert run("sweep", cfg, a) == 0
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(b),
-                         "--workers", "3"]) == 0
-        capsys.readouterr()
-        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
     def test_empty_range(self, tmp_path, outdir, capsys):
         ini = self.SWEEP_INI.replace("c.steps = 3", "c.steps = 0")

@@ -479,6 +479,25 @@ class TestAnsatzShapes:
         fn = ProfileItself(profile=pow2)
         assert float(fn.value(50.0)) == pytest.approx(pow2.a(50.0), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_profile_itself_past_underflow_uses_exp_closed_form(self, exp2):
+        # a = e^{-2z}: subnormal at z = 370, zero from z ~ 373 on
+        fn = ProfileItself(profile=exp2)
+        z = np.array([300.0, 370.0, 380.0, 400.0])
+        assert list(fn.log_value(z)) == [-600.0, -740.0, -760.0, -800.0]
+        assert list(fn.log_derivative(z)) == [-2.0] * 4
+        assert fn.log_value(400.0) == -800.0
+        assert fn.log_derivative(370.0) == -2.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_profile_itself_underflow_without_closed_form_raises(self):
+        # gamma / z is subnormal at z = 1e10
+        prof = EnvironmentProfile(1.0, Algebraic(gamma=1e-300), 8.0, 4.0)
+        fn = ProfileItself(profile=prof)
+        for method in (fn.log_value, fn.log_derivative):
+            with pytest.raises(AnsatzUnavailableError, match="z = 1e\\+10"):
+                method(np.array([50.0, 1e10]))
+
     def test_describe_is_json_friendly(self, ansatz_zoo):
         import json
 

@@ -75,6 +75,17 @@ class TestMinimalWave:
         assert d["decay_tag"] == "sigma1"
         assert d["residual_norm"] == exp_wave_c1.residual_norm
 
+    def test_to_csv_round_trips_exactly(self, exp_wave_c1, tmp_path):
+        path = tmp_path / "wave.csv"
+        exp_wave_c1.to_csv(path)
+        data = path.read_bytes()
+        assert data.startswith(b"z,phi\r\n") and data.endswith(b"\r\n")
+        lines = data.decode().split("\r\n")[:-1]
+        assert len(lines) == len(exp_wave_c1.grid) + 1
+        cells = [line.split(",") for line in lines[1:]]
+        assert all(float(z) == v for (z, _), v in zip(cells, exp_wave_c1.grid))
+        assert all(float(p) == v for (_, p), v in zip(cells, exp_wave_c1.phi))
+
     def test_bracketed_by_hand_built_pair(self, exp_wave_c1, exp2):
         # 0 < bump <= phi <= exp-corner super-solution
         w = exp_wave_c1

@@ -64,8 +64,8 @@ class ConstructionError(ValueError):
 class ComparisonFunction:
     """A sub- or super-solution with analytic derivatives on its support.
 
-    _jet(z) returns (u, u', u'') and computes what they share once;
-    value, d1 and d2 index it and residual evaluates it once.
+    _jet(z) returns (u, u', u''), then a(z) if it computes it anyway, and
+    shares work once; value, d1 and d2 index it, residual evaluates it once.
     """
 
     kind: str
@@ -93,8 +93,9 @@ class ComparisonFunction:
 
     def residual(self, z):
         z = np.asarray(z, dtype=float)
-        u, d1, d2 = self._jet(z)
-        return d2 + self.c * d1 + u * (self.profile.a(z) - u)
+        u, d1, d2, *a = self._jet(z)
+        a = a[0] if a else self.profile.a(z)
+        return d2 + self.c * d1 + u * (a - u)
 
     def on_grid(self, z) -> np.ndarray:
         """Evaluate on an arbitrary grid (the piecewise formulas handle
@@ -473,7 +474,7 @@ def _profile_band(profile: EnvironmentProfile, c: float,
 
     def jet(z):
         a, ap, app = profile.a_jet(z)
-        return m * a, m * ap, m * app
+        return m * a, m * ap, m * app, a
 
     kind, role = ("ProfileBandSub", "sub") if sign < 0 else ("ProfileBandSuper", "super")
     return _tail_window(kind, role, profile, c, {"eps": _BAND_EPS}, jet,

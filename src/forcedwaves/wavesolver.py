@@ -13,10 +13,12 @@ A target the classifier predicts is solved for v = log phi, with each row
 divided by phi, from the target's own decay shape: the stopping test is then
 relative, so a tail of 1e-50 is resolved instead of passing the absolute
 Robin row for any decay rate, and phi stays positive.  Any other target is
-solved for phi from the tanh front or the caller's guess, with no positivity
-projection: a converged iterate with phi <= 0 somewhere is the meaningful
-"no positive wave" outcome, distinct from Newton divergence.  Either way a
-failure's residual_history holds the phi-residual max |F| at each iterate.
+solved for phi, unprojected, from the caller's guess, else the tanh front
+(slow targets) or the left-wall layer, the only root once c >= 2 sqrt(alpha)
+rules out an exponential wave (minimal targets).  A converged phi <= 0 or
+wall layer is the meaningful "no positive wave" outcome, distinct from
+Newton divergence.  Either way a failure's residual_history holds the
+phi-residual max |F| at each iterate.
 """
 
 from __future__ import annotations
@@ -295,8 +297,8 @@ def _target_predicted(profile: EnvironmentProfile, c: float, tag: str) -> bool:
 
     It chooses solve_wave's variable: a predicted target is solved for
     log phi from its own decay shape, which resolves a tail far below
-    newton_tol; any other target keeps Newton on phi from the tanh front or
-    the caller's guess, where a failure is the meaningful outcome.
+    newton_tol; any other target keeps Newton on phi from the caller's guess
+    or _start's default, where a failure is the meaningful outcome.
     """
     report = classify(profile, c)
     if tag in MINIMAL_TAGS:
@@ -337,17 +339,24 @@ def standard_starts(profile: EnvironmentProfile, c: float,
     return starts
 
 
-def _shape_start(profile: EnvironmentProfile, c: float, tag: str,
-                 ansatz: DecayAnsatz, grid: np.ndarray,
-                 guess: Optional[np.ndarray]) -> np.ndarray:
-    """Start of the log-variable Newton: plateau glued to the target's shape.
-
-    The shape is the slow ansatz for slow targets and e^{-c (z - z_switch)}
-    for minimal ones (sigma1 is complex where 4 a > c^2).  It floors the
-    guess, which is a slow target's tanh front by default: a tail below the
-    slow shape sits in the minimal wave's basin, and a zero has no log.
+def _start(profile: EnvironmentProfile, c: float, tag: str,
+           ansatz: Optional[DecayAnsatz], grid: np.ndarray,
+           guess: Optional[np.ndarray], log: bool) -> np.ndarray:
+    """solve_wave's one Newton start.  A predicted target (log) starts from
+    its decay shape capped at alpha (the slow ansatz; e^{-c (z - z_switch)}
+    if minimal, as sigma1 is complex where 4 a > c^2), flooring the guess,
+    by default a slow target's tanh front: a tail below the slow shape sits
+    in the minimal wave's basin, and a zero has no log.  Else the guess is
+    used unchanged; without one a slow target starts from the tanh front
+    and a minimal one, whose only root for c >= 2 sqrt(alpha) is the wall
+    layer, from a(-L) e^{-(c/2)(z + L)}: c/2 is the double root of
+    lambda^2 - c lambda + alpha at threshold.
     """
     minimal = tag in MINIMAL_TAGS
+    if not log and minimal and guess is None:
+        return float(profile.a(grid[0])) * np.exp(-0.5 * c * (grid - grid[0]))
+    if not log:
+        return _tanh_start(profile, grid) if guess is None else guess
     if minimal:
         ansatz = PureExp(K=1.0, c=c, z0=profile.z_switch)
     tail = ansatz.value(np.maximum(grid, profile.z_switch))
@@ -368,9 +377,11 @@ def solve_wave(profile: EnvironmentProfile, c: float,
     """Solve the truncated boundary value problem for one targeted wave.
 
     A target the classifier predicts is solved by Newton in log phi from
-    its own decay shape, floored by initial_guess (_shape_start); any other
-    by Newton in phi from initial_guess, or from the tanh front without
-    one.  No oracle is constructed.  pin_amplitude, when given, replaces
+    its own decay shape, floored by initial_guess; any other by Newton in
+    phi from initial_guess or, without one, from the tanh front (slow
+    targets) or the wall layer a(-L) e^{-(c/2)(z + L)} (minimal targets,
+    which have no exponential wave for c >= 2 sqrt(alpha)); see _start.
+    No oracle is constructed.  pin_amplitude, when given, replaces
     the Robin row by the Dirichlet condition phi(L) = pin_amplitude (used by
     wave_family to separate slow family members, which share the same
     Robin coefficient).
@@ -393,10 +404,7 @@ def solve_wave(profile: EnvironmentProfile, c: float,
         raise ValueError("initial guess does not match the grid")
 
     log = _target_predicted(profile, c, tag)
-    if log:
-        start = _shape_start(profile, c, tag, ansatz, grid, guess)
-    else:
-        start = _tanh_start(profile, grid) if guess is None else guess
+    start = _start(profile, c, tag, ansatz, grid, guess, log)
     phi, nrm, iters, history = _newton(start, a, h, c, left_value, sigma_R,
                                        pin_amplitude, cfg, log)
     if float(np.min(phi)) <= 0.0:

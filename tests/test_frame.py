@@ -79,10 +79,10 @@ def test_step_from_solved_wave_moves_by_at_most_dt_residual(exp_wave_c1, exp2):
 
 
 @pytest.mark.parametrize("sigma", [None, 0.0, -0.7])
-@pytest.mark.parametrize("scale, shift", [(-0.01, 1.0), (-1.0, 3.5)])  # IMEX, sweep
+@pytest.mark.parametrize("scale, shift", [(-0.01, 1.0), (-1.0, 3.5)])  # IMEX, shifted -A
 @pytest.mark.parametrize("cols", [None, 2])
 def test_factored_solve_is_bit_identical_to_solve_banded(sigma, scale, shift, cols):
-    # the IMEX step and the sweeps factor once with dgttrf and solve with
+    # the IMEX step factors I - dt A once with dgttrf and solves with
     # dgttrs; that must reproduce solve_banded's gtsv to the last bit
     rng = np.random.default_rng(1)
     n, h, c = 401, 0.05, 1.0

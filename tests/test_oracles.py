@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from forcedwaves import oracles as orc
-from forcedwaves.environment import Algebraic, IteratedLog
+from forcedwaves.environment import Algebraic, EnvironmentProfile, IteratedLog
 from forcedwaves.oracles import ConstructionError
 
 
@@ -227,6 +227,25 @@ class TestSlowConstructions:
         anti.clear()
         assert orc.residual_sign_check(fn).passed
         assert len(calls) == 1 and len(anti) == 1
+
+    def test_profile_band_residual_runs_one_a_pass(self, monkeypatch, pow2):
+        # u = (1 - eps) a: the jet's a(z) is the reaction term's a(z)
+        fn = orc.profile_band_sub(pow2, 0.7)
+        calls = []
+        a, a_jet = EnvironmentProfile.a, EnvironmentProfile.a_jet
+
+        def counted_a(self, z):
+            calls.append("a")
+            return a(self, z)
+
+        def counted_jet(self, z):
+            calls.append("a_jet")
+            return a_jet(self, z)
+
+        monkeypatch.setattr(EnvironmentProfile, "a", counted_a)
+        monkeypatch.setattr(EnvironmentProfile, "a_jet", counted_jet)
+        fn.residual(orc._sample_support(fn, 1000))
+        assert calls == ["a_jet"]
 
     def test_failing_z_M_search_probes_each_M_once(self, monkeypatch, pow2):
         # every halving of A re-walks the same M lattice; 3147 brentq solves

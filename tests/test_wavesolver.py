@@ -302,11 +302,37 @@ class TestAboveThreshold:
             ws.solve_wave(exp2, 2.2, "sigma1")
 
     def test_failure_carries_residual_history(self, exp2):
-        with pytest.raises((NoPositiveWaveError, NewtonDivergenceError)) as ei:
+        with pytest.raises(NoPositiveWaveError) as ei:
             ws.solve_wave(exp2, 2.0, "sigma1")
         hist = ei.value.residual_history
         assert len(hist) > 0
         assert all(r >= 0 for r in hist)
+
+    @pytest.mark.parametrize("target", ["pure_exp", "sigma1"])
+    @pytest.mark.parametrize("c", [2.1, 2.4])
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
+    def test_default_start_reaches_the_wall_layer(self, request, fixture, c,
+                                                  target):
+        # no wave decays exponentially for c >= 2 sqrt(alpha); from the tanh
+        # front Newton dragged the front leftward toward the wall layer and
+        # hit the 120-iteration cap (alg3, pow2, itlog) or took 52-102
+        # iterations (exp2); from the wall-layer shape it takes 4
+        profile = request.getfixturevalue(fixture)
+        assert classify(profile, c).minimal_decay is None
+        with pytest.raises(NoPositiveWaveError, match="boundary layer") as ei:
+            ws.solve_wave(profile, c, target)
+        assert len(ei.value.residual_history) - 1 <= 5
+
+    def test_continuation_warm_starts_past_threshold(self, exp2):
+        # past c = 2 every point keeps the wave at c = 1.95 as its start,
+        # unchanged: from the wall layer each would fail "no positive wave"
+        # after 4 iterations, not diverge after 120
+        res = ws.continuation_in_c(exp2, 1.9, 2.1, 5, "sigma1")
+        assert [(w.c, w.iterations) for w in res.solutions] == [(1.9, 10), (1.95, 12)]
+        assert res.failed_c() == pytest.approx([2.0, 2.05, 2.1], abs=1e-12)
+        for f in res.failures:
+            assert f.kind == "divergence"
+            assert f.message.startswith("not converged after 120 iterations")
 
 
 class TestContinuation:

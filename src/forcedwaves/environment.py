@@ -237,11 +237,14 @@ class IteratedLog:
         return [self.lead] * self.k + [self.r]
 
     def value(self, z):
+        # P_j built in the loop, as _log_products would: no stack per call
         z = np.asarray(z, dtype=float)
-        P = _log_products(self.k, z)
-        out = np.zeros_like(z)
+        out, P, cur = np.zeros_like(z), 1.0, z
         for j, cj in enumerate(self._coeffs()):
-            out += cj / (z * P[j])
+            if j:
+                cur = np.log(cur)
+                P = P * cur
+            out += cj / (z * P)
         return out
 
     def jet(self, z):
@@ -413,7 +416,7 @@ def _smoothstep(x):
     # 7th-order smoothstep: C^3 at both ends, monotone on [0, 1].  The extra
     # smoothness keeps high-order residual stencils accurate across the
     # blend edges.
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)  # as np.clip here, at half its cost on a 0-d array
     return x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
 
@@ -480,7 +483,7 @@ class EnvironmentProfile:
         w2 = 2.0 * self.transition_width
         x = self._x(z_arr)
         inside = (x > 0) & (x < 1)
-        xc = np.clip(x, 0.0, 1.0)
+        xc = np.minimum(np.maximum(x, 0.0), 1.0)
         s = _smoothstep(xc)
         q = xc * (1.0 - xc)
         ds = np.where(inside, 140.0 * q ** 3 / w2, 0.0)

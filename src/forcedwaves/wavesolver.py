@@ -454,8 +454,9 @@ def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
     """March c over `steps` uniform values, warm-starting from the last success.
 
     All points are attempted; failures are recorded and do not stop the march.
-    Points before the first success use solve_wave's default start; every
-    later point passes the last converged wave as its initial guess.
+    A point passes the last converged wave as its initial guess where the
+    classifier predicts the target; elsewhere (a minimal target past c-bar)
+    and before the first success, solve_wave uses its own start.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -463,9 +464,11 @@ def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
     cfg = SolverConfig.default_for(profile) if cfg is None else cfg
     warm: Optional[np.ndarray] = None
     solutions, failures = [], []
+    tag = target.tag if isinstance(target, DecayAnsatz) else str(target)
     for cv in cs:
         try:
-            w = solve_wave(profile, float(cv), target, cfg, initial_guess=warm)
+            guess = warm if _target_predicted(profile, float(cv), tag) else None
+            w = solve_wave(profile, float(cv), target, cfg, initial_guess=guess)
             solutions.append(w)
             warm = w.phi
         except (NoPositiveWaveError, NewtonDivergenceError) as exc:

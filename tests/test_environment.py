@@ -135,6 +135,35 @@ class TestProfileDerivatives:
         assert exp2.a_jet(-2.0)[1:] == (0.0, 0.0)
 
 
+class TestScalarPathBitIdentity:
+    """The value-only path avoids np.clip and np.stack, which dominate a 0-d
+    evaluation; its results must not move by a bit."""
+
+    EDGES = [-0.5, -0.0, 0.0, 0.3, 1.0, np.nextafter(1.0, 2.0), 7.0, -np.inf, np.inf, np.nan]
+
+    @pytest.mark.parametrize("x", [*EDGES, np.array(EDGES)], ids=[*map(str, EDGES), "array"])
+    def test_smoothstep_clamp_equals_np_clip(self, x):
+        xc = np.clip(x, 0.0, 1.0)
+        ref = xc ** 4 * (35.0 + xc * (-84.0 + xc * (70.0 - 20.0 * xc)))
+        out = env._smoothstep(x)
+        assert np.shape(out) == np.shape(ref)
+        assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_iterated_log_value_equals_stacked_products(self, k):
+        tail = IteratedLog(k=k, r=2.5, lead=1.0)
+        zs = np.geomspace(tail.z_min * 1.001, 1e12, 2001)
+        for z in [zs, zs[0], zs[1000], 397.3 if k < 3 else 4e6]:
+            z = np.asarray(z, dtype=float)
+            P = env._log_products(k, z)
+            ref = np.zeros_like(z)
+            for j, cj in enumerate(tail._coeffs()):
+                ref += cj / (z * P[j])
+            out = tail.value(z)
+            assert np.shape(out) == np.shape(ref)
+            assert np.asarray(out).tobytes() == ref.tobytes()
+
+
 class TestProfileIntegrals:
     def test_integral_matches_closed_form_on_tail(self, exp2):
         closed = (math.exp(-16.0) - math.exp(-40.0)) / 2.0

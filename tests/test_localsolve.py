@@ -16,6 +16,7 @@ import pytest
 from forcedwaves import localsolve as ls
 from forcedwaves.environment import (
     DecayAnsatz,
+    EnvironmentProfile,
     ProfileItself,
     PureExp,
     Sigma1Int,
@@ -65,7 +66,7 @@ class TestFriendlyWindows:
     @pytest.mark.parametrize("fixture", ["tilde_run", "slowmax_run"])
     def test_residual_tiny(self, fixture, request):
         sol = request.getfixturevalue(fixture)
-        assert ls.residual_norm(sol) < 1e-9  # measured ~3e-11
+        assert ls.residual_norm(sol) < 1e-9  # measured ~9e-11
 
     @pytest.mark.parametrize("fixture", ["tilde_run", "slowmax_run"])
     def test_stays_on_seeding_law(self, fixture, request):
@@ -90,6 +91,33 @@ class TestFriendlyWindows:
         assert float(np.max(ratio) / np.min(ratio)) - 1.0 < 0.02
 
 
+class TestIntegratorCost:
+    def test_right_hand_side_calls(self, alg3, monkeypatch):
+        # one profile.a call per right-hand side: DOP853 at rtol 1e-11 makes
+        # 168 over this window, RK45 at rtol 1e-10 made 399
+        calls, a = [], EnvironmentProfile.a
+        monkeypatch.setattr(EnvironmentProfile, "a",
+                            lambda self, z: calls.append(z) or a(self, z))
+        ls.integrate_backward(alg3, 1.0, TildeA(profile=alg3, c=1.0), 400.0, 395.0)
+        assert len(calls) <= 200
+
+    @pytest.mark.parametrize("fixture, make, z_hi, z_lo, bound", [
+        ("exp2", lambda p: PureExp(K=1.0, c=1.0, z0=8.0), 30.0, -10.0, 5.6e-11),
+        ("pow2", lambda p: ProfileItself(profile=p), 400.0, 395.0, 8.4e-11),
+    ], ids=["exp2", "pow2"])
+    def test_error_against_tight_reference(self, request, fixture, make, z_hi,
+                                           z_lo, bound):
+        # bounds at RK45's error at rtol 1e-10 (5.5e-11, 8.3e-11); DOP853 at
+        # rtol 1e-11 measures 4.2e-11 and 1.9e-11
+        p = request.getfixturevalue(fixture)
+        anz = make(p)
+        sol = ls.integrate_backward(p, 1.0, anz, z_hi, z_lo)
+        ref = ls.integrate_backward(p, 1.0, anz, z_hi, z_lo, rtol=1e-13, atol=1e-16)
+        m = min(len(sol.grid), len(ref.grid))  # exp2 stops at the amplitude cap
+        assert np.array_equal(sol.grid[-m:], ref.grid[-m:])
+        assert np.max(np.abs(sol.log_psi[-m:] - ref.log_psi[-m:])) < bound
+
+
 class TestHarshWindow:
     def test_slow_seed_truncates_with_event(self, alg3):
         sol = ls.integrate_backward(alg3, 1.0, SlowMaximal(profile=alg3, c=1.0),
@@ -98,7 +126,7 @@ class TestHarshWindow:
         # survives roughly 11 units below z_hi, then the backward instability
         # takes over
         assert 380.0 < sol.grid[0] < 392.0
-        assert ls.residual_norm(sol) < 1e-6      # measured 9.5e-8
+        assert ls.residual_norm(sol) < 1e-6      # measured 1.1e-7
         assert ls.consistency_drift(sol) < 1e-2  # measured 7.8e-5
 
     def test_exponential_seed_grows_to_cap(self, exp_run):

@@ -30,12 +30,8 @@ from .environment import (
     SlowMaximal,
     TildeA,
     classify,
-    exp_tail_touching,
     generalized_eigenvalues,
-    log_tilde_a,
-    sigma,
     sigma1_valid_from,
-    tilde_a,
 )
 from .wavesolver import (
     ContinuationResult,

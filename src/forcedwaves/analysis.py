@@ -11,10 +11,9 @@ on desk-scale domains.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,15 +93,9 @@ class FitRanking:
     def __getitem__(self, i):
         return self.fits[i]
 
-    def to_json(self, path=None) -> str:
-        payload = json.dumps(
-            {"ambiguous": self.ambiguous,
-             "fits": [f.to_dict() for f in self.fits]},
-            sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(payload + "\n")
-        return payload
+    def to_dict(self) -> dict:
+        return {"ambiguous": self.ambiguous,
+                "fits": [f.to_dict() for f in self.fits]}
 
     def to_csv(self, path) -> None:
         write_csv(path, ["candidate", "K", "rms_log_error", "rate_error"],
@@ -114,7 +107,14 @@ class FitRanking:
 
 def tail_window(grid: np.ndarray, window_fraction: float = 0.2) -> np.ndarray:
     """Mask for the fit window: last `window_fraction` of the domain minus
-    the final 2% (Robin rows distort the last cells)."""
+    the final 2%.
+
+    A boundary-value wave's last cells carry the Robin row, which imposes
+    the requested target's log-derivative at L: there the slope agrees with
+    that target by construction, not by the equation, and would bias the
+    ranking toward it.  LocalSolution.tail_window keeps its right end, which
+    is the exact seed its drift is measured from.
+    """
     span = float(grid[-1] - grid[0])
     z_b = float(grid[-1]) - 0.02 * span
     z_a = float(grid[-1]) - window_fraction * span
@@ -190,16 +190,6 @@ class InventoryVerdict:
     @property
     def all_pass(self) -> bool:
         return all(ch["passed"] for ch in self.checks)
-
-    def to_json(self, path=None) -> str:
-        payload = json.dumps(
-            {"inventory": self.inventory, "case": self.case_123,
-             "all_pass": self.all_pass, "checks": list(self.checks)},
-            sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(payload + "\n")
-        return payload
 
 
 def _winner_tags(ranking: FitRanking) -> set:

@@ -205,10 +205,11 @@ def _outdir(args, cfg: dict) -> Path:
     return d
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
-                               allow_nan=True, default=str) + "\n",
-                    encoding="utf-8")
+def _write_json(path: Path, obj) -> str:
+    """Write obj as sorted, indented JSON; return the text without its newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True, default=str)
+    path.write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def _write_manifest(outdir: Path, args, outputs: Sequence[str]) -> None:
@@ -351,10 +352,7 @@ def cmd_classify(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     report = classify(profile, c)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str)
-    print(text)
-    outdir = _outdir(args, cfg)
-    (outdir / "classify.json").write_text(text + "\n", encoding="utf-8")
+    print(_write_json(_outdir(args, cfg) / "classify.json", report.to_dict()))
     code = EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
     return code, ["classify.json"]
 
@@ -530,8 +528,7 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
                           "this profile and speed")
     ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
     ranking.to_csv(outdir / "fit.csv")
-    (outdir / "fit.json").write_text(ranking.to_json() + "\n",
-                                     encoding="utf-8")
+    _write_json(outdir / "fit.json", ranking.to_dict())
     w = ranking.winner
     flag = " (ambiguous)" if ranking.ambiguous else ""
     print(f"winner: {w.tag}{flag}, K = {w.amplitude:.6g}, "
@@ -611,7 +608,8 @@ def _sweep_point(cfg, profile, c, solver_cfg, fit_tags) -> dict:
     target = resolve_cli_target(cfg, profile, c)
     try:
         wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
-    except (NoPositiveWaveError, NewtonDivergenceError) as exc:
+    except (NoPositiveWaveError, NewtonDivergenceError,
+            AnsatzUnavailableError) as exc:
         return {**row, "status": exc.kind}
     row.update(status="solved", residual_norm=wave.residual_norm,
                iterations=wave.iterations, phi_max=float(np.max(wave.phi)),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, special
@@ -33,13 +33,8 @@ __all__ = [
     "Power",
     "TailFamily",
     "EnvironmentProfile",
-    "exp_tail_touching",
-    "sigma",
-    "SigmaPair",
     "sigma1_valid_from",
     "generalized_eigenvalues",
-    "tilde_a",
-    "log_tilde_a",
     "DecayAnsatz",
     "PureExp",
     "Sigma1Int",
@@ -48,7 +43,6 @@ __all__ = [
     "ProfileItself",
     "RegimeReport",
     "classify",
-    "partial_integral_tilde_a",
     "iterated_log",
 ]
 
@@ -151,11 +145,6 @@ class ExpTail:
 
     def slow_scale(self, z, c: float):
         return np.full_like(np.asarray(z, dtype=float), math.inf)
-
-
-def exp_tail_touching(alpha: float, kappa: float, z_left: float) -> ExpTail:
-    """ExpTail whose value equals alpha at z_left (start of the blend)."""
-    return ExpTail(kappa=kappa, amplitude=alpha * math.exp(kappa * z_left))
 
 
 @dataclass(frozen=True)
@@ -513,14 +502,6 @@ class EnvironmentProfile:
             raise QuadratureError("integral of a did not meet tolerance", err)
         return total
 
-    def cumulative_integral_a(self, z0: float, zs: np.ndarray) -> np.ndarray:
-        """int_{z0}^{z} a for every z in the ascending array zs (panel Gauss)."""
-        zs = np.asarray(zs, dtype=float)
-        if zs.ndim != 1 or np.any(np.diff(zs) < 0):
-            raise ValueError("zs must be an ascending 1-d array")
-        return _cumulative_gauss(self.a, z0, zs,
-                                 breakpoints=(self.z_star, self.z_switch))
-
     def slow_scale(self, c: float, z):
         """B(z) = int_z^inf exp(-(1/c) int_z^s a) ds for z >= z_switch.
 
@@ -583,35 +564,6 @@ def _cumulative_gauss(f: Callable, z0: float, zs, breakpoints=()) -> np.ndarray:
 # spectral quantities
 # ---------------------------------------------------------------------------
 
-class SigmaPair(NamedTuple):
-    sigma1: object
-    sigma2: object
-    real: bool
-
-
-def sigma(profile: EnvironmentProfile, c: float, z) -> SigmaPair:
-    """Characteristic decay rates at z: roots of s^2 + c s + a(z) = 0.
-
-    sigma1 <= -c/2 <= sigma2 < 0 when c^2 >= 4 a(z); otherwise the complex
-    pair is returned with real=False.
-    """
-    a_val = profile.a(z)
-    disc = c * c - 4.0 * np.asarray(a_val, dtype=float)
-    if np.all(disc >= 0):
-        root = np.sqrt(disc)
-        s1 = (-c - root) / 2.0
-        s2 = (-c + root) / 2.0
-        if np.ndim(z) == 0:
-            return SigmaPair(float(s1), float(s2), True)
-        return SigmaPair(s1, s2, True)
-    root = np.sqrt(disc.astype(complex))
-    s1 = (-c - root) / 2.0
-    s2 = (-c + root) / 2.0
-    if np.ndim(z) == 0:
-        return SigmaPair(complex(s1), complex(s2), False)
-    return SigmaPair(s1, s2, False)
-
-
 def generalized_eigenvalues(alpha: float, c: float) -> tuple[float, float]:
     """(lambda1, lambda1') for plateau level alpha and speed c.
 
@@ -631,10 +583,6 @@ def generalized_eigenvalues(alpha: float, c: float) -> tuple[float, float]:
         lam1p = 0.0
     return lam1, lam1p
 
-
-# ---------------------------------------------------------------------------
-# tilde_a
-# ---------------------------------------------------------------------------
 
 def sigma1_valid_from(profile: EnvironmentProfile, c: float) -> float:
     """Smallest z >= z_switch with 4 a(z) <= 0.9 c^2.
@@ -656,32 +604,6 @@ def sigma1_valid_from(profile: EnvironmentProfile, c: float) -> float:
         if hi - z > 1e12:
             raise AnsatzUnavailableError("a(z) never drops below c^2/4")
     return float(brentq(lambda s: float(profile.a(s)) - target, z, hi, xtol=1e-10))
-
-
-def log_tilde_a(profile: EnvironmentProfile, c: float, z0: float, z: float) -> float:
-    """log of tilde_a(z) = exp(-(1/c) int_{z0}^z a), quadrature-backed."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return -profile.integral_a(z0, z) / c
-
-
-def tilde_a(profile: EnvironmentProfile, c: float, z0: float, z: float) -> float:
-    return math.exp(log_tilde_a(profile, c, z0, z))
-
-
-def partial_integral_tilde_a(profile: EnvironmentProfile, c: float, z0: float,
-                             Z: float) -> float:
-    """int_{z0}^{Z} tilde_a, for numeric cross-checks of the L1 decision.
-
-    Computed as tilde_a(z0)=1 times the panel-Gauss cumulative of the
-    normalized integrand; stable because the integrand is <= 1 and decreasing.
-    """
-    n = max(64, int(20 * math.log10(max(Z / max(z0, 1e-6), 10.0)) * 40))
-    zs = np.geomspace(max(z0, 1e-6), Z, n) if z0 > 0 else np.linspace(z0, Z, n)
-    zs[0], zs[-1] = z0, Z
-    log_ta = -profile.cumulative_integral_a(z0, zs) / c
-    ta = np.exp(log_ta)
-    return float(np.trapezoid(ta, zs))
 
 
 # ---------------------------------------------------------------------------

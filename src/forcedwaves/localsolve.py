@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -57,7 +56,13 @@ class LocalSolution:
         return self.dpsi / self.psi
 
     def tail_window(self) -> np.ndarray:
-        """Boolean mask for the last _TAIL_FRACTION of the grid by z-extent."""
+        """Boolean mask for the last _TAIL_FRACTION of the grid by z-extent.
+
+        The right end is kept: it is the exact seed (the ansatz's value and
+        log-derivative), the point consistency_drift measures departure
+        from.  analysis.tail_window drops a boundary-value wave's last cells
+        instead, where the Robin row imposes the target's rate.
+        """
         z0, z1 = self.grid[0], self.grid[-1]
         return self.grid >= z1 - _TAIL_FRACTION * (z1 - z0)
 
@@ -75,8 +80,7 @@ def seed_state(ansatz: DecayAnsatz, z_hi: float) -> tuple[float, float]:
 def integrate_backward(profile: EnvironmentProfile, c: float,
                        ansatz: DecayAnsatz, z_hi: float, z_lo: float,
                        n_points: int = 4001, rtol: float = 1e-11,
-                       atol: float = 1e-12,
-                       amplitude_cap: Optional[float] = None) -> LocalSolution:
+                       atol: float = 1e-12) -> LocalSolution:
     """Integrate the tail ODE from z_hi down to z_lo.
 
     DOP853 (8th-order Dormand-Prince) needs fewer right-hand-side calls than
@@ -84,13 +88,12 @@ def integrate_backward(profile: EnvironmentProfile, c: float,
     windows (exp2, pow2 at c = 1), at 1e-11 it is below it on every one checked.
 
     The trajectory is truncated (with an exit flag) where psi leaves
-    (0, amplitude_cap): beyond 2 alpha the local-solution picture is
+    (0, 2 alpha): beyond 2 alpha the local-solution picture is
     meaningless, and exponential seeds do grow backward to O(alpha).
     """
     if not z_lo < z_hi:
         raise ValueError("need z_lo < z_hi")
-    cap = 2.0 * profile.alpha if amplitude_cap is None else amplitude_cap
-    log_cap = math.log(cap)
+    log_cap = math.log(2.0 * profile.alpha)
 
     psi0, dpsi0 = seed_state(ansatz, z_hi)
     if not psi0 > 0:

@@ -102,17 +102,6 @@ class ComparisonFunction:
         points outside the support; compact constructions vanish there)."""
         return np.asarray(self.value(z), dtype=float)
 
-    def record_dict(self) -> dict:
-        """Constants and contract, JSON-ready."""
-        return {
-            "kind": self.kind,
-            "role": self.role,
-            "sign_contract": ">= 0" if self.role == "sub" else "<= 0",
-            "support": list(self.support),
-            "params": dict(self.params),
-            "c": self.c,
-        }
-
     def to_csv(self, path, n_samples: int = 1000) -> None:
         z = _sample_support(self, n_samples)
         write_csv(path, ["z", "value", "residual"],

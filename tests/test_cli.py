@@ -382,6 +382,9 @@ class TestVerifyOracles:
         assert notes["sub2_slow"]["applicable"] is False
 
 
+POW2_LOW = POW2_INI.replace("target = profile_itself\n", "")
+
+
 class TestSweep:
     SWEEP_INI = (EXP_INI.replace("c = 1.0",
                                  "c.start = 1.9\nc.stop = 2.0\nc.steps = 3")
@@ -411,8 +414,30 @@ class TestSweep:
         assert len(rows) == 1  # header only
         assert json.loads((outdir / "sweep.json").read_text())["n_points"] == 0
 
-
-POW2_LOW = POW2_INI.replace("target = profile_itself\n", "")
+    # ROADMAP 3b: the minimal wave's branch point lies past L at the low
+    # speeds, so sigma1 is unavailable there; the row records it and the
+    # sweep goes on
+    @pytest.mark.parametrize("ini,statuses", [
+        (ALG_INI.replace("c = 1.0", "c.start = 0.2\nc.stop = 2.4\nc.steps = 3"),
+         ["ansatz_unavailable", "solved", "no_positive_wave"]),
+        (POW2_LOW.replace("c = 0.7", "c.start = 0.5\nc.stop = 0.6\nc.steps = 2"),
+         ["ansatz_unavailable", "ansatz_unavailable"]),
+    ], ids=["alg3-from-0.2", "pow2-sweep"])
+    def test_ansatz_unavailable_is_a_row_status(self, tmp_path, outdir, capsys,
+                                                ini, statuses):
+        cfg = cfg_file(tmp_path, ini)
+        assert run("sweep", cfg, outdir) == 0
+        capsys.readouterr()
+        rows = (outdir / "sweep.csv").read_text().strip().splitlines()
+        assert [r.split(",")[1] for r in rows[1:]] == statuses
+        summary = json.loads((outdir / "sweep.json").read_text())
+        assert summary["n_points"] == len(statuses)
+        assert summary["n_solved"] == statuses.count("solved")
+        written = sorted(p.name for p in outdir.iterdir()
+                         if p.name != "manifest.json")
+        assert written == ["sweep.csv", "sweep.json"]
+        assert json.loads((outdir / "manifest.json").read_text())["outputs"] \
+            == written
 
 
 class TestFailureContract:
@@ -429,11 +454,7 @@ class TestFailureContract:
         ("family", POW2_INI, wavesolver.NewtonDivergenceError, 4, 0.7),
         ("wave", POW2_LOW.replace("c = 0.7", "c = 0.5"),
          AnsatzUnavailableError, 4, 0.5),
-        ("sweep", POW2_LOW.replace("c = 0.7", "c.start = 0.5\nc.stop = 0.6\n"
-                                   "c.steps = 2"),
-         AnsatzUnavailableError, 4, None),
-    ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1",
-            "pow2-sweep"])
+    ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1"])
     def test_failure_json_and_manifest(self, tmp_path, outdir, capsys,
                                        command, ini, error, code, c):
         cfg = cfg_file(tmp_path, ini)
@@ -441,7 +462,7 @@ class TestFailureContract:
         assert capsys.readouterr().err
         fail = json.loads((outdir / "failure.json").read_text())
         assert fail["kind"] == error.kind
-        assert fail.get("c") == c  # a sweep has no single speed
+        assert fail.get("c") == c
         written = sorted(p.name for p in outdir.iterdir()
                          if p.name != "manifest.json")
         assert json.loads((outdir / "manifest.json").read_text())["outputs"] \

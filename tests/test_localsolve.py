@@ -139,13 +139,6 @@ class TestHarshWindow:
         assert ls.residual_norm(exp_run) < 1e-6       # measured 2.2e-7
         assert ls.consistency_drift(exp_run) < 1e-3   # measured 1.1e-8
 
-    def test_amplitude_cap_override(self, exp2):
-        anz = PureExp(K=1.0, c=1.0, z0=8.0)
-        sol = ls.integrate_backward(exp2, 1.0, anz, 30.0, -10.0, amplitude_cap=0.5)
-        assert sol.exit_flag == "amplitude"
-        assert sol.psi.max() <= 0.5
-        assert sol.grid[0] > 8.0  # stops earlier than with the default cap
-
     def test_inconsistent_seed_self_reports(self, alg3, alg05):
         # tilde_a is not a local solution shape when it is not integrable
         # (gamma < c); the drift grows far beyond the consistent case

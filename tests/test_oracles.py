@@ -9,7 +9,6 @@ rather than on the solver.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -329,13 +328,6 @@ class TestBracketingPairs:
 
 
 class TestExport:
-    def test_record_dict_is_json_ready(self, exp2, alg3, pow2):
-        for fn in _constructions(exp2, alg3, pow2):
-            d = fn.record_dict()
-            json.dumps(d)
-            assert d["sign_contract"] == (">= 0" if fn.role == "sub" else "<= 0")
-            assert d["kind"] == fn.kind
-
     def test_to_csv_shape(self, alg3, tmp_path):
         fn = orc.slow_sub(alg3, 1.0)
         path = tmp_path / "oracle.csv"

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import (AnsatzUnavailableError, DecayAnsatz,
+from .environment import (MINIMAL_TAGS, AnsatzUnavailableError, DecayAnsatz,
                           EnvironmentProfile, classify)
 from .tables import write_csv
 
@@ -31,8 +31,6 @@ __all__ = [
     "InventoryVerdict",
     "inventory_verdict",
 ]
-
-EXni_TAGS = ("pure_exp", "sigma1")
 
 # smallest field value whose log is still meaningful rather than underflow noise
 LOG_FLOOR = 10.0 * np.finfo(float).tiny
@@ -218,7 +216,7 @@ def inventory_verdict(profile: EnvironmentProfile, c: float,
         })
     if report.minimal_decay is not None:
         hit = [i for i, tags in enumerate(winner_sets)
-               if tags & set(EXni_TAGS)]
+               if tags & set(MINIMAL_TAGS)]
         measured = (f"wave {hit[0]} fits exponential family, rate error "
                     f"{fits[hit[0]].winner.local_rate_error:.3e}" if hit
                     else "no wave fits the exponential family")
@@ -238,7 +236,7 @@ def inventory_verdict(profile: EnvironmentProfile, c: float,
         })
     if report.case_123 in ("2", "3"):
         slow = [i for i, tags in enumerate(winner_sets)
-                if tags - set(EXni_TAGS)]
+                if tags - set(MINIMAL_TAGS)]
         checks.append({
             "prediction": "non-exponential multiplicity (several slow waves)",
             "passed": len(slow) >= 2,

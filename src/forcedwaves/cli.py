@@ -10,8 +10,9 @@ forcedwaves.tables.write_csv.
 
 Exit codes: 0 success, 2 config error (no output directory is created),
 3 exceptional classification, 4 solver failure, 5 check failure.  Exits 4
-and 5 write failure.json, whose "kind" is the error class's `kind`; only a
-Newton failure adds residual_history.csv.  manifest.json lists the files.
+and 5 caused by a typed error write failure.json, whose "kind" is the error
+class's `kind`; only a Newton failure adds residual_history.csv.
+manifest.json lists the files.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (_TAIL_KINDS, Algebraic, AnsatzUnavailableError,
-                          EnvironmentProfile, IteratedLog, Power, classify)
+from .environment import (_TAIL_KINDS, AnsatzUnavailableError,
+                          EnvironmentProfile, classify, minimal_tag)
 from . import analysis, oracles, pdesim, wavesolver
 from .tables import write_csv
 from .wavesolver import (NewtonDivergenceError, NoPositiveWaveError,
@@ -161,15 +162,6 @@ def get_speed(cfg: dict) -> float:
     return _require(cfg, "speed", "c")
 
 
-def get_speed_range(cfg: dict) -> np.ndarray:
-    start = _require(cfg, "speed", "c.start")
-    stop = _require(cfg, "speed", "c.stop")
-    steps = _require(cfg, "speed", "c.steps")
-    if steps < 0:
-        raise ConfigError("c.steps must be >= 0")
-    return np.linspace(start, stop, steps)
-
-
 def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
     sec = cfg.get("solver", {})
     kw = {k: sec[k] for k in ("L", "N", "newton_tol", "newton_max_iter",
@@ -180,18 +172,14 @@ def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
         raise ConfigError(f"invalid [solver] section: {exc}") from None
 
 
-def resolve_cli_target(cfg: dict, profile: EnvironmentProfile, c: float) -> str:
-    """[solver] target, defaulting to the classifier's minimal-decay tag."""
-    tag = cfg.get("solver", {}).get("target")
-    if tag is not None:
-        if tag not in TARGET_TAGS:
-            raise ConfigError(f"[solver] target = {tag!r}; expected one of "
-                              f"{TARGET_TAGS}")
-        return tag
-    report = classify(profile, c)
-    if report.minimal_decay is not None:
-        return report.minimal_decay.tag
-    return "pure_exp"
+def resolve_cli_target(cfg: dict, profile: EnvironmentProfile) -> str:
+    """[solver] target, defaulting at every speed to the tail family's
+    exponential law (environment.minimal_tag)."""
+    tag = cfg.get("solver", {}).get("target", minimal_tag(profile))
+    if tag not in TARGET_TAGS:
+        raise ConfigError(f"[solver] target = {tag!r}; expected one of "
+                          f"{TARGET_TAGS}")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +349,9 @@ def cmd_wave(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile, c)
-    outdir = _outdir(args, cfg)
+    target = resolve_cli_target(cfg, profile)
     wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
+    outdir = _outdir(args, cfg)
     wave.to_csv(outdir / "wave.csv")
     side = wave.sidecar_dict()
     side["profile"] = profile.params_dict()
@@ -394,12 +382,12 @@ def cmd_family(args, cfg: dict) -> tuple[int, list]:
     K_values = cfg.get("solver", {}).get("K")
     if not K_values:
         raise ConfigError("missing required key 'K' in section [solver]")
-    outdir = _outdir(args, cfg)
     try:
         waves = wavesolver.wave_family(profile, c, K_values, solver_cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
+    outdir = _outdir(args, cfg)
     outputs = []
     members = []
     Ks = sorted(float(k) for k in K_values)
@@ -408,12 +396,8 @@ def cmd_family(args, cfg: dict) -> tuple[int, list]:
         wave.to_csv(outdir / name)
         outputs.append(name)
         members.append({"K": K, **wave.sidecar_dict()})
-    orderings = []
-    for lo, hi in zip(waves[:-1], waves[1:]):
-        res = wavesolver.ordering_check(lo, hi)
-        orderings.append({"ordered": res.ordered,
-                          "max_violation": res.max_violation,
-                          "direction": res.direction})
+    orderings = [dataclasses.asdict(wavesolver.ordering_check(lo, hi))
+                 for lo, hi in zip(waves[:-1], waves[1:])]
     _write_json(outdir / "family.json",
                 {"c": c, "members": members, "orderings": orderings,
                  "profile": profile.params_dict()})
@@ -454,10 +438,9 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
     sec = cfg.get("simulation", {})
     T = _require(cfg, "simulation", "T")
     solver_cfg = build_solver_config(cfg, profile)
-    outdir = _outdir(args, cfg)
 
     if sec.get("initial", "alpha") == "wave":
-        target = resolve_cli_target(cfg, profile, c)
+        target = resolve_cli_target(cfg, profile)
         wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
         state = pdesim.state_from_wave(wave, profile)
     else:
@@ -472,6 +455,7 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
     }
     result = pdesim.evolve(state, T, dt=sec.get("dt"), monitors=monitors,
                            monitor_every=sec.get("monitor_every"))
+    outdir = _outdir(args, cfg)
     state.snapshot_to_csv(outdir / "state_initial.csv")
     result.state.snapshot_to_csv(outdir / "state_final.csv")
     result.monitors_to_csv(outdir / "monitors.csv")
@@ -511,7 +495,7 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
     c = get_speed(cfg)
     solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile, c)
+    target = resolve_cli_target(cfg, profile)
     fsec = cfg.get("fit", {})
     tags = fsec.get("candidates", TARGET_TAGS)
     for tag in tags:
@@ -520,13 +504,13 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
     wfrac = fsec.get("window_fraction", 0.2)
     if not 0.0 < wfrac < 1.0:
         raise ConfigError("[fit] window_fraction must lie in (0, 1)")
-    outdir = _outdir(args, cfg)
-    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     cands = _candidate_ansatz(profile, c, tags)
     if not cands:
         raise ConfigError(f"no fit candidate among {tags} is defined for "
                           "this profile and speed")
+    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
+    outdir = _outdir(args, cfg)
     ranking.to_csv(outdir / "fit.csv")
     _write_json(outdir / "fit.json", ranking.to_dict())
     w = ranking.winner
@@ -536,53 +520,24 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
     return EXIT_OK, ["fit.csv", "fit.json"]
 
 
-def _oracle_suite(profile: EnvironmentProfile, c: float) -> list[dict]:
-    """Construct every comparison function applicable to (profile, c)."""
-    tail = profile.tail
-    builders = [
-        ("cos_bump_sub", lambda: oracles.cos_bump_sub(profile.alpha, c, profile)),
-        ("exp_super", lambda: oracles.exp_super(profile.alpha, c, 0.5 * c, profile)),
-        ("alpha_super", lambda: oracles.alpha_super(profile, c)),
-        ("slow_sub", lambda: oracles.slow_sub(profile, c)),
-        ("sub2_slow", lambda: oracles.sub2_slow(
-            profile, c, oracles.default_surrogate(profile, c))),
-    ]
-    if isinstance(tail, Algebraic) and tail.gamma > c:
-        lam = 0.5 * (1.0 + tail.gamma / c)
-        builders.append(("g1_sub", lambda: oracles.g1_sub(profile, c, lam, k=0)))
-        builders.append(("alg_super", lambda: oracles.alg_super(profile, c)))
-    if isinstance(tail, IteratedLog):
-        lam = 0.5 * (1.0 + tail.r / c)
-        builders.append(("g1_sub", lambda: oracles.g1_sub(
-            profile, c, lam, k=tail.k)))
-        builders.append(("alg_super", lambda: oracles.alg_super(profile, c)))
-    if isinstance(tail, Power):
-        builders.append(("band_sub", lambda: oracles.profile_band_sub(profile, c)))
-        builders.append(("band_super", lambda: oracles.profile_band_super(profile, c)))
-
+def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
+    profile = build_profile(cfg)
+    c = get_speed(cfg)
     rows = []
-    for name, make in builders:
+    for name, make in oracles.comparison_suite(profile, c):
         try:
             fn = make()
         except (oracles.ConstructionError, ValueError) as exc:
             rows.append({"construction": name, "applicable": False,
                          "note": str(exc)})
             continue
-        rep = oracles.residual_sign_check(fn, n_samples=10_000,
-                                          tolerance=1e-9)
+        rep = oracles.residual_sign_check(fn)
         rows.append({"construction": name, "applicable": True,
                      "kind": rep.kind, "role": rep.role,
                      "passed": rep.passed,
                      "min_residual": rep.min_residual,
                      "max_residual": rep.max_residual, "note": ""})
-    return rows
-
-
-def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
-    profile = build_profile(cfg)
-    c = get_speed(cfg)
     outdir = _outdir(args, cfg)
-    rows = _oracle_suite(profile, c)
     header = ["construction", "applicable", "kind", "role", "passed",
               "min_residual", "max_residual", "note"]
     write_csv(outdir / "oracles.csv", header,
@@ -600,17 +555,16 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
     return code, ["oracles.csv", "oracles.json"]
 
 
-def _sweep_point(cfg, profile, c, solver_cfg, fit_tags) -> dict:
-    """One (profile, c) solve as a sweep row; cells it lacks stay empty."""
+def _sweep_point(profile, outcome, fit_tags) -> dict:
+    """A march outcome (WaveSolution or FailureRecord) as a sweep row; cells
+    it lacks stay empty."""
+    c = outcome.c
     report = classify(profile, c)
     row = {"c": c, "inventory": report.inventory or "",
            "case_123": report.case_123}
-    target = resolve_cli_target(cfg, profile, c)
-    try:
-        wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
-    except (NoPositiveWaveError, NewtonDivergenceError,
-            AnsatzUnavailableError) as exc:
-        return {**row, "status": exc.kind}
+    if not isinstance(outcome, wavesolver.WaveSolution):
+        return {**row, "status": outcome.kind}
+    wave = outcome
     row.update(status="solved", residual_norm=wave.residual_norm,
                iterations=wave.iterations, phi_max=float(np.max(wave.phi)),
                phi_right=float(wave.phi[-1]))
@@ -630,21 +584,29 @@ def _sweep_point(cfg, profile, c, solver_cfg, fit_tags) -> dict:
 
 def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
     profile = build_profile(cfg)
-    cs = get_speed_range(cfg)
+    start = _require(cfg, "speed", "c.start")
+    stop = _require(cfg, "speed", "c.stop")
+    steps = _require(cfg, "speed", "c.steps")
+    if steps < 0:
+        raise ConfigError("c.steps must be >= 0")
     solver_cfg = build_solver_config(cfg, profile)
-    outdir = _outdir(args, cfg)
+    target = resolve_cli_target(cfg, profile)
     fit_tags = cfg.get("fit", {}).get("candidates", TARGET_TAGS)
 
-    rows = [_sweep_point(cfg, profile, float(c), solver_cfg, fit_tags)
-            for c in cs]
+    res = wavesolver.continuation_in_c(profile, start, stop, steps, target,
+                                       solver_cfg)
+    # both lists keep the march order, which is ascending or descending in c
+    outcomes = sorted(res.solutions + res.failures, key=lambda o: o.c,
+                      reverse=start > stop)
+    rows = [_sweep_point(profile, o, fit_tags) for o in outcomes]
+    outdir = _outdir(args, cfg)
     header = ["c", "status", "inventory", "case_123", "residual_norm",
               "iterations", "phi_max", "phi_right", "winner", "winner_rms",
               "minimal_fit_ok"]
     write_csv(outdir / "sweep.csv", header,
               [[r.get(k, "") for r in rows] for k in header])
 
-    solved = [r["c"] for r in rows if r["status"] == "solved"]
-    failed = [r["c"] for r in rows if r["status"] != "solved"]
+    solved, failed = res.solved_c(), res.failed_c()
     boundary = None
     if solved and failed and max(solved) < min(failed):
         boundary = [max(solved), min(failed)]
@@ -720,8 +682,7 @@ def _report_failure(args, cfg: dict, exc: Exception) -> tuple[int, list]:
     the files written."""
     code, lead, at_c = next(v for cls, v in _FAILURES.items()
                             if isinstance(exc, cls))
-    # a sweep spans a speed range, so its failure names no single c
-    c = cfg["speed"]["c"] if at_c and args.command != "sweep" else None
+    c = cfg["speed"]["c"] if at_c else None
     where = "" if c is None else f" at c = {c:g}"
     print(f"{lead}{where}: {exc}", file=sys.stderr)
     outdir = _outdir(args, cfg)

@@ -41,6 +41,7 @@ __all__ = [
     "TildeA",
     "SlowMaximal",
     "ProfileItself",
+    "minimal_tag",
     "RegimeReport",
     "classify",
     "iterated_log",
@@ -794,6 +795,16 @@ class ProfileItself(DecayAnsatz):
         return out if np.ndim(z) else float(out)
 
 
+# tags of the exponential (minimal-wave) decay laws
+MINIMAL_TAGS = ("pure_exp", "sigma1")
+
+
+def minimal_tag(profile: EnvironmentProfile) -> str:
+    """The tail family's exponential decay law: pure_exp where int a < inf,
+    else sigma1.  classify's minimal_decay carries this tag below c-bar."""
+    return "pure_exp" if profile.tail.integral_finite else "sigma1"
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -870,10 +881,9 @@ def classify(profile: EnvironmentProfile, c: float) -> RegimeReport:
 
     minimal = None
     if has_minimal:
-        if tail.integral_finite:
-            minimal = PureExp(K=1.0, c=c, z0=profile.z_switch)
-        else:
-            minimal = Sigma1Int(profile=profile, c=c, K=1.0)
+        minimal = (PureExp(K=1.0, c=c, z0=profile.z_switch)
+                   if minimal_tag(profile) == "pure_exp"
+                   else Sigma1Int(profile=profile, c=c, K=1.0))
 
     maximal = None
     inventory: Optional[str]
@@ -887,7 +897,6 @@ def classify(profile: EnvironmentProfile, c: float) -> RegimeReport:
             maximal = ProfileItself(profile=profile)
     else:
         inventory = None  # exceptional: no prediction
-        minimal = minimal if has_minimal else None
 
     return RegimeReport(
         profile=profile, c=c, case_abcd=case_abcd, case_123=case_123,

@@ -46,6 +46,7 @@ __all__ = [
     "profile_band_sub",
     "profile_band_super",
     "residual_sign_check",
+    "comparison_suite",
     "bracketing_pairs",
     "default_surrogate",
 ]
@@ -516,29 +517,44 @@ def residual_sign_check(fn: ComparisonFunction, n_samples: int = 10_000,
                        tolerance=tolerance, passed=passed)
 
 
+def _tail_pair(profile: EnvironmentProfile, c: float) -> list:
+    """The tail family's named (sub, super) constructors, [] if it has none:
+    (1 -+ eps) a for power tails, else g1 at lam = (1 + gamma/c)/2 or
+    (1 + r/c)/2 (algebraic needs gamma > c) with alg_super."""
+    tail = profile.tail
+    if isinstance(tail, Power):
+        return [("band_sub", lambda: profile_band_sub(profile, c)),
+                ("band_super", lambda: profile_band_super(profile, c))]
+    if isinstance(tail, Algebraic) and tail.gamma > c:
+        lam = 0.5 * (1.0 + tail.gamma / c)
+    elif isinstance(tail, IteratedLog):
+        lam = 0.5 * (1.0 + tail.r / c)
+    else:
+        return []
+    return [("g1_sub", lambda: g1_sub(profile, c, lam)),
+            ("alg_super", lambda: alg_super(profile, c))]
+
+
+def comparison_suite(profile: EnvironmentProfile, c: float) -> list:
+    """(name, make) for the five plateau and slow constructions, then the
+    tail family's pair; a make() that does not apply to (profile, c) raises
+    ConstructionError or ValueError."""
+    return [
+        ("cos_bump_sub", lambda: cos_bump_sub(profile.alpha, c, profile)),
+        ("exp_super", lambda: exp_super(profile.alpha, c, 0.5 * c, profile)),
+        ("alpha_super", lambda: alpha_super(profile, c)),
+        ("slow_sub", lambda: slow_sub(profile, c)),
+        ("sub2_slow", lambda: sub2_slow(profile, c,
+                                        default_surrogate(profile, c))),
+    ] + _tail_pair(profile, c)
+
+
 def bracketing_pairs(profile: EnvironmentProfile, c: float
                     ) -> list[tuple[ComparisonFunction, ComparisonFunction]]:
-    """Matched (sub, super) tail pairs bracketing slow decay, by family.
-
-    Algebraic gamma > c: (z^{-(1+delta)}, (gamma+delta)/z).
-    IteratedLog r > c = lead: (1/g1 with lam in (1, r/c), M z^{-1/2}).
-    Power: ((1-eps) a, (1+eps) a).
-    """
-    tail = profile.tail
-    if isinstance(tail, Algebraic):
-        if tail.gamma <= c:
-            raise ConstructionError("algebraic pair needs gamma > c")
-        delta = 0.5 * min((tail.gamma - c) / c, 0.5)
-        sub = g1_sub(profile, c, lam=1.0 + delta, k=0)
-        sup = alg_super(profile, c)
-        return [(sub, sup)]
-    if isinstance(tail, IteratedLog):
-        if not math.isclose(tail.lead, c, rel_tol=1e-12) or tail.r <= c:
-            raise ConstructionError("iterated-log pair needs lead = c and r > c")
-        lam = 0.5 * (1.0 + tail.r / c)
-        sub = g1_sub(profile, c, lam=lam, k=tail.k)
-        sup = alg_super(profile, c)
-        return [(sub, sup)]
-    if isinstance(tail, Power):
-        return [(profile_band_sub(profile, c), profile_band_super(profile, c))]
-    raise ConstructionError("no tail pair for this family")
+    """The tail family's (sub, super) pair from comparison_suite, built."""
+    pair = _tail_pair(profile, c)
+    if not pair:
+        raise ConstructionError("no tail pair: needs an algebraic tail with "
+                                "gamma > c, an iterated-log or a power tail")
+    (_, make_sub), (_, make_super) = pair
+    return [(make_sub(), make_super())]

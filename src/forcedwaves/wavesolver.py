@@ -33,6 +33,7 @@ from scipy.linalg import solve_banded
 
 from . import frame, oracles
 from .environment import (
+    MINIMAL_TAGS,
     AnsatzUnavailableError,
     DecayAnsatz,
     EnvironmentProfile,
@@ -63,7 +64,6 @@ __all__ = [
 ]
 
 TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
-MINIMAL_TAGS = ("pure_exp", "sigma1")
 
 
 @dataclass(frozen=True)
@@ -451,27 +451,22 @@ class ContinuationResult:
 def continuation_in_c(profile: EnvironmentProfile, c_start: float, c_end: float,
                       steps: int, target: Union[DecayAnsatz, str],
                       cfg: Optional[SolverConfig] = None) -> ContinuationResult:
-    """March c over `steps` uniform values, warm-starting from the last success.
+    """March c over `steps` uniform values (none for steps = 0), solving
+    each with solve_wave from its own start.
 
-    All points are attempted; failures are recorded and do not stop the march.
-    A point passes the last converged wave as its initial guess where the
-    classifier predicts the target; elsewhere (a minimal target past c-bar)
-    and before the first success, solve_wave uses its own start.
+    All points are attempted; a typed solve failure (no positive wave,
+    divergence, unavailable ansatz) is recorded and does not stop the march.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     cs = np.linspace(c_start, c_end, steps)
     cfg = SolverConfig.default_for(profile) if cfg is None else cfg
-    warm: Optional[np.ndarray] = None
     solutions, failures = [], []
-    tag = target.tag if isinstance(target, DecayAnsatz) else str(target)
     for cv in cs:
         try:
-            guess = warm if _target_predicted(profile, float(cv), tag) else None
-            w = solve_wave(profile, float(cv), target, cfg, initial_guess=guess)
-            solutions.append(w)
-            warm = w.phi
-        except (NoPositiveWaveError, NewtonDivergenceError) as exc:
+            solutions.append(solve_wave(profile, float(cv), target, cfg))
+        except (NoPositiveWaveError, NewtonDivergenceError,
+                AnsatzUnavailableError) as exc:
             failures.append(FailureRecord(float(cv), exc.kind, str(exc)))
     return ContinuationResult(c_values=cs, solutions=solutions, failures=failures)
 

@@ -161,6 +161,25 @@ class TestConfigValidation:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not outdir.exists()
 
+    # rejected only after the command has built what the check reads, yet
+    # before any solve and before the output directory exists
+    @pytest.mark.parametrize("command, ini", [
+        ("family", ALG_INI.replace("gamma = 3.0", "gamma = 0.5")
+         + "\n[solver]\nK = 0.5, 1.0\n"),
+        ("simulate", EXP_INI + "\n[simulation]\nT = 1.0\ninitial = bogus\n"),
+        ("fit", EXP_INI + "\n[fit]\ncandidates = slow_maximal\n"),
+    ], ids=["family-case-1", "simulate-initial", "fit-candidates"])
+    def test_late_config_errors_leave_no_directory(self, tmp_path, outdir,
+                                                   capsys, monkeypatch,
+                                                   command, ini):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was rejected")
+
+        monkeypatch.setattr(wavesolver, "solve_wave", no_solve)
+        assert run(command, cfg_file(tmp_path, ini), outdir) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestClassify:
     def test_classify_writes_report(self, tmp_path, outdir, capsys):
@@ -474,7 +493,7 @@ class TestFailureContract:
     def test_continuation_records_the_same_kind(self, exp2):
         c = 2.2
         res = wavesolver.continuation_in_c(
-            exp2, c, c, 1, cli.resolve_cli_target({}, exp2, c),
+            exp2, c, c, 1, cli.resolve_cli_target({}, exp2),
             wavesolver.SolverConfig(L=40.0, N=2001))
         assert [f.kind for f in res.failures] == [NoPositiveWaveError.kind]
 

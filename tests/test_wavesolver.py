@@ -362,6 +362,21 @@ class TestContinuation:
             assert f.kind == "no_positive_wave"
             assert f.message
 
+    def test_unavailable_ansatz_is_recorded(self, alg3):
+        # ROADMAP 3b: sigma1 is complex on the grid at c = 0.2; the march
+        # records that speed and goes on
+        res = ws.continuation_in_c(alg3, 0.2, 0.3, 3, "sigma1")
+        assert res.solved_c() == pytest.approx([0.25, 0.3], abs=1e-12)
+        assert [(f.c, f.kind) for f in res.failures] \
+            == [(0.2, "ansatz_unavailable")]
+
+    def test_step_counts(self, exp2):
+        res = ws.continuation_in_c(exp2, 1.0, 2.0, 0, "sigma1")
+        assert len(res.c_values) == 0
+        assert res.solutions == [] and res.failures == []
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            ws.continuation_in_c(exp2, 1.0, 2.0, -1, "sigma1")
+
     def test_solutions_well_converged(self, exp_continuation):
         for w in exp_continuation.solutions:
             assert w.residual_norm < 1e-9

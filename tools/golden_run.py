@@ -1,15 +1,14 @@
 """Golden run of the forcedwaves CLI and acceptance gate: exit codes,
 data-file hashes and the ACCEPTANCE lines.
 
-Runs the commands wave, fit, family, sweep, simulate (initial = wave, bump
-and alpha) and verify-oracles, plus two runs that must fail (simulate with
-a step too large for the stability limit, fit with a window too short), on
-five configs, the README exp.ini, an algebraic gamma = 3 profile, a
-power-tail profile at c = 0.7, and critical iterated-log profiles with
-k = 1 and k = 2 at c = 1,
-and writes golden.json with each run's exit code and the sha256 of every
-file it wrote except manifest.json (the only file that carries timings and
-versions).  It also runs
+Runs the commands classify, wave, fit, family, sweep, simulate (initial =
+wave, bump and alpha) and verify-oracles, plus two runs that must fail
+(simulate with a step too large for the stability limit, fit with a window
+too short), on five configs, the README exp.ini, an algebraic gamma = 3
+profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
+with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
+code and the sha256 of every file it wrote except manifest.json (the only
+file that carries timings and versions).  It also runs
 tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
 which carry each criterion's measured numbers.  A refactor that must not
 change results is checked by running this on the code before and after it
@@ -150,6 +149,7 @@ SIMULATION = "\n[simulation]\nT = 1.0\ninitial = {}\n"
 
 # (run suffix, command, INI text appended to the config)
 COMMANDS = (
+    ("classify", "classify", ""),
     ("wave", "wave", ""),
     ("fit", "fit", ""),
     ("family", "family", ""),

@@ -1,18 +1,21 @@
 """Config-driven command-line front end.
 
-Commands: classify, wave, family, simulate, fit, verify-oracles, sweep.
+Commands: classify, wave, family, simulate, fit, verify-oracles, sweep; the
+options --config, --out and --svg may come before or after the command.
 Experiments are described by an INI file ('#' comments, UTF-8); unknown
-sections or keys are rejected before any computation starts.  Data files
-(CSV/JSON/SVG) carry no timestamps, so identical configs produce
-byte-identical outputs; run metadata goes to a separate manifest.json.
-Every CSV file, here and in the library's to_csv methods, is written by
-forcedwaves.tables.write_csv.
+sections or keys are rejected before any computation starts.  fit and sweep
+both apply [fit] candidates and window_fraction, and reject a bad one before
+any solve.  Data files (CSV/JSON/SVG) carry no timestamps, so identical
+configs produce byte-identical outputs; run metadata goes to a separate
+manifest.json.  Every CSV file, here and in the library's to_csv methods, is
+written by forcedwaves.tables.write_csv.
 
-Exit codes: 0 success, 2 config error (no output directory is created),
-3 exceptional classification, 4 solver failure, 5 check failure.  Exits 4
-and 5 caused by a typed error write failure.json, whose "kind" is the error
-class's `kind`; only a Newton failure adds residual_history.csv.
-manifest.json lists the files.
+Exit codes: 0 success, 2 usage or config error (no output directory is
+created; an unknown command or a missing --config exits from argparse before
+any config is read), 3 exceptional classification, 4 solver failure, 5
+check failure.  Exits 4 and 5 caused by a typed error write failure.json,
+whose "kind" is the error class's `kind`; only a Newton failure adds
+residual_history.csv.  manifest.json lists the files.
 """
 from __future__ import annotations
 
@@ -198,15 +201,6 @@ def _write_json(path: Path, obj) -> str:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True, default=str)
     path.write_text(text + "\n", encoding="utf-8")
     return text
-
-
-def _write_manifest(outdir: Path, args, outputs: Sequence[str]) -> None:
-    _write_json(outdir / "manifest.json", {
-        "command": args.command,
-        "config": str(args.config),
-        "svg": bool(args.svg),
-        "outputs": sorted(outputs),
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +485,8 @@ def _candidate_ansatz(profile, c, tags) -> list:
     return cands
 
 
-def cmd_fit(args, cfg: dict) -> tuple[int, list]:
-    profile = build_profile(cfg)
-    c = get_speed(cfg)
-    solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile)
+def _fit_options(cfg: dict) -> tuple[tuple, float]:
+    """The validated [fit] (candidates, window_fraction) of fit and sweep."""
     fsec = cfg.get("fit", {})
     tags = fsec.get("candidates", TARGET_TAGS)
     for tag in tags:
@@ -504,6 +495,15 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
     wfrac = fsec.get("window_fraction", 0.2)
     if not 0.0 < wfrac < 1.0:
         raise ConfigError("[fit] window_fraction must lie in (0, 1)")
+    return tags, wfrac
+
+
+def cmd_fit(args, cfg: dict) -> tuple[int, list]:
+    profile = build_profile(cfg)
+    c = get_speed(cfg)
+    solver_cfg = build_solver_config(cfg, profile)
+    target = resolve_cli_target(cfg, profile)
+    tags, wfrac = _fit_options(cfg)
     cands = _candidate_ansatz(profile, c, tags)
     if not cands:
         raise ConfigError(f"no fit candidate among {tags} is defined for "
@@ -555,7 +555,7 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
     return code, ["oracles.csv", "oracles.json"]
 
 
-def _sweep_point(profile, outcome, fit_tags) -> dict:
+def _sweep_point(profile, outcome, fit_tags, wfrac) -> dict:
     """A march outcome (WaveSolution or FailureRecord) as a sweep row; cells
     it lacks stay empty."""
     c = outcome.c
@@ -570,7 +570,7 @@ def _sweep_point(profile, outcome, fit_tags) -> dict:
                phi_right=float(wave.phi[-1]))
     try:
         cands = _candidate_ansatz(profile, c, fit_tags)
-        ranking = analysis.fit_decay(wave, cands)
+        ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
         verdict = analysis.inventory_verdict(profile, c, [wave], [ranking])
         row["winner"] = ranking.winner.tag
         row["winner_rms"] = ranking.winner.rms_log_error
@@ -591,14 +591,14 @@ def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
         raise ConfigError("c.steps must be >= 0")
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile)
-    fit_tags = cfg.get("fit", {}).get("candidates", TARGET_TAGS)
+    fit_tags, wfrac = _fit_options(cfg)
 
     res = wavesolver.continuation_in_c(profile, start, stop, steps, target,
                                        solver_cfg)
     # both lists keep the march order, which is ascending or descending in c
     outcomes = sorted(res.solutions + res.failures, key=lambda o: o.c,
                       reverse=start > stop)
-    rows = [_sweep_point(profile, o, fit_tags) for o in outcomes]
+    rows = [_sweep_point(profile, o, fit_tags, wfrac) for o in outcomes]
     outdir = _outdir(args, cfg)
     header = ["c", "status", "inventory", "case_123", "residual_norm",
               "iterations", "phi_max", "phi_right", "winner", "winner_rms",
@@ -653,15 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forcedwaves",
         description="forced-wave laboratory: solve, simulate, classify, fit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="INI experiment file")
-    common.add_argument("--out", default=None,
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="INI experiment file")
+    parser.add_argument("--out", default=None,
                         help="output directory (default from [output])")
-    common.add_argument("--svg", action="store_true",
+    parser.add_argument("--svg", action="store_true",
                         help="also write SVG line plots")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -713,7 +710,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except tuple(_FAILURES) as exc:
         code, outputs = _report_failure(args, cfg, exc)
-    _write_manifest(_outdir(args, cfg), args, outputs)
+    _write_json(_outdir(args, cfg) / "manifest.json", {
+        "command": args.command, "config": args.config, "svg": args.svg,
+        "outputs": sorted(outputs)})
     return code
 
 

@@ -181,6 +181,41 @@ class TestConfigValidation:
         assert not outdir.exists()
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", ["classify", "wave"])
+    def test_options_before_the_command(self, tmp_path, capsys, command):
+        cfg = str(cfg_file(tmp_path, EXP_INI))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main([command, "--config", cfg, "--out", str(a)]) == \
+            cli.main(["--config", cfg, "--out", str(b), command]) == 0
+        capsys.readouterr()
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (a, b)]
+        assert manifests[0] == manifests[1]
+        for name in manifests[0]["outputs"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_unknown_command(self, tmp_path, capsys):
+        cfg = str(cfg_file(tmp_path, EXP_INI))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", cfg])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert ("{classify,wave,family,simulate,fit,verify-oracles,sweep}"
+                in capsys.readouterr().out)
+
+
 class TestClassify:
     def test_classify_writes_report(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI)
@@ -423,6 +458,23 @@ class TestSweep:
         assert len(rows) == 4
         first = rows[1].split(",")
         assert first[0] == "1.8999999999999999" and first[1] == "solved"
+
+    # [fit] is validated as fit validates it, before the march starts
+    @pytest.mark.parametrize("fit", ["candidates = bogus",
+                                     "window_fraction = 1.5"],
+                             ids=["candidates", "window_fraction"])
+    def test_bad_fit_section_exits_2(self, tmp_path, outdir, capsys,
+                                     monkeypatch, fit):
+        def no_march(*args, **kwargs):
+            raise AssertionError("solved before the config was rejected")
+
+        monkeypatch.setattr(wavesolver, "continuation_in_c", no_march)
+        ini = EXP_INI.replace("c = 1.0",
+                              "c.start = 1.0\nc.stop = 1.2\nc.steps = 2")
+        cfg = cfg_file(tmp_path, ini + f"\n[fit]\n{fit}\n")
+        assert run("sweep", cfg, outdir) == 2
+        assert "config error: [fit]" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_empty_range(self, tmp_path, outdir, capsys):
         ini = self.SWEEP_INI.replace("c.steps = 3", "c.steps = 0")

@@ -65,3 +65,19 @@ def test_rows_stop_at_shortest_column(tmp_path):
     write_csv(tmp_path / "a.csv", ["a", "b"],
               [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])])
     assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n1,4\r\n2,5\r\n"
+
+
+def test_long_table_matches_reference(tmp_path):
+    n = 10_001
+    mag = np.logspace(-320.0, 300.0, n)
+    mag[::800] = np.resize(SPECIAL, mag[::800].size)
+    v = np.where(np.arange(n) % 3 == 1, -mag, mag)
+    z = np.linspace(-60.0, 60.0, n + 5)
+    t = np.float64(0.1)
+    w = v[::-1][: n - 7]  # a strided view
+    write_csv(tmp_path / "a.csv", ["z", "v", "t", "w"], [z, v, t, w])
+    reference(tmp_path / "b.csv", ["z", "v", "t", "w"],
+              [(a, b, t, d) for a, b, d in zip(z, v, w)])
+    data = (tmp_path / "a.csv").read_bytes()
+    assert data == (tmp_path / "b.csv").read_bytes()
+    assert data.count(b"\r\n") == 1 + n - 7

@@ -185,10 +185,6 @@ class InventoryVerdict:
     case_123: str
     checks: tuple  # of dicts: prediction / passed / measured
 
-    @property
-    def all_pass(self) -> bool:
-        return all(ch["passed"] for ch in self.checks)
-
 
 def _winner_tags(ranking: FitRanking) -> set:
     # an ambiguous ranking supports either of its top two laws

@@ -61,8 +61,7 @@ _SCHEMA = {
     },
     "speed": {"c": float, "c.start": float, "c.stop": float, "c.steps": int},
     "solver": {
-        "L": float, "N": int, "newton_tol": float, "newton_max_iter": int,
-        "max_halvings": int, "target": str, "K": "floats",
+        "L": float, "N": int, "target": str, "K": "floats",
     },
     "simulation": {
         "T": float, "dt": float, "initial": str, "monitor_every": int,
@@ -167,8 +166,7 @@ def get_speed(cfg: dict) -> float:
 
 def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
     sec = cfg.get("solver", {})
-    kw = {k: sec[k] for k in ("L", "N", "newton_tol", "newton_max_iter",
-                              "max_halvings") if k in sec}
+    kw = {k: sec[k] for k in ("L", "N") if k in sec}
     try:
         return dataclasses.replace(SolverConfig.default_for(profile), **kw)
     except ValueError as exc:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .environment import DecayAnsatz, EnvironmentProfile
-from .tables import write_csv
 
 __all__ = [
     "LocalSolution",
@@ -65,10 +64,6 @@ class LocalSolution:
         """
         z0, z1 = self.grid[0], self.grid[-1]
         return self.grid >= z1 - _TAIL_FRACTION * (z1 - z0)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["z", "psi", "dpsi", "log_psi"],
-                  [self.grid, self.psi, self.dpsi, self.log_psi])
 
 
 def seed_state(ansatz: DecayAnsatz, z_hi: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -25,12 +25,10 @@ from scipy.optimize import brentq
 from .environment import (
     Algebraic,
     EnvironmentProfile,
-    ExpTail,
     IteratedLog,
     Power,
     TailFamily,
 )
-from .tables import write_csv
 
 __all__ = [
     "ComparisonFunction",
@@ -48,13 +46,7 @@ __all__ = [
     "residual_sign_check",
     "comparison_suite",
     "bracketing_pairs",
-    "default_surrogate",
 ]
-
-KINDS = (
-    "CosBumpSub", "SlowSub", "Sub2Slow", "ExpSuper", "AlphaSuper",
-    "G1Sub", "AlgSuper", "ProfileBandSub", "ProfileBandSuper",
-)
 
 
 class ConstructionError(ValueError):
@@ -77,12 +69,6 @@ class ComparisonFunction:
     c: float
     _jet: Callable = field(repr=False)
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.role not in ("sub", "super"):
-            raise ValueError("role must be 'sub' or 'super'")
-
     def value(self, z):
         return self._jet(np.asarray(z, dtype=float))[0]
 
@@ -102,11 +88,6 @@ class ComparisonFunction:
         """Evaluate on an arbitrary grid (the piecewise formulas handle
         points outside the support; compact constructions vanish there)."""
         return np.asarray(self.value(z), dtype=float)
-
-    def to_csv(self, path, n_samples: int = 1000) -> None:
-        z = _sample_support(self, n_samples)
-        write_csv(path, ["z", "value", "residual"],
-                  [z, self.on_grid(z), self.residual(z)])
 
 
 @dataclass(frozen=True)
@@ -217,17 +198,19 @@ def alpha_super(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
 # ---------------------------------------------------------------------------
 
 def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
-                        z0: float, tail: TailFamily, kind: str,
+                        tail: TailFamily, kind: str,
                         extra_params: dict) -> ComparisonFunction:
     """Common body of slow_sub / sub2_slow: A ta(z) (1 - M b(z)) beyond z_M.
 
-    ta is the normalized decay weight of `tail` (exact closed forms; for
-    slow_sub it is the profile's own tail), b = int_z^inf ta.  M is grown
-    until M > 2A/c, M b(z_M) = 1 and a_tail(z_M) <= c^2/6, which makes the
-    residual bound A ta^2 (cM/2 - A) > 0 provable.
+    ta is the decay weight of `tail` normalized to 1 at z0 = z_switch (exact
+    closed forms; for slow_sub it is the profile's own tail), b =
+    int_z^inf ta.  M is grown until M > 2A/c, M b(z_M) = 1 and
+    a_tail(z_M) <= c^2/6, which makes the residual bound
+    A ta^2 (cM/2 - A) > 0 provable.
     """
     if not tail.tilde_in_L1(c):
         raise ConstructionError("int tilde_a diverges: no slow sub-solution exists")
+    z0 = profile.z_switch
     F0 = float(tail.antiderivative(z0))
 
     def log_ta(z):
@@ -296,48 +279,26 @@ def slow_sub(profile: EnvironmentProfile, c: float, A: float = 1.0) -> Compariso
     """
     if A <= 0 or c <= 0:
         raise ValueError("need A > 0 and c > 0")
-    return _slow_sub_from_tail(profile, c, A, profile.z_switch, profile.tail,
-                               "SlowSub", {})
+    return _slow_sub_from_tail(profile, c, A, profile.tail, "SlowSub", {})
 
 
-def sub2_slow(profile: EnvironmentProfile, c: float,
-              a_plus: TailFamily) -> ComparisonFunction:
-    """Surrogate slow sub-solution built from a smaller tail a_plus.
+def sub2_slow(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
+    """The slow sub-solution built from a smaller same-family tail a_plus.
 
-    Valid when a_plus <= a on the tail with int (a - a_plus) = inf and the
-    surrogate decay weight integrable; then the construction for a_plus is a
-    sub-solution for the true profile as well.  The surrogate must be the
-    same family kind with strictly reduced strength.
+    a_plus = _surrogate(profile, c) sits below a on the tail with
+    int (a - a_plus) = inf; when its decay weight is integrable, the
+    slow_sub construction for a_plus is a sub-solution for the true profile
+    as well.  params["surrogate"] records a_plus.
     """
-    tail = profile.tail
-    if type(a_plus) is not type(tail):
-        raise ConstructionError("surrogate must be the same tail family kind")
-    if isinstance(tail, ExpTail):
-        raise ConstructionError("int a < inf: no slow sub-solution exists")
-    if isinstance(tail, Algebraic):
-        if not a_plus.gamma < tail.gamma:
-            raise ConstructionError(
-                "surrogate gamma must be strictly below the profile's "
-                "(a_plus = a gives int (a - a_plus) = 0)")
-        if not a_plus.tilde_in_L1(c):
-            raise ConstructionError("surrogate gamma must stay above c")
-    elif isinstance(tail, Power):
-        if a_plus.p != tail.p or not a_plus.gamma < tail.gamma:
-            raise ConstructionError("surrogate must share p with gamma strictly below")
-    elif isinstance(tail, IteratedLog):
-        if a_plus.k != tail.k or a_plus.lead != tail.lead or not a_plus.r < tail.r:
-            raise ConstructionError("surrogate must share (k, lead) with r strictly below")
-        if not a_plus.tilde_in_L1(c):
-            raise ConstructionError("surrogate r must stay above c")
-    z0 = max(profile.z_switch, a_plus.z_min * 1.0 + 1e-9) if math.isfinite(a_plus.z_min) \
-        else profile.z_switch
-    z0 = max(z0, profile.z_switch)
-    return _slow_sub_from_tail(profile, c, 1.0, z0, a_plus, "Sub2Slow",
+    a_plus = _surrogate(profile, c)
+    return _slow_sub_from_tail(profile, c, 1.0, a_plus, "Sub2Slow",
                                {"surrogate": asdict(a_plus)})
 
 
-def default_surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
-    """A same-family tail a_plus sitting below a, for sub2_slow.
+def _surrogate(profile: EnvironmentProfile, c: float) -> TailFamily:
+    """sub2_slow's a_plus: the profile's tail family at strictly smaller
+    gamma or r, with the same z_min (below z_star), so its weight is
+    normalized at z_switch like slow_sub's.
 
     Chosen so the slow shape built from a_plus still exists (tilde_a_plus
     integrable) while decaying strictly more slowly than the one built from
@@ -384,30 +345,30 @@ def _tail_window(kind: str, role: str, profile: EnvironmentProfile, c: float,
     return fn
 
 
-def g1_sub(profile: EnvironmentProfile, c: float, lam: float,
-           k: Optional[int] = None) -> ComparisonFunction:
+def g1_sub(profile: EnvironmentProfile, c: float) -> ComparisonFunction:
     """1 / (z ln z ... ln^{k-1} z (ln^k z)^lam): tail sub-solution.
 
-    k = 0 gives the pure power z^{-lam} used for algebraic tails above the
-    critical line; k >= 1 matches the iterated-log family with lam strictly
-    inside (1, r/c).  g1 = exp(-int G), where G = -g1'/g1 is a unit-lead
-    tail of the same family: Algebraic(lam), or IteratedLog(k, r=lam, lead=1).
+    k and lam come from the tail: algebraic tails take k = 0, the pure power
+    z^{-lam}, with lam = (1 + gamma/c)/2; iterated-log tails (lead = c) take
+    their own k with lam = (1 + r/c)/2.  lam must lie strictly inside
+    (1, gamma/c) or (1, r/c), so algebraic tails need gamma > c.
+    g1 = exp(-int G), where G = -g1'/g1 is a unit-lead tail of the same
+    family: Algebraic(lam), or IteratedLog(k, r=lam, lead=1).  Any other
+    tail raises ConstructionError.
     """
     tail = profile.tail
-    if k is None:
-        k = tail.k if isinstance(tail, IteratedLog) else 0
-    if k == 0:
-        if not isinstance(tail, Algebraic):
-            raise ConstructionError("k = 0 needs an algebraic tail")
+    if isinstance(tail, Algebraic):
+        k, lam = 0, 0.5 * (1.0 + tail.gamma / c)
         if not 1.0 < lam < tail.gamma / c:
             raise ConstructionError(f"need 1 < lam < gamma/c = {tail.gamma / c}")
-    else:
-        if not isinstance(tail, IteratedLog) or tail.k != k:
-            raise ConstructionError("k >= 1 needs a matching iterated-log tail")
+    elif isinstance(tail, IteratedLog):
         if not math.isclose(tail.lead, c, rel_tol=1e-12):
             raise ConstructionError("iterated-log pair needs lead coefficient = c")
+        k, lam = tail.k, 0.5 * (1.0 + tail.r / c)
         if not 1.0 < lam < tail.r / c:
             raise ConstructionError(f"need 1 < lam < r/c = {tail.r / c}")
+    else:
+        raise ConstructionError("needs an algebraic or iterated-log tail")
 
     G = Algebraic(gamma=lam) if k == 0 else IteratedLog(k=k, r=lam, lead=1.0)
 
@@ -518,21 +479,17 @@ def residual_sign_check(fn: ComparisonFunction, n_samples: int = 10_000,
 
 
 def _tail_pair(profile: EnvironmentProfile, c: float) -> list:
-    """The tail family's named (sub, super) constructors, [] if it has none:
-    (1 -+ eps) a for power tails, else g1 at lam = (1 + gamma/c)/2 or
-    (1 + r/c)/2 (algebraic needs gamma > c) with alg_super."""
+    """The tail family's named (sub, super) constructions, each taking
+    (profile, c), [] if it has none: the (1 -+ eps) a bands for power tails,
+    g1_sub with alg_super for iterated-log tails and for algebraic tails
+    with gamma > c."""
     tail = profile.tail
     if isinstance(tail, Power):
-        return [("band_sub", lambda: profile_band_sub(profile, c)),
-                ("band_super", lambda: profile_band_super(profile, c))]
-    if isinstance(tail, Algebraic) and tail.gamma > c:
-        lam = 0.5 * (1.0 + tail.gamma / c)
-    elif isinstance(tail, IteratedLog):
-        lam = 0.5 * (1.0 + tail.r / c)
-    else:
-        return []
-    return [("g1_sub", lambda: g1_sub(profile, c, lam)),
-            ("alg_super", lambda: alg_super(profile, c))]
+        return [("band_sub", profile_band_sub), ("band_super", profile_band_super)]
+    if isinstance(tail, IteratedLog) or (isinstance(tail, Algebraic)
+                                         and tail.gamma > c):
+        return [("g1_sub", g1_sub), ("alg_super", alg_super)]
+    return []
 
 
 def comparison_suite(profile: EnvironmentProfile, c: float) -> list:
@@ -544,9 +501,9 @@ def comparison_suite(profile: EnvironmentProfile, c: float) -> list:
         ("exp_super", lambda: exp_super(profile.alpha, c, 0.5 * c, profile)),
         ("alpha_super", lambda: alpha_super(profile, c)),
         ("slow_sub", lambda: slow_sub(profile, c)),
-        ("sub2_slow", lambda: sub2_slow(profile, c,
-                                        default_surrogate(profile, c))),
-    ] + _tail_pair(profile, c)
+        ("sub2_slow", lambda: sub2_slow(profile, c)),
+    ] + [(name, functools.partial(make, profile, c))
+         for name, make in _tail_pair(profile, c)]
 
 
 def bracketing_pairs(profile: EnvironmentProfile, c: float
@@ -557,4 +514,4 @@ def bracketing_pairs(profile: EnvironmentProfile, c: float
         raise ConstructionError("no tail pair: needs an algebraic tail with "
                                 "gamma > c, an iterated-log or a power tail")
     (_, make_sub), (_, make_super) = pair
-    return [(make_sub(), make_super())]
+    return [(make_sub(profile, c), make_super(profile, c))]

@@ -144,8 +144,8 @@ def test_10_oracle_residual_suite(exp2, alg3, itlog, pow2):
         orc.exp_super(1.0, 1.0, 0.5, exp2),
         orc.alpha_super(exp2, 1.0),
         orc.slow_sub(alg3, 1.0),
-        orc.sub2_slow(alg3, 1.0, orc.default_surrogate(alg3, 1.0)),
-        orc.g1_sub(alg3, 1.0, lam=2.0, k=0),
+        orc.sub2_slow(alg3, 1.0),
+        orc.g1_sub(alg3, 1.0),
         orc.alg_super(alg3, 1.0),
         orc.profile_band_sub(pow2, 1.0),
         orc.profile_band_super(pow2, 1.0),

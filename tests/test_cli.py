@@ -90,6 +90,10 @@ class TestConfigValidation:
         cfg = cfg_file(tmp_path, EXP_INI.replace("c = 1.0", "c = 1.0\nwarp = 9"))
         assert run("classify", cfg, outdir) == 2
         assert "unknown key 'warp'" in capsys.readouterr().err
+        # the Newton tolerance, iteration cap and halvings are constants
+        cfg = cfg_file(tmp_path, EXP_INI + "max_halvings = 10\n")
+        assert run("classify", cfg, outdir) == 2
+        assert "unknown key 'max_halvings'" in capsys.readouterr().err
 
     def test_bad_type(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI.replace("alpha = 1.0", "alpha = tall"))

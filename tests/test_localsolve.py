@@ -8,8 +8,6 @@ short friendly window (z_lo=395, completes) or a long harsh one (z_lo=40,
 truncates via an event and keeps the surviving segment).
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -218,12 +216,3 @@ class TestPlumbing:
         assert m[-1] and not m[0]
         assert tilde_run.grid[m][0] >= 399.0 - 1e-12
 
-    def test_to_csv_roundtrip(self, tilde_run, tmp_path):
-        path = tmp_path / "traj.csv"
-        tilde_run.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "z,psi,dpsi,log_psi"
-        assert len(rows) == len(tilde_run.grid) + 1
-        first = rows[1].split(",")
-        assert float(first[0]) == tilde_run.grid[0]
-        assert float(first[3]) == pytest.approx(math.log(tilde_run.psi[0]), rel=1e-15)

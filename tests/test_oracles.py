@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from forcedwaves import oracles as orc
-from forcedwaves.environment import Algebraic, EnvironmentProfile, IteratedLog
+from forcedwaves.environment import EnvironmentProfile, IteratedLog
 from forcedwaves.oracles import ConstructionError
 
 
@@ -33,8 +33,8 @@ def _constructions(exp2, alg3, pow2):
         orc.exp_super(1.0, 1.0, 0.5, exp2),
         orc.alpha_super(exp2, 1.0),
         orc.slow_sub(alg3, 1.0),
-        orc.sub2_slow(alg3, 1.0, orc.default_surrogate(alg3, 1.0)),
-        orc.g1_sub(alg3, 1.0, lam=2.0, k=0),
+        orc.sub2_slow(alg3, 1.0),
+        orc.g1_sub(alg3, 1.0),
         orc.alg_super(alg3, 1.0),
         orc.profile_band_sub(pow2, 1.0),
         orc.profile_band_super(pow2, 1.0),
@@ -115,9 +115,9 @@ class TestCosBump:
 
 # tail constructions no other test differentiates: (fixture, builder)
 _TAIL_JETS = {
-    "g1_sub-k0": ("alg3", lambda p: orc.g1_sub(p, 1.0, lam=2.0, k=0)),
-    "g1_sub-k1": ("itlog", lambda p: orc.g1_sub(p, 1.0, lam=1.5, k=1)),
-    "g1_sub-k2": ("itlog2", lambda p: orc.g1_sub(p, 1.0, lam=1.9, k=2)),
+    "g1_sub-k0": ("alg3", lambda p: orc.g1_sub(p, 1.0)),
+    "g1_sub-k1": ("itlog", lambda p: orc.g1_sub(p, 1.0)),
+    "g1_sub-k2": ("itlog2", lambda p: orc.g1_sub(p, 1.0)),
     "alg_super-itlog": ("itlog", lambda p: orc.alg_super(p, 1.0)),
     "slow_sub-alg3": ("alg3", lambda p: orc.slow_sub(p, 1.0)),
     "slow_sub-itlog": ("itlog", lambda p: orc.slow_sub(p, 0.6)),
@@ -176,28 +176,29 @@ class TestSlowConstructions:
         assert np.all(res >= 0.0)
         assert float(np.max(res)) < 1e-9
 
-    def test_slow_sub_needs_integrable_tilde(self, alg05):
+    def test_slow_sub_needs_integrable_tilde(self, alg05, itlog):
         with pytest.raises(ConstructionError, match="diverges"):
             orc.slow_sub(alg05, 1.0)
-
-    def test_sub2_requires_strictly_smaller_surrogate(self, alg3):
-        with pytest.raises(ConstructionError, match="strictly below"):
-            orc.sub2_slow(alg3, 1.0, Algebraic(gamma=3.0))
+        # lead = 1 < c = 1.5 < r = 2: the surrogate's r = 1.75 stays above
+        # c, yet neither weight is integrable below the lead
+        for build in (orc.slow_sub, orc.sub2_slow):
+            with pytest.raises(ConstructionError, match="diverges"):
+                build(itlog, 1.5)
 
     def test_default_surrogate_unavailable_for_exponential(self, exp2):
         with pytest.raises(ConstructionError, match="no surrogate"):
-            orc.default_surrogate(exp2, 1.0)
+            orc.sub2_slow(exp2, 1.0)
 
     def test_default_surrogate_keeps_family(self, alg3, pow2, itlog):
-        assert isinstance(orc.default_surrogate(alg3, 1.0), Algebraic)
-        assert orc.default_surrogate(alg3, 1.0).gamma < 3.0
-        assert orc.default_surrogate(pow2, 1.0).gamma == 1.0
-        assert orc.default_surrogate(itlog, 1.0).r == pytest.approx(1.5)
+        surrogate = {name: orc.sub2_slow(p, 1.0).params["surrogate"]
+                     for name, p in [("alg3", alg3), ("pow2", pow2), ("itlog", itlog)]}
+        assert surrogate == {"alg3": {"gamma": 2.25},
+                             "pow2": {"gamma": 1.0, "p": 0.5},
+                             "itlog": {"k": 1, "r": 1.5, "lead": 1.0}}
 
     def test_slow_subs_pass_on_iterated_log_below_lead(self, itlog):
         # lead = 1 > c: B has no closed form, so this reaches the panel pass
-        for fn in (orc.slow_sub(itlog, 0.6),
-                   orc.sub2_slow(itlog, 0.6, orc.default_surrogate(itlog, 0.6))):
+        for fn in (orc.slow_sub(itlog, 0.6), orc.sub2_slow(itlog, 0.6)):
             res = _check(fn)
             assert res.passed, res
             assert math.isfinite(res.min_residual) and math.isfinite(res.max_residual)
@@ -277,17 +278,13 @@ class TestSlowConstructions:
     ])
     def test_z_M_search_params_exact(self, request, fixture, c, kind, params):
         # exact values: probing each M once must not move any bit
-        profile = request.getfixturevalue(fixture)
-        if kind == "slow_sub":
-            fn = orc.slow_sub(profile, c)
-        else:
-            fn = orc.sub2_slow(profile, c, orc.default_surrogate(profile, c))
+        fn = getattr(orc, kind)(request.getfixturevalue(fixture), c)
         assert fn.params == params
 
-    def test_g1_sub_validates_lambda_window(self, alg3):
-        for lam in (0.9, 1.0, 3.0, 3.5):
-            with pytest.raises(ConstructionError, match="lam"):
-                orc.g1_sub(alg3, 1.0, lam=lam, k=0)
+    def test_g1_sub_validates_lambda_window(self, alg05):
+        # gamma = 0.5 <= c: lam = (1 + gamma/c)/2 = 0.75 misses (1, gamma/c)
+        with pytest.raises(ConstructionError, match="need 1 < lam < gamma/c = 0.5"):
+            orc.g1_sub(alg05, 1.0)
 
 
 class TestAlgSuper:
@@ -325,15 +322,3 @@ class TestBracketingPairs:
     def test_algebraic_pair_requires_gamma_above_c(self, alg05):
         with pytest.raises(ConstructionError, match="gamma > c"):
             orc.bracketing_pairs(alg05, 1.0)
-
-
-class TestExport:
-    def test_to_csv_shape(self, alg3, tmp_path):
-        fn = orc.slow_sub(alg3, 1.0)
-        path = tmp_path / "oracle.csv"
-        fn.to_csv(path, n_samples=50)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "z,value,residual"
-        assert len(rows) == 51
-        z, v, r = map(float, rows[10].split(","))
-        assert v == pytest.approx(float(fn.value(z)), rel=1e-12)

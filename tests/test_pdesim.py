@@ -77,8 +77,7 @@ class TestDynamics:
     def test_localized_bump_converges_to_minimal_wave(self, exp2):
         # unique-exponential regime: the flow forgets the initial condition
         # and locks onto the solved wave
-        cfg = ws.SolverConfig(L=40.0, N=2001, newton_tol=1e-10,
-                              newton_max_iter=120, max_halvings=30)
+        cfg = ws.SolverConfig(L=40.0, N=2001)
         wmin = ws.solve_wave(exp2, 1.0, "sigma1", cfg=cfg)
         zz = wmin.grid
         bump = np.minimum(0.5 * np.exp(-(zz / 5.0) ** 2), 1.0)

@@ -9,10 +9,10 @@ profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
 file that carries timings and versions).  It also runs
-tests/test_acceptance.py with -s and stores the ACCEPTANCE lines it prints,
-which carry each criterion's measured numbers.  A refactor that must not
-change results is checked by running this on the code before and after it
-and comparing the two.
+tests/test_acceptance.py with -s and stores pytest's exit code and the
+ACCEPTANCE lines it prints, which carry each criterion's measured numbers.
+A refactor that must not change results is checked by running this on the
+code before and after it and comparing the two.
 
     python tools/golden_run.py OUT [--src SRC]
     python tools/golden_run.py --compare A B
@@ -20,9 +20,10 @@ and comparing the two.
 OUT is a new directory; each run's files stay under OUT/<run>.  SRC is the
 source tree to import forcedwaves from (default: src next to this script).
 --compare takes two golden.json files (or their directories), lists the
-runs, files and ACCEPTANCE lines that differ and exits 1 if any do.  For a
-differing CSV file that both directories still hold, it also prints max
-|A - B| per numeric column.
+runs, files and ACCEPTANCE lines that differ and exits 1 if any do; lines
+are matched by criterion number, so a criterion that printed no line is
+named alone.  For a differing CSV file that both directories still hold,
+it also prints max |A - B| per numeric column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -192,8 +192,9 @@ def run_all(out: Path, src: Path) -> dict:
     return runs
 
 
-def acceptance_lines(src: Path) -> list[str]:
-    """The ACCEPTANCE lines tests/test_acceptance.py prints against src."""
+def acceptance_lines(src: Path) -> tuple[int, list[str]]:
+    """pytest's exit code and the ACCEPTANCE lines tests/test_acceptance.py
+    prints against src."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
@@ -202,7 +203,7 @@ def acceptance_lines(src: Path) -> list[str]:
     # -s interleaves pytest's progress dots with the printed lines
     lines = re.findall(r"ACCEPTANCE \d+ .*", proc.stdout)
     print(f"acceptance: exit {proc.returncode}, {len(lines)} lines", flush=True)
-    return lines
+    return proc.returncode, lines
 
 
 def column_deltas(fa: Path, fb: Path) -> str:
@@ -228,9 +229,18 @@ def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:
     """Differing ACCEPTANCE lines, runs and files of two golden.json records
     whose run files are under dir_a and dir_b.  A differing CSV that both
     directories hold also gets max |A - B| per numeric column."""
-    diffs = [f"acceptance: {la!r} != {lb!r}" for la, lb in
-             itertools.zip_longest(a.get("acceptance", []),
-                                   b.get("acceptance", [])) if la != lb]
+    diffs = []
+    if a.get("acceptance_exit") != b.get("acceptance_exit"):
+        diffs.append(f"acceptance: exit {a.get('acceptance_exit')} != "
+                     f"{b.get('acceptance_exit')}")
+    # "ACCEPTANCE NN ..." keyed by NN
+    la, lb = ({line.split()[1]: line for line in r.get("acceptance", [])}
+              for r in (a, b))
+    for num in sorted(set(la) | set(lb)):
+        if num not in la or num not in lb:
+            diffs.append(f"ACCEPTANCE {num}: only in {'A' if num in la else 'B'}")
+        elif la[num] != lb[num]:
+            diffs.append(f"acceptance: {la[num]!r} != {lb[num]!r}")
     a, b = a["runs"], b["runs"]
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
@@ -277,9 +287,10 @@ def main(argv=None) -> int:
         parser.error("give OUT or --compare A B")
     out = Path(args.out)
     runs = run_all(out, Path(args.src))
-    lines = acceptance_lines(Path(args.src))
+    code, lines = acceptance_lines(Path(args.src))
     (out / "golden.json").write_text(
-        json.dumps({"runs": runs, "acceptance": lines}, indent=2,
+        json.dumps({"runs": runs, "acceptance": lines,
+                    "acceptance_exit": code}, indent=2,
                    sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

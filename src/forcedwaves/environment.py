@@ -460,12 +460,35 @@ class EnvironmentProfile:
         return (np.asarray(z, dtype=float) - self.z_star) / (2.0 * self.transition_width)
 
     def a(self, z):
+        """alpha (1 - s) + tail(z) s with s the smoothstep of _x(z).
+
+        The blend is evaluated only where 0 < x < 1 (and at NaN).  Outside
+        it s is exactly 0.0 or 1.0, so the formula reduces bit for bit to
+        alpha (x <= 0) or to tail(z) (x >= 1, where z > z_star); a scalar
+        takes that branch in floats before any array work.  A scalar inside
+        the blend keeps numpy scalar arithmetic, whose x ** 4 rounds
+        differently from an array loop.  Inside the blend z > z_star, so the
+        tail is never evaluated left of z_star.
+        """
+        if isinstance(z, float) or np.ndim(z) == 0:  # np.ndim(float) costs ~1 us
+            x = (float(z) - self.z_star) / (2.0 * self.transition_width)
+            if x <= 0.0:
+                return float(self.alpha)
+            if x >= 1.0:
+                return float(self.tail.value(z))
+            s = _smoothstep(x)
+            return float(self.alpha * (1.0 - s) + self.tail.value(z) * s)
         z_arr = np.asarray(z, dtype=float)
-        s = _smoothstep(self._x(z_arr))
-        z_safe = np.maximum(z_arr, self.z_star)
-        t = self.tail.value(z_safe)
-        out = self.alpha * (1.0 - s) + t * s
-        return out if np.ndim(z) else float(out)
+        x = self._x(z_arr)
+        out = np.full_like(x, self.alpha)
+        right = x >= 1.0
+        out[right] = self.tail.value(z_arr[right])
+        blend = ~(right | (x <= 0.0))
+        if blend.any():
+            s = _smoothstep(x[blend])
+            t = self.tail.value(z_arr[blend])
+            out[blend] = self.alpha * (1.0 - s) + t * s
+        return out
 
     def a_jet(self, z):
         """(a, a', a''); the first equals a(z) bit for bit."""

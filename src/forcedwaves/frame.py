@@ -19,16 +19,30 @@ from typing import Optional
 import numpy as np
 
 
-def apply(u: np.ndarray, h: float, c: float, sigma: Optional[float]) -> np.ndarray:
-    """A u on the free rows of nodes 0..N: rows 1..N-1, plus row N when sigma is set."""
-    inner = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-             + c * (u[2:] - u[:-2]) / (2.0 * h))
-    if sigma is None:
-        return inner
-    out = np.empty(len(u) - 1)
-    out[:-1] = inner
-    out[-1] = ((2.0 * u[-2] - 2.0 * u[-1] + 2.0 * h * sigma * u[-1]) / h**2
-               + c * sigma * u[-1])
+def apply(u: np.ndarray, h: float, c: float, sigma: Optional[float],
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A u on the free rows of nodes 0..N: rows 1..N-1, plus row N when sigma is set.
+
+    The result is written into out when given (length N - 1, or N with
+    sigma).  Each in-place ufunc below is one IEEE operation of
+    (u_{i-1} - 2 u_i + u_{i+1}) / h^2 + c (u_{i+1} - u_{i-1}) / (2 h) on
+    the same operands in the same order (x * 2.0 is 2.0 * x), so out holds
+    the expression's bits with one temporary in place of seven.
+    """
+    if out is None:
+        out = np.empty(len(u) - (1 if sigma is not None else 2))
+    inner = out[:len(u) - 2]
+    np.multiply(u[1:-1], 2.0, out=inner)
+    np.subtract(u[:-2], inner, out=inner)
+    np.add(inner, u[2:], out=inner)
+    np.divide(inner, h**2, out=inner)
+    drift = np.subtract(u[2:], u[:-2])
+    np.multiply(drift, c, out=drift)
+    np.divide(drift, 2.0 * h, out=drift)
+    np.add(inner, drift, out=inner)
+    if sigma is not None:
+        out[-1] = ((2.0 * u[-2] - 2.0 * u[-1] + 2.0 * h * sigma * u[-1]) / h**2
+                   + c * sigma * u[-1])
     return out
 
 

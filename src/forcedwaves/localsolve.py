@@ -96,9 +96,12 @@ def integrate_backward(profile: EnvironmentProfile, c: float,
     y0 = [math.log(psi0), dpsi0 / psi0]
 
     def rhs(z, y):
-        u1, th = y
+        # Python floats: the same IEEE operations as on numpy scalars, at a
+        # fraction of the per-call cost; profile.a takes its float branch
+        # off the blend
+        u1, th = float(y[0]), float(y[1])
         th = max(min(th, 1e8), -1e8)  # trial steps can wander past the event
-        return [th, -th * th - c * th - float(profile.a(z)) + math.exp(min(u1, _LOG_CAP))]
+        return [th, -th * th - c * th - profile.a(z) + math.exp(min(u1, _LOG_CAP))]
 
     def ev_amplitude(z, y):
         return y[0] - log_cap

@@ -153,13 +153,21 @@ class WaveSolution:
 def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
                       left_value: float, sigma_R: Optional[float],
                       pin_value: Optional[float]) -> np.ndarray:
-    """Residual of the collocation system; boundary rows at both ends."""
+    """Residual of the collocation system; boundary rows at both ends.
+
+    frame.apply writes A phi straight into the free rows and the reaction
+    phi (a - phi) is added to them in place: the same sum of the same two
+    terms as Au + phi (a - phi), with two temporaries where that expression
+    made eleven.
+    """
     sigma = None if pin_value is not None else sigma_R
     F = np.empty_like(phi)
     F[0] = phi[0] - left_value
-    Au = frame.apply(phi, h, c, sigma)
-    free = slice(1, 1 + len(Au))
-    F[free] = Au + phi[free] * (a[free] - phi[free])
+    free = slice(1, len(phi) if sigma is not None else len(phi) - 1)
+    Au = frame.apply(phi, h, c, sigma, out=F[free])
+    reaction = np.subtract(a[free], phi[free])
+    np.multiply(reaction, phi[free], out=reaction)
+    np.add(Au, reaction, out=Au)
     if pin_value is not None:
         F[-1] = phi[-1] - pin_value
     return F
@@ -182,23 +190,34 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
     full step if it stays within.  Returns phi, max |F|, the iteration
     count and max |F| (= max |phi G|) at each accepted iterate; every
     failure raises NewtonDivergenceError.
+
+    The Jacobian is written from `linear` into one band array per solve, a
+    full step skips 1.0 * delta, and the step and max |F| work in place on
+    arrays that nothing reads afterwards.  Each in-place ufunc repeats one
+    IEEE operation of the plain expressions on the same operands, so the
+    iterates keep their bits.  Residuals and trial iterates stay fresh
+    arrays, which the allocator recycles: a set kept for the whole solve
+    raised the heap's peak until glibc trimmed it after each solve and
+    faulted it back in on the next (about 190 page faults per log solve
+    at N = 8001).
     """
     free = slice(1, len(phi0) if sigma_R is not None else len(phi0) - 1)
     linear = frame.banded(len(phi0), h, c, sigma_R, 1.0, a)
+    ab = linear.copy()  # off-diagonals stay linear's unless log rescales them
 
     def evaluate(phi):
         F = discrete_residual(phi, a, h, c, left_value, sigma_R, pin_value)
         R = F / phi if log else F
-        nrm = float(np.max(np.abs(R)))
-        return R, nrm, float(np.max(np.abs(F))) if log else nrm
+        nrm = float(np.abs(R).max())
+        return R, nrm, float(np.abs(F, out=F).max()) if log else nrm
 
     def newton_step(phi, R):
-        ab = linear.copy()
+        np.copyto(ab[1], linear[1])
         ab[1, free] -= 2.0 * phi[free]
         if log:
             ratio = phi[1:] / phi[:-1]
-            ab[0, 1:] *= ratio
-            ab[2, :-1] /= ratio
+            np.multiply(linear[0, 1:], ratio, out=ab[0, 1:])
+            np.divide(linear[2, :-1], ratio, out=ab[2, :-1])
             ab[1] -= R
         try:
             return solve_banded((1, 1), ab, -R)
@@ -207,7 +226,11 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
                                         last_iterate=phi, residual_history=history)
 
     def moved(phi, delta):
-        return phi + phi * np.expm1(delta) if log else phi + delta
+        if not log:
+            return phi + delta
+        out = np.expm1(delta)
+        np.multiply(phi, out, out=out)
+        return np.add(phi, out, out=out)
 
     phi = phi0.astype(float).copy()
     R, nrm, fnrm = evaluate(phi)
@@ -224,7 +247,7 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
         delta = newton_step(phi, R)
         step = 1.0
         for _ in range(cfg.max_halvings + 1):
-            trial = moved(phi, step * delta)
+            trial = moved(phi, delta if step == 1.0 else step * delta)
             tR, nt, ft = evaluate(trial)
             if math.isfinite(nt) and nt < nrm:
                 phi, R, nrm, fnrm = trial, tR, nt, ft

@@ -5,6 +5,7 @@ grid takes a noticeable fraction of a second and the suite reuses the
 same handful of waves many times.
 """
 
+import numpy as np
 import pytest
 
 from forcedwaves.environment import (
@@ -56,6 +57,23 @@ def itlog2():
     # two-fold iterated-log tail (k = 2, r = 2.8 > c = 1): the only fixture
     # whose a'' sums more than one correction term
     return EnvironmentProfile(1.0, IteratedLog(k=2, r=2.8, lead=1.0), 30.0, 4.0)
+
+
+def _blend_formula(profile, z):
+    """alpha (1 - s) + tail(max(z, z_star)) s at every point, s the clipped
+    7th-order smoothstep, scalars on 0-d numpy arithmetic: the reference for
+    EnvironmentProfile.a, which skips the blend where s is exactly 0 or 1."""
+    z_arr = np.asarray(z, dtype=float)
+    x = np.clip((z_arr - profile.z_star) / (2.0 * profile.transition_width), 0.0, 1.0)
+    s = x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
+    t = profile.tail.value(np.maximum(z_arr, profile.z_star))
+    out = profile.alpha * (1.0 - s) + t * s
+    return out if np.ndim(z) else float(out)
+
+
+@pytest.fixture(scope="session")
+def blend_formula():
+    return _blend_formula
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,39 @@ class TestScalarPathBitIdentity:
             assert np.asarray(out).tobytes() == ref.tobytes()
 
 
+class TestProfileValueBranches:
+    """a(z) skips the blend where the smoothstep is exactly 0 or 1; every
+    value must keep the bits of the full formula alpha (1 - s) + t s."""
+
+    @staticmethod
+    def _edge_points(p):
+        pts = [p.z_star, p.z_switch]
+        for z in (p.z_star, p.z_switch):
+            pts += [np.nextafter(z, -np.inf), np.nextafter(z, np.inf)]
+        return [*map(float, pts), -np.inf, np.inf, np.nan]
+
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog", "uneven"])
+    def test_bits_equal_blend_formula(self, fixture, request, blend_formula):
+        if fixture == "uneven":
+            # z_switch - z_star = 0.6000000000000001 != 2 * width: x rounds
+            # past 1 at z_switch and below 1 one ulp left of it
+            p = EnvironmentProfile(1.0, ExpTail(kappa=2.0), 1.1, 0.3)
+            assert p.z_switch - p.z_star != 2.0 * p.transition_width
+        else:
+            p = request.getfixturevalue(fixture)
+        pts = self._edge_points(p)
+        inner = np.linspace(p.z_star, p.z_switch, 201)[1:-1]
+        for z in [*pts, *map(float, inner)]:
+            out, ref = p.a(z), blend_formula(p, z)
+            assert isinstance(out, float)
+            assert np.float64(out).tobytes() == np.float64(ref).tobytes(), z
+        zs = np.array(pts)
+        for arr in (zs, zs[::-1], np.linspace(p.z_star - 1.0, p.z_switch + 1.0, 4001)):
+            out, ref = p.a(arr), blend_formula(p, arr)
+            assert out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+
 class TestProfileIntegrals:
     def test_integral_matches_closed_form_on_tail(self, exp2):
         closed = (math.exp(-16.0) - math.exp(-40.0)) / 2.0

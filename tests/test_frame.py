@@ -93,3 +93,30 @@ def test_factored_solve_is_bit_identical_to_solve_banded(sigma, scale, shift, co
     x, info = dgttrs(*lu, b)
     assert info == 0
     assert np.array_equal(x, solve_banded((1, 1), ab, b))
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0, -0.7])
+def test_apply_and_residual_keep_the_expression_bits(sigma):
+    # frame.apply fills its output with in-place ufuncs, and discrete_residual
+    # has it write straight into the residual's free rows; their bits must
+    # equal the plain numpy expressions they replace
+    rng = np.random.default_rng(2)
+    n, h, c = 401, 0.05, 1.3
+    u = rng.uniform(0.0, 1.0, n)
+    a = rng.uniform(0.0, 1.0, n)
+    expr = ((u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
+            + c * (u[2:] - u[:-2]) / (2.0 * h))
+    out = np.full(n - (1 if sigma is not None else 2), np.nan)
+    assert frame.apply(u, h, c, sigma, out=out) is out
+    alloc = frame.apply(u, h, c, sigma)
+    assert out.tobytes() == alloc.tobytes()
+    assert out[:n - 2].tobytes() == expr.tobytes()
+
+    pin = None if sigma is not None else 0.05
+    free = free_rows(n, sigma)
+    ref = np.empty(n)
+    ref[0] = u[0] - a[0]
+    ref[free] = alloc + u[free] * (a[free] - u[free])
+    if pin is not None:
+        ref[-1] = u[-1] - pin
+    assert ws.discrete_residual(u, a, h, c, a[0], sigma, pin).tobytes() == ref.tobytes()

@@ -1,6 +1,8 @@
-"""tools/golden_run.py --compare: ACCEPTANCE lines are matched by number."""
+"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number, and the
+ACCEPTANCE lines come from the tests beside --src."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_run.py"
@@ -15,3 +17,23 @@ def test_missing_acceptance_line_is_the_only_difference(tmp_path):
     a = {"runs": {}, "acceptance": lines, "acceptance_exit": 0}
     b = dict(a, acceptance=[ln for ln in lines if not ln.startswith("ACCEPTANCE 10 ")])
     assert golden_run.compare(a, b, tmp_path, tmp_path) == ["ACCEPTANCE 10: only in A"]
+
+
+def test_acceptance_runs_the_tests_beside_src(tmp_path, monkeypatch):
+    # a record of another checkout must run that checkout's tests, not the
+    # ones next to the tool
+    src = tmp_path / "checkout" / "src"
+    src.mkdir(parents=True)
+    seen = {}
+
+    def fake_run(argv, env, cwd, **kwargs):
+        seen.update(argv=argv, env=env, cwd=cwd)
+        return subprocess.CompletedProcess(
+            argv, 0, stdout="ACCEPTANCE 01 PASS x\n", stderr="")
+
+    monkeypatch.setattr(golden_run.subprocess, "run", fake_run)
+    assert golden_run.acceptance_lines(src) == (0, ["ACCEPTANCE 01 PASS x"])
+    checkout = src.resolve().parent
+    assert seen["argv"][-1] == str(checkout / "tests" / "test_acceptance.py")
+    assert seen["cwd"] == checkout
+    assert seen["env"]["PYTHONPATH"] == str(src.resolve())

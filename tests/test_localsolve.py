@@ -8,6 +8,8 @@ short friendly window (z_lo=395, completes) or a long harsh one (z_lo=40,
 truncates via an event and keeps the surviving segment).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,37 @@ class TestPlumbing:
         assert m[-1] and not m[0]
         assert tilde_run.grid[m][0] >= 399.0 - 1e-12
 
+
+def _numpy_scalar_rhs(profile, c, blend_formula):
+    """integrate_backward's right-hand side on numpy scalars, with a(z) from
+    the full blend formula: the form that the float version must match."""
+    def rhs(z, y):
+        u1, th = y
+        th = max(min(th, 1e8), -1e8)
+        return [th, -th * th - c * th - float(blend_formula(profile, z))
+                + math.exp(min(u1, ls._LOG_CAP))]
+    return rhs
+
+
+@pytest.mark.parametrize("fixture, c, z_hi, z_lo", [
+    ("alg3", 1.0, 400.0, 395.0), ("pow2", 1.0, 400.0, 395.0),
+    ("itlog", 1.0, 400.0, 395.0),
+    # a fast seed above the spreading speed runs through the blend [4, 12]
+    # onto the plateau before psi reaches 2 alpha
+    ("alg3", 2.2, 30.0, 2.0),
+])
+def test_float_rhs_keeps_the_numpy_scalar_bits(fixture, c, z_hi, z_lo, request,
+                                               monkeypatch, blend_formula):
+    profile = request.getfixturevalue(fixture)
+    anz = (TildeA(profile=profile, c=c) if z_hi == 400.0
+           else PureExp(K=1e-6, c=c, z0=profile.z_switch))
+    fast = ls.integrate_backward(profile, c, anz, z_hi, z_lo)
+    if z_hi != 400.0:
+        assert fast.grid[0] < profile.z_star
+    solve_ivp = ls.solve_ivp
+    monkeypatch.setattr(ls, "solve_ivp", lambda fun, *args, **kwargs: solve_ivp(
+        _numpy_scalar_rhs(profile, c, blend_formula), *args, **kwargs))
+    ref = ls.integrate_backward(profile, c, anz, z_hi, z_lo)
+    assert fast.exit_flag == ref.exit_flag
+    for name in ("grid", "psi", "dpsi"):
+        assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name

@@ -163,6 +163,35 @@ class TestFamily:
             ws.wave_family(alg05, 1.0, (1.0,))
 
 
+class TestLayerCounts:
+    """The calls that the benchmark tracer counts per layer, pinned: a
+    change to the Newton loop that keeps its bits keeps these numbers."""
+
+    @pytest.mark.parametrize("solve, expected", [
+        ("sigma1", (8, 7, 7)),  # (discrete_residual, solve_banded, iterations)
+        ("family_K2", (8, 7, 7)),
+    ])
+    def test_residual_and_solve_calls(self, alg3, monkeypatch, solve, expected):
+        calls = {"discrete_residual": 0, "solve_banded": 0}
+
+        def counted(name):
+            fn = getattr(ws, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ws, name, counted(name))
+        if solve == "sigma1":
+            w = ws.solve_wave(alg3, 1.0, "sigma1")
+        else:
+            (w,) = ws.wave_family(alg3, 1.0, (2.0,))
+        assert (calls["discrete_residual"], calls["solve_banded"],
+                w.iterations) == expected
+
+
 class TestOrderingCheck:
     def test_reflexive(self, alg3_family):
         r = ws.ordering_check(alg3_family[0], alg3_family[0])

@@ -8,9 +8,10 @@ too short), on five configs, the README exp.ini, an algebraic gamma = 3
 profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
-file that carries timings and versions).  It also runs
-tests/test_acceptance.py with -s and stores pytest's exit code and the
-ACCEPTANCE lines it prints, which carry each criterion's measured numbers.
+file that carries timings and versions).  It also runs the
+tests/test_acceptance.py beside SRC with -s and stores pytest's exit code
+and the ACCEPTANCE lines it prints, which carry each criterion's measured
+numbers.
 A refactor that must not change results is checked by running this on the
 code before and after it and comparing the two.
 
@@ -193,13 +194,15 @@ def run_all(out: Path, src: Path) -> dict:
 
 
 def acceptance_lines(src: Path) -> tuple[int, list[str]]:
-    """pytest's exit code and the ACCEPTANCE lines tests/test_acceptance.py
-    prints against src."""
+    """pytest's exit code and the ACCEPTANCE lines that the
+    tests/test_acceptance.py beside src prints against src, so a record of
+    another checkout runs that checkout's own tests."""
+    checkout = src.resolve().parent
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_acceptance.py")],
-        env=env, cwd=ROOT, capture_output=True, text=True)
+         str(checkout / "tests" / "test_acceptance.py")],
+        env=env, cwd=checkout, capture_output=True, text=True)
     # -s interleaves pytest's progress dots with the printed lines
     lines = re.findall(r"ACCEPTANCE \d+ .*", proc.stdout)
     print(f"acceptance: exit {proc.returncode}, {len(lines)} lines", flush=True)

@@ -8,16 +8,14 @@ the target ansatz's log-derivative, or an amplitude pin phi(L) = value for
 selecting individual members of the slow family (the Robin coefficient is
 shared across that family, so it cannot separate them).
 
-The nonlinear system is solved by damped Newton with a tridiagonal Jacobian.
-A target the classifier predicts is solved for v = log phi, with each row
-divided by phi, from the target's own decay shape: the stopping test is then
-relative, so a tail of 1e-50 is resolved instead of passing the absolute
-Robin row for any decay rate, and phi stays positive.  Any other target is
-solved for phi, unprojected, from the caller's guess, else the tanh front
-(slow targets) or the left-wall layer, the only root once c >= 2 sqrt(alpha)
-rules out an exponential wave (minimal targets).  A converged phi <= 0 or
-wall layer is the meaningful "no positive wave" outcome, distinct from
-Newton divergence.  Either way a failure's residual_history holds the
+The nonlinear system is solved by damped Newton with a tridiagonal Jacobian,
+for phi or, for a target the classifier predicts, for v = log phi with each
+row divided by phi: the stopping test is then relative, so a tail of 1e-50
+is resolved instead of passing the absolute Robin row for any decay rate,
+and phi stays positive.  _plan reads the target once and fixes the Robin
+coefficient, the variable and the start.  A converged phi <= 0 or wall
+layer is the meaningful "no positive wave" outcome, distinct from Newton
+divergence.  Either way a failure's residual_history holds the
 phi-residual max |F| at each iterate.
 """
 
@@ -277,9 +275,9 @@ def resolve_target(profile: EnvironmentProfile, c: float,
     """(tag, ansatz-or-None) for a target.
 
     Accepts either a constructed ansatz or one of the tags pure_exp / sigma1 /
-    tilde_a / slow_maximal / profile_itself.  slow_maximal in a regime where
-    int tilde_a diverges has no ansatz; its Robin coefficient degenerates to
-    the tilde_a value -a(L)/c, which is returned via a None ansatz.
+    tilde_a / slow_maximal / profile_itself.  An ansatz that does not exist
+    for this profile and speed (sigma1 where a(z) never drops below c^2/4,
+    slow_maximal where int tilde_a diverges) comes back as None.
     """
     if isinstance(target, DecayAnsatz):
         return target.tag, target
@@ -300,33 +298,6 @@ def resolve_target(profile: EnvironmentProfile, c: float,
     except AnsatzUnavailableError:
         return tag, None
     return tag, ansatz
-
-
-def _sigma_R_for(profile: EnvironmentProfile, c: float, tag: str,
-                 ansatz: Optional[DecayAnsatz], L: float) -> float:
-    if ansatz is not None:
-        return float(ansatz.log_derivative(L))
-    if tag in ("tilde_a", "slow_maximal"):
-        # limiting coefficient of the slow family when the ansatz itself is
-        # unavailable (int tilde_a = inf): log-derivative -> -a/c
-        return -float(profile.a(L)) / c
-    raise ValueError(f"no Robin coefficient for target {tag}")
-
-
-def _target_predicted(profile: EnvironmentProfile, c: float, tag: str) -> bool:
-    """Whether the classifier predicts a wave with this decay exists.
-
-    It chooses solve_wave's variable: a predicted target is solved for
-    log phi from its own decay shape, which resolves a tail far below
-    newton_tol; any other target keeps Newton on phi from the caller's guess
-    or _start's default, where a failure is the meaningful outcome.
-    """
-    report = classify(profile, c)
-    if tag in MINIMAL_TAGS:
-        return report.minimal_decay is not None
-    # the classifier sets maximal_decay exactly in cases 2 and 3
-    return (report.maximal_decay is not None
-            and tag in ("tilde_a", report.maximal_decay.tag))
 
 
 def _tanh_start(profile: EnvironmentProfile, grid: np.ndarray) -> np.ndarray:
@@ -360,31 +331,57 @@ def standard_starts(profile: EnvironmentProfile, c: float,
     return starts
 
 
-def _start(profile: EnvironmentProfile, c: float, tag: str,
-           ansatz: Optional[DecayAnsatz], grid: np.ndarray,
-           guess: Optional[np.ndarray], log: bool) -> np.ndarray:
-    """solve_wave's one Newton start.  A predicted target (log) starts from
-    its decay shape capped at alpha (the slow ansatz; e^{-c (z - z_switch)}
-    if minimal, as sigma1 is complex where 4 a > c^2), flooring the guess,
-    by default a slow target's tanh front: a tail below the slow shape sits
-    in the minimal wave's basin, and a zero has no log.  Else the guess is
-    used unchanged; without one a slow target starts from the tanh front
-    and a minimal one, whose only root for c >= 2 sqrt(alpha) is the wall
-    layer, from a(-L) e^{-(c/2)(z + L)}: c/2 is the double root of
+def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str],
+          grid: np.ndarray, guess: Optional[np.ndarray], pinned: bool):
+    """(tag, ansatz, sigma_R, log, start): what solve_wave reads of a target.
+
+    sigma_R, the Robin coefficient, is the ansatz's log-derivative at L, or
+    None when the amplitude is pinned.  slow_maximal where int tilde_a
+    diverges has no ansatz; its coefficient degenerates to the tilde_a value
+    -a(L)/c.  Any other unavailable ansatz raises AnsatzUnavailableError.
+
+    A target the classifier predicts is solved for log phi (log True), from
+    its decay shape capped at alpha (e^{-c (z - z_switch)} if minimal, as
+    sigma1 is complex where 4 a > c^2), flooring the guess, by default a
+    slow target's tanh front: a tail below the slow shape sits in the
+    minimal wave's basin, and a zero has no log.  Any other target is solved
+    for phi from the guess unchanged, where a failure is the meaningful
+    outcome; without a guess a slow target starts from the tanh front and a
+    minimal one, whose only root for c >= 2 sqrt(alpha) is the wall layer,
+    from a(-L) e^{-(c/2)(z + L)}: c/2 is the double root of
     lambda^2 - c lambda + alpha at threshold.
     """
+    tag, ansatz = resolve_target(profile, c, target)
+    if ansatz is None and tag != "slow_maximal":
+        raise AnsatzUnavailableError(f"no {tag} ansatz for this profile at c = {c:g}")
+    sigma_R = None
+    if not pinned:
+        L = float(grid[-1])
+        sigma_R = (-float(profile.a(L)) / c if ansatz is None
+                   else float(ansatz.log_derivative(L)))
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != grid.shape:
+            raise ValueError("initial guess does not match the grid")
+
+    report = classify(profile, c)
     minimal = tag in MINIMAL_TAGS
-    if not log and minimal and guess is None:
-        return float(profile.a(grid[0])) * np.exp(-0.5 * c * (grid - grid[0]))
-    if not log:
-        return _tanh_start(profile, grid) if guess is None else guess
     if minimal:
-        ansatz = PureExp(K=1.0, c=c, z0=profile.z_switch)
-    tail = ansatz.value(np.maximum(grid, profile.z_switch))
-    shape = np.minimum(profile.alpha, tail)
+        log = report.minimal_decay is not None
+    else:
+        # the classifier sets maximal_decay exactly in cases 2 and 3
+        log = (report.maximal_decay is not None
+               and tag in ("tilde_a", report.maximal_decay.tag))
+    if not log:
+        if guess is None:
+            guess = (float(profile.a(grid[0])) * np.exp(-0.5 * c * (grid - grid[0]))
+                     if minimal else _tanh_start(profile, grid))
+        return tag, ansatz, sigma_R, log, guess
+    shaped = PureExp(K=1.0, c=c, z0=profile.z_switch) if minimal else ansatz
+    shape = np.minimum(profile.alpha, shaped.value(np.maximum(grid, profile.z_switch)))
     if guess is None:
         guess = shape if minimal else _tanh_start(profile, grid)
-    return np.maximum(guess, shape)
+    return tag, ansatz, sigma_R, log, np.maximum(guess, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +394,7 @@ def solve_wave(profile: EnvironmentProfile, c: float,
                pin_amplitude: Optional[float] = None) -> WaveSolution:
     """Solve the truncated boundary value problem for one targeted wave.
 
-    A target the classifier predicts is solved by Newton in log phi from
-    its own decay shape, floored by initial_guess; any other by Newton in
-    phi from initial_guess or, without one, from the tanh front (slow
-    targets) or the wall layer a(-L) e^{-(c/2)(z + L)} (minimal targets,
-    which have no exponential wave for c >= 2 sqrt(alpha)); see _start.
+    The variable and the start, which initial_guess enters, are _plan's.
     No oracle is constructed.  pin_amplitude, when given, replaces
     the Robin row by the Dirichlet condition phi(L) = pin_amplitude (used by
     wave_family to separate slow family members, which share the same
@@ -411,23 +404,11 @@ def solve_wave(profile: EnvironmentProfile, c: float,
         raise ValueError("c must be positive")
     cfg = SolverConfig.default_for(profile) if cfg is None else cfg
     grid = cfg.grid()
-    h = float(grid[1] - grid[0])
+    tag, ansatz, sigma_R, log, start = _plan(profile, c, target, grid, initial_guess,
+                                             pin_amplitude is not None)
     a = np.asarray(profile.a(grid), dtype=float)
-    left_value = float(a[0])
-
-    tag, ansatz = resolve_target(profile, c, target)
-    sigma_R: Optional[float] = None
-    if pin_amplitude is None:
-        sigma_R = _sigma_R_for(profile, c, tag, ansatz, float(grid[-1]))
-
-    guess = None if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    if guess is not None and guess.shape != grid.shape:
-        raise ValueError("initial guess does not match the grid")
-
-    log = _target_predicted(profile, c, tag)
-    start = _start(profile, c, tag, ansatz, grid, guess, log)
-    phi, nrm, iters, history = _newton(start, a, h, c, left_value, sigma_R,
-                                       pin_amplitude, cfg, log)
+    phi, nrm, iters, history = _newton(start, a, float(grid[1] - grid[0]), c,
+                                       float(a[0]), sigma_R, pin_amplitude, cfg, log)
     if float(np.min(phi)) <= 0.0:
         raise NoPositiveWaveError(
             f"converged state has min phi = {float(np.min(phi)):.3e} <= 0: "

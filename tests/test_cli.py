@@ -441,6 +441,7 @@ class TestVerifyOracles:
 
 
 POW2_LOW = POW2_INI.replace("target = profile_itself\n", "")
+POW2_TINY = POW2_LOW.replace("c = 0.7", "c = 0.002")
 
 
 class TestSweep:
@@ -529,7 +530,17 @@ class TestFailureContract:
         ("family", POW2_INI, wavesolver.NewtonDivergenceError, 4, 0.7),
         ("wave", POW2_LOW.replace("c = 0.7", "c = 0.5"),
          AnsatzUnavailableError, 4, 0.5),
-    ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1"])
+        # at c = 0.002 a(z) never drops below c^2/4: no sigma1 ansatz at all
+        ("wave", POW2_TINY, AnsatzUnavailableError, 4, 0.002),
+        ("fit", POW2_TINY, AnsatzUnavailableError, 4, 0.002),
+        ("family", POW2_TINY.replace("K = 0.5, 1.0, 2.0", "K = 0.5, 1.0"),
+         AnsatzUnavailableError, 4, 0.002),
+        ("sweep", POW2_TINY.replace("c = 0.002",
+                                    "c.start = 0.002\nc.stop = 0.7\nc.steps = 2"),
+         AnsatzUnavailableError, 4, None),
+    ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1",
+            "pow2-wave-no-sigma1", "pow2-fit-no-sigma1", "pow2-family-no-sigma1",
+            "pow2-sweep-no-sigma1"])
     def test_failure_json_and_manifest(self, tmp_path, outdir, capsys,
                                        command, ini, error, code, c):
         cfg = cfg_file(tmp_path, ini)

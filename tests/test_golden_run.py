@@ -1,9 +1,13 @@
-"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number, and the
-ACCEPTANCE lines come from the tests beside --src."""
+"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number, the
+ACCEPTANCE lines come from the tests beside --src, and every target tag gets
+a wave run."""
 
 import importlib.util
+import re
 import subprocess
 from pathlib import Path
+
+from forcedwaves.wavesolver import TARGET_TAGS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_run.py"
 _spec = importlib.util.spec_from_file_location("golden_run", TOOL)
@@ -37,3 +41,12 @@ def test_acceptance_runs_the_tests_beside_src(tmp_path, monkeypatch):
     assert seen["argv"][-1] == str(checkout / "tests" / "test_acceptance.py")
     assert seen["cwd"] == checkout
     assert seen["env"]["PYTHONPATH"] == str(src.resolve())
+
+
+def test_one_wave_run_per_target_tag():
+    assert golden_run.TARGET_TAGS == TARGET_TAGS
+    for text in golden_run.CONFIGS.values():
+        runs = {suffix: ini for suffix, _, ini in golden_run.config_runs(text)}
+        for tag in TARGET_TAGS:
+            assert re.findall(r"^target = (.*)$", runs[f"wave-{tag}"],
+                              re.M) == [tag]

@@ -11,7 +11,7 @@ from scipy.integrate import IntegrationWarning
 from forcedwaves import analysis as an
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
-from forcedwaves.environment import TildeA, classify
+from forcedwaves.environment import AnsatzUnavailableError, TildeA, classify
 from forcedwaves.wavesolver import (
     NewtonDivergenceError,
     NoPositiveWaveError,
@@ -190,6 +190,31 @@ class TestLayerCounts:
             (w,) = ws.wave_family(alg3, 1.0, (2.0,))
         assert (calls["discrete_residual"], calls["solve_banded"],
                 w.iterations) == expected
+
+
+class TestTargetOutcomes:
+    @pytest.mark.parametrize("tag", ws.TARGET_TAGS)
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.4])
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
+    def test_typed_failure_or_the_targeted_robin_row(self, request, fixture,
+                                                     c, tag):
+        # a solve fails typed or returns a wave labelled with its tag whose
+        # Robin coefficient is the target's log-derivative at L, or -a(L)/c
+        # for a slow_maximal that has no ansatz
+        profile = request.getfixturevalue(fixture)
+        try:
+            w = ws.solve_wave(profile, c, tag)
+        except (NoPositiveWaveError, NewtonDivergenceError,
+                AnsatzUnavailableError):
+            return
+        L = w.config.L
+        _, ansatz = ws.resolve_target(profile, c, tag)
+        if ansatz is None:
+            assert tag == "slow_maximal"
+            want = -float(profile.a(L)) / c
+        else:
+            want = float(ansatz.log_derivative(L))
+        assert (w.decay_tag, w.bc_right) == (tag, want)
 
 
 class TestOrderingCheck:
@@ -396,6 +421,14 @@ class TestContinuation:
         assert res.solved_c() == pytest.approx([0.25, 0.3], abs=1e-12)
         assert [(f.c, f.kind) for f in res.failures] \
             == [(0.2, "ansatz_unavailable")]
+
+    def test_sigma1_that_is_never_real_is_recorded(self, pow2):
+        # at c = 0.002 a(z) never drops below c^2/4, so there is no sigma1
+        # ansatz; this left the march as a plain ValueError
+        res = ws.continuation_in_c(pow2, 0.002, 0.002, 1, "sigma1")
+        assert res.solutions == []
+        assert [(f.c, f.kind) for f in res.failures] \
+            == [(0.002, "ansatz_unavailable")]
 
     def test_step_counts(self, exp2):
         res = ws.continuation_in_c(exp2, 1.0, 2.0, 0, "sigma1")

@@ -4,7 +4,8 @@ data-file hashes and the ACCEPTANCE lines.
 Runs the commands classify, wave, fit, family, sweep, simulate (initial =
 wave, bump and alpha) and verify-oracles, plus two runs that must fail
 (simulate with a step too large for the stability limit, fit with a window
-too short), on five configs, the README exp.ini, an algebraic gamma = 3
+too short) and one wave run per target tag set through [solver] target
+(typed failures included), on five configs, the README exp.ini, an algebraic gamma = 3
 profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
@@ -166,6 +167,21 @@ COMMANDS = (
 )
 
 
+# wavesolver.TARGET_TAGS; the tool imports nothing from the tree it records
+TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
+
+
+def config_runs(text: str):
+    """(run suffix, command, INI text) of every run on one config: COMMANDS,
+    then a wave run per target tag with the config's own target replaced."""
+    for suffix, command, extra in COMMANDS:
+        yield suffix, command, text + extra
+    untargeted = re.sub(r"^target = .*\n", "", text, flags=re.M)
+    for tag in TARGET_TAGS:
+        yield (f"wave-{tag}", "wave",
+               untargeted.replace("[solver]\n", f"[solver]\ntarget = {tag}\n"))
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -175,12 +191,12 @@ def run_all(out: Path, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     runs = {}
     for cfg_name, text in CONFIGS.items():
-        for suffix, command, extra in COMMANDS:
+        for suffix, command, ini_text in config_runs(text):
             name = f"{cfg_name}-{suffix}"
             rundir = out / name
             rundir.mkdir()
             ini = out / f"{name}.ini"
-            ini.write_text(text + extra, encoding="utf-8")
+            ini.write_text(ini_text, encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, "-m", "forcedwaves.cli", command,
                  "--config", str(ini), "--out", str(rundir)],

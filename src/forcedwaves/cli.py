@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # typed error -> (exit code, stderr lead, whether the failure is tied to the
-# run's speed c, which a sweep config may not give); failure.json's "kind" is
-# the error class's own `kind`
+# run's speed c; a sweep's failure is at one of its own speeds, never at
+# [speed] c); failure.json's "kind" is the error class's own `kind`
 _FAILURES = {
     NewtonDivergenceError: (EXIT_SOLVER, "solver failure", True),
     NoPositiveWaveError: (EXIT_SOLVER, "solver failure", True),
@@ -680,7 +680,7 @@ def _report_failure(args, cfg: dict, exc: Exception) -> tuple[int, list]:
     the files written."""
     code, lead, at_c = next(v for cls, v in _FAILURES.items()
                             if isinstance(exc, cls))
-    c = cfg["speed"].get("c") if at_c else None
+    c = cfg["speed"].get("c") if at_c and args.command != "sweep" else None
     where = "" if c is None else f" at c = {c:g}"
     print(f"{lead}{where}: {exc}", file=sys.stderr)
     outdir = _outdir(args, cfg)

@@ -15,8 +15,10 @@ stencil in forcedwaves.frame.  Measured drift therefore reflects only the
 Newton tolerance, not the time discretization.
 
 a(grid) is evaluated once per trajectory and I - dt A factored once per dt
-(dgttrf; each step is one dgttrs solve, bit-identical to solve_banded);
-comparison_test advances its pair as the two columns of one solve.
+(dgttrf; each step is one in-place dgttrs solve, bit-identical to
+solve_banded, after a bound-first dt check, see _stepper); comparison_test
+advances its pair as the two columns of one solve, and evolve builds a
+state only for the steps it records.
 """
 
 from __future__ import annotations
@@ -116,9 +118,14 @@ def default_dt(state: SimulationState) -> float:
     return min(0.5 * state.h ** 2, 0.1 / state.profile.alpha)
 
 
-def _stepper(state: SimulationState, dt: float, a: np.ndarray):
-    """advance(u, left): the IMEX step at one dt for u (a field, or k fields
-    as rows) on state's trajectory, a = a(grid); factors I - dt A once."""
+def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
+    """advance(u): the IMEX step at one dt for u (a field, or k fields as
+    rows) on state's trajectory, a = a(grid), left its Dirichlet value(s);
+    factors I - dt A once.  dt (max|a| + 2 max|u|) <= 1/2 and a finite left
+    prove dt max|a - 2u| < 1 and a finite right-hand side, rounding included;
+    only other steps (NaN or inf in u too) run the exact and finiteness
+    checks, so each step decides and reports as before.  The right-hand side
+    is one fresh array built in place in the order of u + dt u (a - u)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
@@ -126,17 +133,23 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray):
     *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info:
         raise np.linalg.LinAlgError("singular implicit matrix")
+    a_max, left_ok = np.max(np.abs(a)), np.isfinite(left).all()
 
-    def advance(u: np.ndarray, left) -> np.ndarray:
-        for m in np.atleast_1d(np.max(np.abs(a - 2.0 * u), axis=-1)):
-            if dt * m >= 1.0:
-                raise StepRejectedError(
-                    f"dt = {dt:.3e} too large: dt * max|a - 2u| = {dt * m:.3f} >= 1",
-                    suggested_dt=0.9 / float(m))
-        rhs = u + dt * u * (a - u)
+    def advance(u: np.ndarray) -> np.ndarray:
+        proven = left_ok and dt * (a_max + 2.0 * max(u.max(), -u.min())) <= 0.5
+        if not proven:
+            for m in np.atleast_1d(np.max(np.abs(a - 2.0 * u), axis=-1)):
+                if dt * m >= 1.0:
+                    raise StepRejectedError(
+                        f"dt = {dt:.3e} too large: dt * max|a - 2u| = {dt * m:.3f} >= 1",
+                        suggested_dt=0.9 / float(m))
+        rhs = dt * u
+        rhs *= a - u
+        rhs += u
         rhs[..., 0] = left
-        # the fields are b's columns, finite-checked as solve_banded did
-        return dgttrs(*lu, np.asarray_chkfinite(rhs.T))[0].T
+        if not proven:
+            np.asarray_chkfinite(rhs)  # as solve_banded checked b
+        return dgttrs(*lu, rhs.T, overwrite_b=1)[0].T  # fields as columns
     return advance
 
 
@@ -147,16 +160,17 @@ def _march(state: SimulationState, u: np.ndarray, left, T: float, dt: float):
     while t < t_end - 1e-12:
         d = min(dt, t_end - t)
         if d != d_lu:
-            advance, d_lu = _stepper(state, d, a), d
-        u = advance(u, left)
+            advance, d_lu = _stepper(state, d, a, left), d
+        u = advance(u)
         t += d
         yield t, u
 
 
 def step(state: SimulationState, dt: float) -> SimulationState:
     """One IMEX step; rejects dt that breaks the explicit-reaction bound."""
-    advance = _stepper(state, dt, state.profile.a(state.grid))
-    return replace(state, t=state.t + dt, u=advance(state.u, state.left_value))
+    a = state.profile.a(state.grid)
+    u = _stepper(state, dt, a, state.left_value)(state.u)
+    return replace(state, t=state.t + dt, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +255,13 @@ def evolve(state: SimulationState, T: float, dt: Optional[float] = None,
             series[k].append(f(cur))
 
     record()
-    k = 0
+    k, t, u = 0, cur.t, cur.u
     for k, (t, u) in enumerate(_march(cur, cur.u, cur.left_value, T, dt), 1):
-        cur = replace(cur, t=t, u=u)
         if k % monitor_every == 0:
+            cur = replace(cur, t=t, u=u)
             record()
-    if not times or times[-1] < cur.t:
+    if cur.t < t:
+        cur = replace(cur, t=t, u=u)
         record()
     # drift is measured from the evolution start
     times[0] = state.t

@@ -538,9 +538,13 @@ class TestFailureContract:
         ("sweep", POW2_TINY.replace("c = 0.002",
                                     "c.start = 0.002\nc.stop = 0.7\nc.steps = 2"),
          AnsatzUnavailableError, 4, None),
+        # the sweep fails at c.start = 0.002, not at the config's c = 1.0
+        ("sweep", POW2_TINY.replace(
+            "c = 0.002", "c = 1.0\nc.start = 0.002\nc.stop = 0.7\nc.steps = 2"),
+         AnsatzUnavailableError, 4, None),
     ], ids=["wave", "step", "fit-window", "pow2-family", "pow2-wave-sigma1",
             "pow2-wave-no-sigma1", "pow2-fit-no-sigma1", "pow2-family-no-sigma1",
-            "pow2-sweep-no-sigma1"])
+            "pow2-sweep-no-sigma1", "pow2-sweep-with-c-no-sigma1"])
     def test_failure_json_and_manifest(self, tmp_path, outdir, capsys,
                                        command, ini, error, code, c):
         cfg = cfg_file(tmp_path, ini)

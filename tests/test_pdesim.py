@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from forcedwaves import frame
 from forcedwaves import oracles as orc
@@ -265,3 +268,180 @@ class TestEvolveBookkeeping:
         assert res.steps_taken == 100 and len(res.times) == 11
         assert counts["a"] <= 2
         assert 1 <= len(counts["dt"]) == len(set(counts["dt"])) <= 2
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the plain-expression step
+
+
+def _reference_step(state, u, left, dt, a):
+    """One IMEX step of u (a field or rows of fields) from the plain
+    expressions: the per-field exact dt check, u + dt u (a - u) and
+    solve_banded on frame.banded."""
+    for m in np.atleast_1d(np.max(np.abs(a - 2.0 * u), axis=-1)):
+        if dt * m >= 1.0:
+            raise StepRejectedError(
+                f"dt = {dt:.3e} too large: dt * max|a - 2u| = {dt * m:.3f} >= 1",
+                suggested_dt=0.9 / float(m))
+    rhs = u + dt * u * (a - u)
+    rhs[..., 0] = left
+    sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
+    ab = frame.banded(len(state.u), state.h, state.c, sigma, -dt, 1.0)
+    return solve_banded((1, 1), ab, rhs.T).T
+
+
+def _reference_march(state, u, left, T, dt):
+    """[(t, u)] after each reference step to state.t + T."""
+    t, t_end, a = state.t, state.t + T, state.profile.a(state.grid)
+    out = []
+    while t < t_end - 1e-12:
+        d = min(dt, t_end - t)
+        u = _reference_step(state, u, left, d, a)
+        t += d
+        out.append((t, u))
+    return out
+
+
+def _reference_comparison(lo, hi, T, dt):
+    """comparison_test's value from the reference steps of the pair."""
+    ref = _reference_march(lo, np.array([lo.u, hi.u]),
+                           [lo.left_value, hi.left_value], T, dt)
+    return max([float(np.max(lo.u - hi.u))]
+               + [float(np.max(p[0] - p[1])) for _, p in ref])
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _outcome(run):
+    """The bits of run's result, or (error class, message, suggested_dt)."""
+    try:
+        return np.asarray(run()).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "suggested_dt", None)
+
+
+GRID = np.linspace(-40.0, 40.0, 401)
+
+
+def _field(kind):
+    u = 0.9 * np.exp(-((GRID - 4.0) / 6.0) ** 2)
+    if kind == "signed-subnormal":
+        u[::7] = 5e-324
+        u[3::11] = -1e-3
+        u[5::13] = -1e-310
+    return u
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The shapes passed to asarray_chkfinite: one per exactly checked step."""
+    calls = []
+    chk = np.asarray_chkfinite
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return chk(x, *args, **kwargs)
+
+    monkeypatch.setattr(ps.np, "asarray_chkfinite", counted)
+    return calls
+
+
+class TestReferenceBits:
+    """step, evolve and comparison_test reproduce the plain-expression step
+    bit for bit, whether the dt bound or the exact check admits the step."""
+
+    # dt = 0.01 is inside dt (max|a| + 2 max|u|) <= 1/2 on every step;
+    # dt = 0.3 is outside it on every step (max|u| >= 0.9 and the last step
+    # is 0.24) and still passes the exact check dt max|a - 2u| < 1
+    @pytest.mark.parametrize("dt,exact", [(0.01, False), (0.3, True)])
+    @pytest.mark.parametrize("kind", ["bump", "signed-subnormal"])
+    @pytest.mark.parametrize("robin", [None, -0.5])
+    def test_step_and_evolve(self, exp2, checked, dt, exact, kind, robin):
+        st0 = ps.make_state(exp2, 1.0, GRID, _field(kind), robin_sigma=robin)
+        ref = _reference_march(st0, st0.u, st0.left_value, 11.8 * dt, dt)
+        assert len(ref) == 12
+        del checked[:]  # solve_banded's own checks in the reference
+        one = ps.step(st0, dt)
+        assert _same_bits(one.u, ref[0][1]) and one.t == ref[0][0]
+        mons = {"dist": ps.distance_monitor(st0.u),
+                "res": ps.residual_monitor()}
+        res = ps.evolve(st0, 11.8 * dt, dt=dt, monitors=mons, monitor_every=5)
+        assert _same_bits(res.state.u, ref[-1][1])
+        assert res.state.t == ref[-1][0] and res.steps_taken == 12
+        # records at steps 0, 5, 10 and the last
+        kept = [(st0.t, st0.u)] + [ref[k - 1] for k in (5, 10, 12)]
+        assert res.times == [t for t, _ in kept]
+        for name, mon in mons.items():
+            assert res.series[name] == [
+                mon(ps.replace(st0, t=t, u=u)) for t, u in kept]
+        # the exact check ran on every step or on none
+        assert len(checked) == (13 if exact else 0)
+
+    @pytest.mark.parametrize("dt,exact", [(0.01, False), (0.3, True)])
+    def test_comparison_pair(self, exp2, checked, dt, exact):
+        lo = ps.make_state(exp2, 1.0, GRID, 0.5 * _field("signed-subnormal"),
+                           robin_sigma=-0.5, left_value=0.5)
+        hi = ps.make_state(exp2, 1.0, GRID, np.maximum(_field("bump"), lo.u),
+                           robin_sigma=-0.5)
+        expect = _reference_comparison(lo, hi, 11.8 * dt, dt)
+        del checked[:]
+        assert ps.comparison_test(lo, hi, 11.8 * dt, dt=dt) == expect
+        assert len(checked) == (12 if exact else 0)
+
+    @pytest.mark.parametrize("level", [1.5, -1.0])
+    def test_rejection_like_reference(self, exp2, level):
+        # dt = 0.4 fails dt max|a - 2u| < 1 on both plateaus (max 3); only
+        # the min reduction of u keeps the bound from passing the negative one
+        st0 = ps.make_state(exp2, 1.0, GRID, np.full_like(GRID, level))
+        ref = _outcome(lambda: _reference_step(st0, st0.u, st0.left_value,
+                                               0.4, exp2.a(GRID)))
+        assert ref[0] is StepRejectedError
+        for run in (lambda: ps.step(st0, 0.4),
+                    lambda: ps.evolve(st0, 1.0, dt=0.4)):
+            assert _outcome(run) == ref
+
+    def test_nan_left_value_raises_like_solve_banded(self, exp2):
+        st0 = ps.make_state(exp2, 1.0, GRID, _field("bump"),
+                            left_value=math.nan)
+        a = exp2.a(GRID)
+        ref = _outcome(lambda: _reference_step(st0, st0.u, math.nan, 0.01, a))
+        assert ref[0] is ValueError and "infs or NaNs" in ref[1]
+        zero = ps.make_state(exp2, 1.0, GRID, np.zeros_like(GRID),
+                             left_value=0.0)
+        for run in (lambda: ps.step(st0, 0.01),
+                    lambda: ps.evolve(st0, 0.1, dt=0.01),
+                    lambda: ps.comparison_test(zero, st0, 0.1, dt=0.01)):
+            assert _outcome(run) == ref
+
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pair=st.booleans(),
+           limit=st.sampled_from(["bound", "reject"]),
+           factor=st.floats(0.5, 1.5), robin=st.sampled_from([None, -0.5]))
+    def test_random_fields_match_reference(self, exp2, seed, pair, limit,
+                                           factor, robin):
+        # fields in [-0.5, 1.5]; dt on either side of the dt bound
+        # dt (max|a| + 2 max|u|) = 1/2 or of the rejection limit
+        # dt max|a - 2u| = 1
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-0.5, 1.5, (2, len(GRID)))
+        u.sort(axis=0)  # rows lo <= hi, as comparison_test requires
+        left = np.sort(rng.uniform(-0.5, 1.5, 2))
+        a = exp2.a(GRID)
+        if limit == "bound":
+            dt = factor * 0.5 / (np.max(np.abs(a)) + 2.0 * np.max(np.abs(u)))
+        else:
+            dt = factor / np.max(np.abs(a - 2.0 * u))
+        dt = float(dt)
+        lo, hi = (ps.make_state(exp2, 1.0, GRID, u[i], robin_sigma=robin,
+                                left_value=float(left[i])) for i in (0, 1))
+        if pair:
+            got = _outcome(lambda: ps.comparison_test(lo, hi, 3.0 * dt, dt=dt))
+            want = _outcome(lambda: _reference_comparison(lo, hi, 3.0 * dt, dt))
+        else:
+            got = _outcome(lambda: ps.step(hi, dt).u)
+            want = _outcome(lambda: _reference_step(hi, hi.u, hi.left_value,
+                                                    dt, a))
+        assert got == want

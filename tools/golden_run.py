@@ -2,7 +2,8 @@
 data-file hashes and the ACCEPTANCE lines.
 
 Runs the commands classify, wave, fit, family, sweep, simulate (initial =
-wave, bump and alpha) and verify-oracles, plus two runs that must fail
+wave, bump and alpha, plus the bump at dt = 0.3, where every step runs the
+exact dt check) and verify-oracles, plus two runs that must fail
 (simulate with a step too large for the stability limit, fit with a window
 too short) and one wave run per target tag set through [solver] target
 (typed failures included), on five configs, the README exp.ini, an algebraic gamma = 3
@@ -159,6 +160,10 @@ COMMANDS = (
     ("simulate-wave", "simulate", SIMULATION.format("wave")),
     ("simulate-bump", "simulate", SIMULATION.format("bump")),
     ("simulate-alpha", "simulate", SIMULATION.format("alpha")),
+    # dt = 0.3 on the height-1/2 bump: dt (max|a| + 2 max|u|) = 0.6 > 1/2,
+    # so the step takes the exact bound check and still passes it
+    ("simulate-bump-dt", "simulate",
+     "\n[simulation]\nT = 2.0\ndt = 0.3\ninitial = bump\n"),
     ("verify-oracles", "verify-oracles", ""),
     # failure runs: failure.json kinds step_rejected and fit_window
     ("simulate-step-rejected", "simulate",

@@ -30,12 +30,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (_TAIL_KINDS, AnsatzUnavailableError,
-                          EnvironmentProfile, classify, minimal_tag)
+from .environment import (_TAIL_KINDS, TARGET_TAGS, AnsatzUnavailableError,
+                          EnvironmentProfile, classify, minimal_tag,
+                          resolve_target)
 from . import analysis, oracles, pdesim, wavesolver
 from .tables import write_csv
 from .wavesolver import (NewtonDivergenceError, NoPositiveWaveError,
-                         SolverConfig, TARGET_TAGS)
+                         SolverConfig)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -479,7 +480,7 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
 def _candidate_ansatz(profile, c, tags) -> list:
     cands = []
     for tag in tags:
-        _, ansatz = wavesolver.resolve_target(profile, c, tag)
+        _, ansatz = resolve_target(profile, c, tag)
         if ansatz is not None:
             cands.append(ansatz)
     return cands

@@ -41,7 +41,9 @@ __all__ = [
     "TildeA",
     "SlowMaximal",
     "ProfileItself",
+    "TARGET_TAGS",
     "minimal_tag",
+    "resolve_target",
     "RegimeReport",
     "classify",
     "iterated_log",
@@ -110,14 +112,14 @@ class ExpTail:
     kappa: float
     amplitude: float = 1.0
     kind = "exp"
+    z_min = -math.inf
+    za_limit = 0.0
+    integral_finite = True
+    integral_sq_finite = True
 
     def __post_init__(self):
         if self.kappa <= 0 or self.amplitude <= 0:
             raise ValueError("ExpTail needs kappa > 0 and amplitude > 0")
-
-    @property
-    def z_min(self) -> float:
-        return -math.inf
 
     def value(self, z):
         return self.amplitude * np.exp(-self.kappa * np.asarray(z, dtype=float))
@@ -128,18 +130,6 @@ class ExpTail:
 
     def antiderivative(self, z):
         return -self.amplitude / self.kappa * np.exp(-self.kappa * np.asarray(z, dtype=float))
-
-    @property
-    def za_limit(self) -> float:
-        return 0.0
-
-    @property
-    def integral_finite(self) -> bool:
-        return True
-
-    @property
-    def integral_sq_finite(self) -> bool:
-        return True
 
     def tilde_in_L1(self, c: float) -> bool:
         return False  # tilde_a tends to a positive constant
@@ -154,14 +144,13 @@ class Algebraic:
 
     gamma: float
     kind = "algebraic"
+    z_min = 0.0
+    integral_finite = False
+    integral_sq_finite = True
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("Algebraic needs gamma > 0")
-
-    @property
-    def z_min(self) -> float:
-        return 0.0
 
     def value(self, z):
         return self.gamma / np.asarray(z, dtype=float)
@@ -176,14 +165,6 @@ class Algebraic:
     @property
     def za_limit(self) -> float:
         return self.gamma
-
-    @property
-    def integral_finite(self) -> bool:
-        return False
-
-    @property
-    def integral_sq_finite(self) -> bool:
-        return True
 
     def tilde_in_L1(self, c: float) -> bool:
         return self.gamma > c * (1 + _REL_EQ)
@@ -212,6 +193,8 @@ class IteratedLog:
     r: float
     lead: float
     kind = "iterated_log"
+    integral_finite = False
+    integral_sq_finite = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -266,14 +249,6 @@ class IteratedLog:
     def za_limit(self) -> float:
         return self.lead
 
-    @property
-    def integral_finite(self) -> bool:
-        return False
-
-    @property
-    def integral_sq_finite(self) -> bool:
-        return True
-
     def _critical(self, c: float) -> bool:
         return math.isclose(self.lead, c, rel_tol=_REL_EQ)
 
@@ -325,16 +300,15 @@ class Power:
     gamma: float
     p: float
     kind = "power"
+    z_min = 0.0
+    za_limit = math.inf
+    integral_finite = False
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("Power needs gamma > 0")
         if not 0 < self.p < 1:
             raise ValueError("Power needs 0 < p < 1")
-
-    @property
-    def z_min(self) -> float:
-        return 0.0
 
     def value(self, z):
         return self.gamma * np.asarray(z, dtype=float) ** (-self.p)
@@ -348,14 +322,6 @@ class Power:
     def antiderivative(self, z):
         q = 1.0 - self.p
         return self.gamma * np.asarray(z, dtype=float) ** q / q
-
-    @property
-    def za_limit(self) -> float:
-        return math.inf
-
-    @property
-    def integral_finite(self) -> bool:
-        return False
 
     @property
     def integral_sq_finite(self) -> bool:
@@ -637,18 +603,22 @@ def sigma1_valid_from(profile: EnvironmentProfile, c: float) -> float:
 class DecayAnsatz:
     """A positive reference decay shape with log-space evaluation.
 
-    Subclasses provide log_value(z) and log_derivative(z), both vectorized;
-    value() exponentiates, so evaluators are strictly positive by
-    construction.
+    Subclasses provide _log_value(z) and _log_derivative(z) on a float
+    array z of any shape, 0-d included.  log_value and log_derivative pass
+    them that view of z and return a Python float for a scalar z, an array
+    of z's shape otherwise; value() exponentiates, so evaluators are
+    strictly positive by construction.
     """
 
     tag: str = "base"
 
     def log_value(self, z):
-        raise NotImplementedError
+        out = self._log_value(np.asarray(z, dtype=float))
+        return out if np.ndim(z) else float(out)
 
     def log_derivative(self, z):
-        raise NotImplementedError
+        out = self._log_derivative(np.asarray(z, dtype=float))
+        return out if np.ndim(z) else float(out)
 
     def value(self, z):
         return np.exp(self.log_value(z))
@@ -674,11 +644,11 @@ class PureExp(DecayAnsatz):
         if self.K <= 0 or self.c <= 0:
             raise ValueError("PureExp needs K > 0 and c > 0")
 
-    def log_value(self, z):
-        return math.log(self.K) - self.c * (np.asarray(z, dtype=float) - self.z0)
+    def _log_value(self, z):
+        return math.log(self.K) - self.c * (z - self.z0)
 
-    def log_derivative(self, z):
-        return np.full_like(np.asarray(z, dtype=float), -self.c)
+    def _log_derivative(self, z):
+        return np.full_like(z, -self.c)
 
 
 @dataclass(frozen=True)
@@ -707,15 +677,12 @@ class Sigma1Int(DecayAnsatz):
             raise AnsatzUnavailableError("sigma1 is complex inside the requested range")
         return (-self.c - np.sqrt(disc)) / 2.0
 
-    def log_value(self, z):
-        out = math.log(self.K) + _cumulative_gauss(
+    def _log_value(self, z):
+        return math.log(self.K) + _cumulative_gauss(
             self._sigma1, self.z0, z,
             breakpoints=(self.profile.z_star, self.profile.z_switch))
-        return out if np.ndim(z) else float(out)
 
-    def log_derivative(self, z):
-        out = self._sigma1(np.asarray(z, dtype=float))
-        return out if np.ndim(z) else float(out)
+    _log_derivative = _sigma1
 
 
 @dataclass(frozen=True)
@@ -734,23 +701,20 @@ class TildeA(DecayAnsatz):
         z0 = self.z0 if self.z0 is not None else self.profile.z_switch
         object.__setattr__(self, "z0", float(z0))
 
-    def log_value(self, z):
-        z_arr = np.asarray(z, dtype=float)
+    def _log_value(self, z):
         tail = self.profile.z_switch - 1e-12
-        if self.z0 >= tail and np.all(z_arr >= tail):
+        if self.z0 >= tail and np.all(z >= tail):
             # both ends in the pure tail: closed form
             F = self.profile.tail.antiderivative
-            integral = F(z_arr) - float(F(self.z0))
+            integral = F(z) - float(F(self.z0))
         else:
             integral = _cumulative_gauss(
-                self.profile.a, self.z0, z_arr,
+                self.profile.a, self.z0, z,
                 breakpoints=(self.profile.z_star, self.profile.z_switch))
-        out = math.log(self.K) - integral / self.c
-        return out if np.ndim(z) else float(out)
+        return math.log(self.K) - integral / self.c
 
-    def log_derivative(self, z):
-        out = -np.asarray(self.profile.a(z), dtype=float) / self.c
-        return out if np.ndim(z) else float(out)
+    def _log_derivative(self, z):
+        return -np.asarray(self.profile.a(z), dtype=float) / self.c
 
 
 @dataclass(frozen=True)
@@ -773,16 +737,13 @@ class SlowMaximal(DecayAnsatz):
                 "int tilde_a diverges for this tail and speed; "
                 "the slow maximal shape does not exist")
 
-    def log_value(self, z):
-        B = self.profile.slow_scale(self.c, z)
-        out = math.log(self.c) - np.log(B)
-        return out if np.ndim(z) else float(out)
+    def _log_value(self, z):
+        return math.log(self.c) - np.log(self.profile.slow_scale(self.c, z))
 
-    def log_derivative(self, z):
+    def _log_derivative(self, z):
         # d/dz log(c tilde_a / b) = -a/c + tilde_a/b = (value - a)/c, exact
-        val = np.exp(self.log_value(z))
-        out = (val - np.asarray(self.profile.a(z), dtype=float)) / self.c
-        return out if np.ndim(z) else float(out)
+        val = np.exp(self._log_value(z))
+        return (val - np.asarray(self.profile.a(z), dtype=float)) / self.c
 
 
 @dataclass(frozen=True)
@@ -792,11 +753,11 @@ class ProfileItself(DecayAnsatz):
     profile: EnvironmentProfile
     tag = "profile_itself"
 
-    def log_value(self, z):
+    def _log_value(self, z):
         return self._exact(z, self.profile.a(z), np.log,
                            lambda t, z: math.log(t.amplitude) - t.kappa * z)
 
-    def log_derivative(self, z):
+    def _log_derivative(self, z):
         a, ap, _ = self.profile.a_jet(z)
         return self._exact(z, a, lambda a: ap / a, lambda t, z: -t.kappa)
 
@@ -804,19 +765,29 @@ class ProfileItself(DecayAnsatz):
         """of_a(a) where a(z) is a normal float.  Below the smallest normal,
         where log a and a'/a lose precision, exp_tail(tail, z): the exp
         tail's closed form; any other profile raises AnsatzUnavailableError."""
-        z_arr = np.asarray(z, dtype=float)
         low = np.asarray(a) < np.finfo(float).tiny
         tail = self.profile.tail
-        closed = isinstance(tail, ExpTail) & (z_arr >= self.profile.z_switch)
+        closed = isinstance(tail, ExpTail) & (z >= self.profile.z_switch)
         bad = low & ~closed
         if np.any(bad):
             raise AnsatzUnavailableError(
-                f"a(z) underflows at z = {float(np.min(z_arr[bad])):g}")
+                f"a(z) underflows at z = {float(np.min(z[bad])):g}")
         out = of_a(np.where(low, 1.0, a))
         if np.any(low):
-            out = np.where(low, exp_tail(tail, z_arr), out)
-        return out if np.ndim(z) else float(out)
+            out = np.where(low, exp_tail(tail, z), out)
+        return out
 
+
+# each target tag's decay law at K = 1, from (profile, c): the one place
+# where a tag becomes a law
+_LAWS: dict[str, Callable[[EnvironmentProfile, float], DecayAnsatz]] = {
+    "pure_exp": lambda profile, c: PureExp(K=1.0, c=c, z0=profile.z_switch),
+    "sigma1": Sigma1Int,
+    "tilde_a": TildeA,
+    "slow_maximal": SlowMaximal,
+    "profile_itself": lambda profile, c: ProfileItself(profile),
+}
+TARGET_TAGS = tuple(_LAWS)
 
 # tags of the exponential (minimal-wave) decay laws
 MINIMAL_TAGS = ("pure_exp", "sigma1")
@@ -826,6 +797,32 @@ def minimal_tag(profile: EnvironmentProfile) -> str:
     """The tail family's exponential decay law: pure_exp where int a < inf,
     else sigma1.  classify's minimal_decay carries this tag below c-bar."""
     return "pure_exp" if profile.tail.integral_finite else "sigma1"
+
+
+def resolve_target(profile: EnvironmentProfile, c: float,
+                   target: Union[DecayAnsatz, str]) -> tuple[str, Optional[DecayAnsatz]]:
+    """(tag, ansatz-or-None) for a target.
+
+    Accepts either a constructed ansatz, which must have been built for this
+    profile and speed (ValueError otherwise), or one of TARGET_TAGS.  A tag
+    whose law does not exist for this profile and speed (sigma1 where a(z)
+    never drops below c^2/4, slow_maximal where int tilde_a diverges) comes
+    back with None.
+    """
+    if isinstance(target, DecayAnsatz):
+        if getattr(target, "c", c) != c:
+            raise ValueError(f"the {target.tag} target was built for "
+                             f"c = {target.c:g}, not c = {c:g}")
+        if getattr(target, "profile", profile) != profile:
+            raise ValueError(f"the {target.tag} target was built for another profile")
+        return target.tag, target
+    tag = str(target)
+    if tag not in _LAWS:
+        raise ValueError(f"unknown target {target!r}; expected one of {TARGET_TAGS}")
+    try:
+        return tag, _LAWS[tag](profile, c)
+    except AnsatzUnavailableError:
+        return tag, None
 
 
 # ---------------------------------------------------------------------------
@@ -902,22 +899,14 @@ def classify(profile: EnvironmentProfile, c: float) -> RegimeReport:
     cbar = 2.0 * math.sqrt(profile.alpha)
     has_minimal = c < cbar
 
-    minimal = None
-    if has_minimal:
-        minimal = (PureExp(K=1.0, c=c, z0=profile.z_switch)
-                   if minimal_tag(profile) == "pure_exp"
-                   else Sigma1Int(profile=profile, c=c, K=1.0))
-
+    minimal = _LAWS[minimal_tag(profile)](profile, c) if has_minimal else None
     maximal = None
     inventory: Optional[str]
     if case_123 == "1":
         inventory = INVENTORY_UNIQUE_EXP if has_minimal else INVENTORY_NONE
     elif case_123 in ("2", "3"):
         inventory = INVENTORY_EXP_PLUS_FAMILY if has_minimal else INVENTORY_FAMILY_ONLY
-        if case_123 == "2":
-            maximal = SlowMaximal(profile=profile, c=c)
-        else:
-            maximal = ProfileItself(profile=profile)
+        maximal = _LAWS["slow_maximal" if case_123 == "2" else "profile_itself"](profile, c)
     else:
         inventory = None  # exceptional: no prediction
 

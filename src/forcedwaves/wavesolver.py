@@ -31,17 +31,16 @@ from scipy.linalg import solve_banded
 
 from . import frame, oracles
 from .environment import (
+    _LAWS,
     MINIMAL_TAGS,
+    TARGET_TAGS,  # not used here; kept importable as wavesolver.TARGET_TAGS
     AnsatzUnavailableError,
     DecayAnsatz,
     EnvironmentProfile,
     ExpTail,
-    ProfileItself,
-    PureExp,
-    Sigma1Int,
-    SlowMaximal,
     TildeA,
     classify,
+    resolve_target,
 )
 from .tables import write_csv
 
@@ -50,7 +49,6 @@ __all__ = [
     "WaveSolution",
     "NewtonDivergenceError",
     "NoPositiveWaveError",
-    "resolve_target",
     "standard_starts",
     "solve_wave",
     "continuation_in_c",
@@ -60,8 +58,6 @@ __all__ = [
     "OrderingResult",
     "continuum_residual",
 ]
-
-TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
 
 
 @dataclass(frozen=True)
@@ -270,36 +266,6 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
 # targets and starts
 # ---------------------------------------------------------------------------
 
-def resolve_target(profile: EnvironmentProfile, c: float,
-                   target: Union[DecayAnsatz, str]) -> tuple[str, Optional[DecayAnsatz]]:
-    """(tag, ansatz-or-None) for a target.
-
-    Accepts either a constructed ansatz or one of the tags pure_exp / sigma1 /
-    tilde_a / slow_maximal / profile_itself.  An ansatz that does not exist
-    for this profile and speed (sigma1 where a(z) never drops below c^2/4,
-    slow_maximal where int tilde_a diverges) comes back as None.
-    """
-    if isinstance(target, DecayAnsatz):
-        return target.tag, target
-    tag = str(target)
-    if tag not in TARGET_TAGS:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGET_TAGS}")
-    try:
-        if tag == "pure_exp":
-            ansatz = PureExp(K=1.0, c=c, z0=profile.z_switch)
-        elif tag == "sigma1":
-            ansatz = Sigma1Int(profile, c)
-        elif tag == "tilde_a":
-            ansatz = TildeA(profile, c)
-        elif tag == "slow_maximal":
-            ansatz = SlowMaximal(profile, c)
-        else:
-            ansatz = ProfileItself(profile)
-    except AnsatzUnavailableError:
-        return tag, None
-    return tag, ansatz
-
-
 def _tanh_start(profile: EnvironmentProfile, grid: np.ndarray) -> np.ndarray:
     """Smooth front from alpha down to 0 across the transition zone."""
     w = max(1.0, profile.transition_width / 2.0)
@@ -366,18 +332,15 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
 
     report = classify(profile, c)
     minimal = tag in MINIMAL_TAGS
-    if minimal:
-        log = report.minimal_decay is not None
-    else:
-        # the classifier sets maximal_decay exactly in cases 2 and 3
-        log = (report.maximal_decay is not None
-               and tag in ("tilde_a", report.maximal_decay.tag))
+    # the classifier sets maximal_decay exactly in cases 2 and 3
+    law = report.minimal_decay if minimal else report.maximal_decay
+    log = law is not None and (minimal or tag in ("tilde_a", law.tag))
     if not log:
         if guess is None:
             guess = (float(profile.a(grid[0])) * np.exp(-0.5 * c * (grid - grid[0]))
                      if minimal else _tanh_start(profile, grid))
         return tag, ansatz, sigma_R, log, guess
-    shaped = PureExp(K=1.0, c=c, z0=profile.z_switch) if minimal else ansatz
+    shaped = _LAWS["pure_exp"](profile, c) if minimal else ansatz
     shape = np.minimum(profile.alpha, shaped.value(np.maximum(grid, profile.z_switch)))
     if guess is None:
         guess = shape if minimal else _tanh_start(profile, grid)

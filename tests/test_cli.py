@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -569,13 +572,16 @@ class TestFailureContract:
         assert [f.kind for f in res.failures] == [NoPositiveWaveError.kind]
 
 
-@pytest.mark.skipif(shutil.which("forcedwaves") is None,
-                    reason="console script not on PATH")
 def test_console_script(tmp_path):
+    # the installed script, else the module's __main__ entry from this tree
+    argv, env = ["forcedwaves"], None
+    if shutil.which("forcedwaves") is None:
+        argv = [sys.executable, "-m", "forcedwaves.cli"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     cfg = cfg_file(tmp_path, EXP_INI)
     out = tmp_path / "out"
     proc = subprocess.run(
-        ["forcedwaves", "classify", "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, timeout=120)
+        argv + ["classify", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["inventory"] == "unique-exponential"

@@ -537,6 +537,16 @@ class TestAnsatzShapes:
         for fn in ansatz_zoo.values():
             json.dumps(fn.describe())
 
+    @pytest.mark.parametrize("tag", list(ANSATZ_BUILDERS))
+    def test_float_for_a_scalar_array_for_an_array(self, tag, ansatz_zoo):
+        fn = ansatz_zoo[tag]
+        zs = np.linspace(30.0, 120.0, 6).reshape(2, 3)
+        for method in (fn.log_value, fn.log_derivative, fn.value):
+            one, many = method(float(zs[1, 2])), method(zs)
+            assert isinstance(one, float)
+            assert isinstance(many, np.ndarray) and many.shape == zs.shape
+            assert many[1, 2] == pytest.approx(one, rel=1e-12)
+
 
 TAIL_FIXTURES = ["exp2", "alg3", "pow2", "itlog"]
 

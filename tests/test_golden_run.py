@@ -7,7 +7,7 @@ import re
 import subprocess
 from pathlib import Path
 
-from forcedwaves.wavesolver import TARGET_TAGS
+from forcedwaves.environment import TARGET_TAGS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_run.py"
 _spec = importlib.util.spec_from_file_location("golden_run", TOOL)

@@ -11,7 +11,8 @@ from scipy.integrate import IntegrationWarning
 from forcedwaves import analysis as an
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
-from forcedwaves.environment import AnsatzUnavailableError, TildeA, classify
+from forcedwaves.environment import (AnsatzUnavailableError, PureExp, SlowMaximal,
+                                     TildeA, classify)
 from forcedwaves.wavesolver import (
     NewtonDivergenceError,
     NoPositiveWaveError,
@@ -215,6 +216,17 @@ class TestTargetOutcomes:
         else:
             want = float(ansatz.log_derivative(L))
         assert (w.decay_tag, w.bc_right) == (tag, want)
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda alg3, pow2: TildeA(alg3, c=2.0), "c = 2, not c = 1"),
+        (lambda alg3, pow2: PureExp(K=1.0, c=3.0, z0=12.0), "c = 3, not c = 1"),
+        (lambda alg3, pow2: SlowMaximal(pow2, c=1.0), "another profile"),
+    ], ids=["tilde_a-other-c", "pure_exp-other-c", "slow_maximal-other-profile"])
+    def test_target_built_for_another_speed_or_profile_is_rejected(
+            self, alg3, pow2, build, match):
+        # such a target would set the Robin row from another problem's law
+        with pytest.raises(ValueError, match=match):
+            ws.solve_wave(alg3, 1.0, build(alg3, pow2))
 
 
 class TestOrderingCheck:

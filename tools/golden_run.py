@@ -172,7 +172,7 @@ COMMANDS = (
 )
 
 
-# wavesolver.TARGET_TAGS; the tool imports nothing from the tree it records
+# environment.TARGET_TAGS; the tool imports nothing from the tree it records
 TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
 
 

@@ -316,8 +316,22 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
     minimal one, whose only root for c >= 2 sqrt(alpha) is the wall layer,
     from a(-L) e^{-(c/2)(z + L)}: c/2 is the double root of
     lambda^2 - c lambda + alpha at threshold.
+
+    A tag the classifier's report already holds a law for takes that law, so
+    no law is built twice.  A classifier error is raised after the target's
+    own checks, where the classifier ran before.
     """
-    tag, ansatz = resolve_target(profile, c, target)
+    try:
+        report, deferred = classify(profile, c), None
+    except AnsatzUnavailableError as exc:
+        report, deferred = None, exc
+    laws = {} if report is None else {
+        law.tag: law for law in (report.minimal_decay, report.maximal_decay)
+        if law is not None}
+    if isinstance(target, str) and target in laws:
+        tag, ansatz = target, laws[target]
+    else:
+        tag, ansatz = resolve_target(profile, c, target)
     if ansatz is None and tag != "slow_maximal":
         raise AnsatzUnavailableError(f"no {tag} ansatz for this profile at c = {c:g}")
     sigma_R = None
@@ -329,8 +343,8 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
         guess = np.asarray(guess, dtype=float)
         if guess.shape != grid.shape:
             raise ValueError("initial guess does not match the grid")
-
-    report = classify(profile, c)
+    if deferred is not None:
+        raise deferred
     minimal = tag in MINIMAL_TAGS
     # the classifier sets maximal_decay exactly in cases 2 and 3
     law = report.minimal_decay if minimal else report.maximal_decay

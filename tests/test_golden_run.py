@@ -1,4 +1,5 @@
-"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number, the
+"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number and
+names the first differing line of a CSV whose cells parse equal, the
 ACCEPTANCE lines come from the tests beside --src, and every target tag gets
 a wave run."""
 
@@ -21,6 +22,19 @@ def test_missing_acceptance_line_is_the_only_difference(tmp_path):
     a = {"runs": {}, "acceptance": lines, "acceptance_exit": 0}
     b = dict(a, acceptance=[ln for ln in lines if not ln.startswith("ACCEPTANCE 10 ")])
     assert golden_run.compare(a, b, tmp_path, tmp_path) == ["ACCEPTANCE 10: only in A"]
+
+
+def test_equal_cells_name_the_first_differing_line(tmp_path):
+    # the same numbers in other text: max |delta| alone reads 0
+    for side, cell in (("a", "1e+16"), ("b", "10000000000000000")):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "wave.csv").write_text(
+            f"z,phi\r\n0,1\r\n1,{cell}\r\n", encoding="utf-8", newline="")
+    a = {"runs": {"run": {"exit": 0, "files": {"wave.csv": "sha-a"}}}}
+    b = {"runs": {"run": {"exit": 0, "files": {"wave.csv": "sha-b"}}}}
+    assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
+        "run/wave.csv: max |delta| z 0, phi 0; "
+        "line 3: '1,1e+16\\r\\n' != '1,10000000000000000\\r\\n'"]
 
 
 def test_acceptance_runs_the_tests_beside_src(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ rather than on the solver.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,44 @@ from forcedwaves.oracles import ConstructionError
 
 def _check(fn, **kw):
     return orc.residual_sign_check(fn, **kw)
+
+
+def _walk_z_M(profile, c, tail):
+    """(A, M, z_M) of the slow sub-solutions by the plain walk: M doubles
+    from 2.5 A/c until its root of M b(z) = 1 has a(z_M) <= c^2/6, and A
+    halves while that root lies past the horizon."""
+    if not tail.tilde_in_L1(c):
+        raise ConstructionError("int tilde_a diverges: no slow sub-solution exists")
+    z0 = profile.z_switch
+    F0 = float(tail.antiderivative(z0))
+
+    def log_b(z):
+        lt = -(np.asarray(tail.antiderivative(z), dtype=float) - F0) / c
+        return float(lt + np.log(tail.slow_scale(z, c)))
+
+    def probe(Mv):
+        if log_b(z0) <= -math.log(Mv):
+            return None
+        hi = 2.0 * z0
+        while log_b(hi) > -math.log(Mv):
+            hi *= 2.0
+            if hi > 1e12:
+                return math.inf
+        zM = float(orc.brentq(lambda s: log_b(s) + math.log(Mv), z0, hi, xtol=1e-12))
+        return zM if float(tail.value(zM)) <= c * c / 6.0 else None
+
+    A = 1.0
+    for _ in range(60):
+        Mv = 2.5 * A / c
+        for _ in range(80):
+            zM = probe(Mv)
+            if zM is not None:
+                break
+            Mv *= 2.0
+        if zM is not None and zM != math.inf:
+            return A, Mv, zM
+        A /= 2.0
+    raise ConstructionError("could not locate a usable z_M at any amplitude")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +319,23 @@ class TestSlowConstructions:
         # exact values: probing each M once must not move any bit
         fn = getattr(orc, kind)(request.getfixturevalue(fixture), c)
         assert fn.params == params
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
+    @pytest.mark.parametrize("kind", ["slow_sub", "sub2_slow"])
+    def test_z_M_search_matches_the_lattice_walk(self, request, fixture, c, kind):
+        # the search starts near 1/b(z*); it must land on the (A, M, z_M)
+        # of the walk that probes every lattice point from 2.5 A/c up
+        profile = request.getfixturevalue(fixture)
+        try:
+            tail = profile.tail if kind == "slow_sub" else orc._surrogate(profile, c)
+            want = _walk_z_M(profile, c, tail)
+        except ConstructionError as exc:
+            with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+                getattr(orc, kind)(profile, c)
+            return
+        got = getattr(orc, kind)(profile, c).params
+        assert (got["A"], got["M"], got["z_M"]) == want
 
     def test_g1_sub_validates_lambda_window(self, alg05):
         # gamma = 0.5 <= c: lam = (1 + gamma/c)/2 = 0.75 misses (1, gamma/c)

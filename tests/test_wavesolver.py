@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from forcedwaves import analysis as an
+from forcedwaves import environment as env
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
 from forcedwaves.environment import (AnsatzUnavailableError, PureExp, SlowMaximal,
@@ -191,6 +192,20 @@ class TestLayerCounts:
             (w,) = ws.wave_family(alg3, 1.0, (2.0,))
         assert (calls["discrete_residual"], calls["solve_banded"],
                 w.iterations) == expected
+
+    def test_sigma1_law_is_built_once_per_solve(self, alg3, monkeypatch):
+        # _plan takes the law from the classifier's report instead of
+        # building it again, so sigma1_valid_from's root-find runs once
+        calls = []
+        valid_from = env.sigma1_valid_from
+
+        def counted(*args):
+            calls.append(args)
+            return valid_from(*args)
+
+        monkeypatch.setattr(env, "sigma1_valid_from", counted)
+        ws.solve_wave(alg3, 1.0, "sigma1")
+        assert len(calls) == 1
 
 
 class TestTargetOutcomes:

@@ -26,7 +26,8 @@ source tree to import forcedwaves from (default: src next to this script).
 runs, files and ACCEPTANCE lines that differ and exits 1 if any do; lines
 are matched by criterion number, so a criterion that printed no line is
 named alone.  For a differing CSV file that both directories still hold,
-it also prints max |A - B| per numeric column.
+it also prints max |A - B| per numeric column and, when every cell parses
+equal, the first line whose text differs.
 """
 
 from __future__ import annotations
@@ -231,12 +232,15 @@ def acceptance_lines(src: Path) -> tuple[int, list[str]]:
 
 
 def column_deltas(fa: Path, fb: Path) -> str:
-    """max |A - B| per numeric column of two CSV files, row by row."""
-    ra, rb = (list(csv.reader(f.read_text(encoding="utf-8").splitlines()))
+    """max |A - B| per numeric column of two CSV files, row by row.  When
+    every cell parses equal, also the first line whose text differs, with
+    its number and both texts (1e+16 against 10000000000000000, say)."""
+    la, lb = (f.read_bytes().decode("utf-8").splitlines(keepends=True)
               for f in (fa, fb))
+    ra, rb = list(csv.reader(la)), list(csv.reader(lb))
     if not ra or not rb or ra[0] != rb[0] or len(ra) != len(rb):
         return "header or row count differs"
-    out = []
+    out, worst = [], 0.0
     for j, name in enumerate(ra[0]):
         deltas = []
         for x, y in zip(ra[1:], rb[1:]):
@@ -246,7 +250,14 @@ def column_deltas(fa: Path, fb: Path) -> str:
                 pass  # text or empty cells are covered by the hash
         if deltas:
             out.append(f"{name} {max(deltas):.3g}")
-    return "max |delta| " + ", ".join(out)
+            worst = max(worst, max(deltas))
+    text = "max |delta| " + ", ".join(out)
+    if worst == 0.0:
+        first = next(((i, x, y) for i, (x, y) in enumerate(zip(la, lb), 1)
+                      if x != y), None)
+        if first is not None:
+            text += "; line {}: {!r} != {!r}".format(*first)
+    return text
 
 
 def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:

@@ -2,20 +2,23 @@
 
 Commands: classify, wave, family, simulate, fit, verify-oracles, sweep; the
 options --config, --out and --svg may come before or after the command.
-Experiments are described by an INI file ('#' comments, UTF-8); unknown
-sections or keys are rejected before any computation starts.  fit and sweep
-both apply [fit] candidates and window_fraction, and reject a bad one before
-any solve.  Data files (CSV/JSON/SVG) carry no timestamps, so identical
-configs produce byte-identical outputs; run metadata goes to a separate
-manifest.json.  Every CSV file, here and in the library's to_csv methods, is
-written by forcedwaves.tables.write_csv.
+Experiments are described by an INI file ('#' comments, UTF-8).  Each value
+is checked once, against _SCHEMA, when the file is parsed: unknown sections
+or keys are rejected, every number must be finite, and a key with a range
+(speeds, T, dt, monitor_every, c.steps, bump.width/height, window_fraction)
+must lie in it, whatever the command.  fit and sweep both reject an unknown
+[fit] candidate before any solve.  Data files (CSV/JSON/SVG) carry no
+timestamps, so identical configs produce byte-identical outputs; run
+metadata goes to a separate manifest.json.  Every CSV file, here and in the
+library's to_csv methods, is written by forcedwaves.tables.write_csv.
 
 Exit codes: 0 success, 2 usage or config error (no output directory is
 created; an unknown command or a missing --config exits from argparse before
 any config is read), 3 exceptional classification, 4 solver failure, 5
 check failure.  Exits 4 and 5 caused by a typed error write failure.json,
 whose "kind" is the error class's `kind`; only a Newton failure adds
-residual_history.csv.  manifest.json lists the files.
+residual_history.csv.  Every file is written through a Run, which records
+its name: manifest.json lists exactly the files the run wrote.
 """
 from __future__ import annotations
 
@@ -53,38 +56,54 @@ class ConfigError(Exception):
 # config schema
 # ---------------------------------------------------------------------------
 
-# section -> key -> python type ('floats'/'strs' are comma lists)
+# value checks, (test, message): "[section] key <message>" when it fails
+_GT0 = (lambda v: v > 0, "must be positive")
+_GE0 = (lambda v: v >= 0, "must be >= 0")
+_IN01 = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+# section -> key -> python type ('floats'/'strs' are comma lists), or
+# (type, value check); tail.<name> for every field of every tail family
 _SCHEMA = {
     "profile": {
         "alpha": float, "center": float, "width": float, "tail.kind": str,
-        "tail.kappa": float, "tail.amplitude": float, "tail.gamma": float,
-        "tail.p": float, "tail.k": int, "tail.r": float, "tail.lead": float,
+        **{f"tail.{f.name}": int if f.type == "int" else float
+           for cls in _TAIL_KINDS.values() for f in dataclasses.fields(cls)},
     },
-    "speed": {"c": float, "c.start": float, "c.stop": float, "c.steps": int},
-    "solver": {
-        "L": float, "N": int, "target": str, "K": "floats",
-    },
+    "speed": {"c": (float, _GT0), "c.start": (float, _GT0),
+              "c.stop": (float, _GT0), "c.steps": (int, _GE0)},
+    "solver": {"L": float, "N": int, "target": str, "K": "floats"},
     "simulation": {
-        "T": float, "dt": float, "initial": str, "monitor_every": int,
-        "bump.center": float, "bump.width": float, "bump.height": float,
+        "T": (float, _GT0), "dt": (float, _GT0), "initial": str,
+        "monitor_every": (int, _GT0), "bump.center": float,
+        "bump.width": (float, _GT0), "bump.height": (float, _GT0),
     },
-    "fit": {"window_fraction": float, "candidates": "strs"},
+    "fit": {"window_fraction": (float, _IN01), "candidates": "strs"},
     "output": {"directory": str},
 }
 
 
 def _convert(section: str, key: str, raw: str):
+    """One INI value as its schema type; every float must be finite, and
+    the value must pass its key's check."""
     spec = _SCHEMA[section][key]
+    spec, check = spec if isinstance(spec, tuple) else (spec, None)
+    if spec is str:
+        return raw
+    if spec == "strs":
+        return tuple(t.strip() for t in raw.split(",") if t.strip())
     try:
-        if spec == "floats":
-            return tuple(float(t) for t in raw.split(",") if t.strip())
-        if spec == "strs":
-            return tuple(t.strip() for t in raw.split(",") if t.strip())
-        return spec(raw)
+        vals = ([float(t) for t in raw.split(",") if t.strip()]
+                if spec == "floats" else [spec(raw)])
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid "
             f"{getattr(spec, '__name__', spec)}") from None
+    # an int is finite, and past 1e308 too large for math.isfinite
+    if spec is not int and not all(map(math.isfinite, vals)):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    if check and not check[0](vals[0]):
+        raise ConfigError(f"[{section}] {key} {check[1]}")
+    return tuple(vals) if spec == "floats" else vals[0]
 
 
 def load_config(path) -> dict:
@@ -149,22 +168,6 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
         raise ConfigError(f"invalid profile: {exc}") from None
 
 
-_POSITIVE = (("speed", "c"), ("speed", "c.start"), ("speed", "c.stop"),
-             ("simulation", "T"), ("simulation", "dt"),
-             ("simulation", "monitor_every"))
-
-
-def _check_positive(cfg: dict) -> None:
-    """Speeds, T, dt and monitor_every, where given, must be positive."""
-    for section, key in _POSITIVE:
-        if not cfg.get(section, {}).get(key, 1) > 0:
-            raise ConfigError(f"[{section}] {key} must be positive")
-
-
-def get_speed(cfg: dict) -> float:
-    return _require(cfg, "speed", "c")
-
-
 def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
     sec = cfg.get("solver", {})
     kw = {k: sec[k] for k in ("L", "N") if k in sec}
@@ -185,21 +188,34 @@ def resolve_cli_target(cfg: dict, profile: EnvironmentProfile) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# the run: config and output files
 # ---------------------------------------------------------------------------
 
-def _outdir(args, cfg: dict) -> Path:
-    name = args.out or cfg.get("output", {}).get("directory", "out")
-    d = Path(name)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+class Run:
+    """One CLI run: its arguments, the parsed config and the output
+    directory, which is created on the first write.  Every file is written
+    through path, json or svg, which record its name for manifest.json."""
 
+    def __init__(self, args, cfg: dict):
+        self.args, self.cfg = args, cfg
+        self.dir = Path(args.out or cfg.get("output", {}).get("directory", "out"))
+        self.outputs: set[str] = set()
 
-def _write_json(path: Path, obj) -> str:
-    """Write obj as sorted, indented JSON; return the text without its newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True, default=str)
-    path.write_text(text + "\n", encoding="utf-8")
-    return text
+    def path(self, name: str) -> Path:
+        """Where to write the output file name, recorded as written."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.add(name)
+        return self.dir / name
+
+    def json(self, name: str, obj) -> str:
+        """Write obj as sorted, indented JSON; return the text."""
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=True,
+                          default=str)
+        self.path(name).write_text(text + "\n", encoding="utf-8")
+        return text
+
+    def svg(self, name: str, curves, **labels) -> None:
+        svg_line_plot(self.path(name), curves, **labels)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +248,8 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
     pl, pr = _MARGIN["l"], _SVG_W - _MARGIN["r"]
     pt, pb = _MARGIN["t"], _SVG_H - _MARGIN["b"]
 
-    xs, ys = [], []
+    # each curve's kept points (finite, and y > 0 on a log axis) with the
+    # plotted y, and the kept positions where a dropped point starts a run
     clean = []
     for label, x, y in curves:
         x = np.asarray(x, dtype=float)
@@ -240,13 +257,14 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
         keep = np.isfinite(x) & np.isfinite(y)
         if logy:
             keep &= y > 0.0
-        clean.append((label, x, y, keep))
-        xs.append(x[keep])
-        ys.append(np.log10(y[keep]) if logy else y[keep])
-    allx = np.concatenate([v for v in xs if v.size]) if any(v.size for v in xs) \
-        else np.array([0.0, 1.0])
-    ally = np.concatenate([v for v in ys if v.size]) if any(v.size for v in ys) \
-        else np.array([0.0, 1.0])
+        idx = np.flatnonzero(keep)
+        cuts = np.flatnonzero(np.diff(idx) > 1) + 1
+        clean.append((label, x[idx], np.log10(y[idx]) if logy else y[idx],
+                      cuts))
+    xs = [v for _, v, _, _ in clean if v.size]
+    ys = [v for _, _, v, _ in clean if v.size]
+    allx = np.concatenate(xs) if xs else np.array([0.0, 1.0])
+    ally = np.concatenate(ys) if ys else np.array([0.0, 1.0])
     x0, x1 = float(allx.min()), float(allx.max())
     y0, y1 = float(ally.min()), float(ally.max())
     if x1 <= x0:
@@ -300,22 +318,14 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
     e.append(f'<text x="20" y="{(pt + pb) / 2:.1f}" text-anchor="middle" '
              f'transform="rotate(-90 20 {(pt + pb) / 2:.1f})">{ylabel}</text>')
 
-    for i, (label, x, y, keep) in enumerate(clean):
+    for i, (label, x, y, cuts) in enumerate(clean):
         color = _COLORS[i % len(_COLORS)]
-        pts = []
-        segs = []
-        for xi, yi, ok in zip(x, y, keep):
-            if not ok:
-                if len(pts) > 1:
-                    segs.append(pts)
-                pts = []
-                continue
-            yv = math.log10(yi) if logy else yi
-            pts.append(f"{X(xi):.2f},{Y(yv):.2f}")
-        if len(pts) > 1:
-            segs.append(pts)
-        for seg in segs:
-            e.append(f'<polyline points="{" ".join(seg)}" fill="none" '
+        for sx, sy in zip(np.split(X(x), cuts), np.split(Y(y), cuts)):
+            if sx.size < 2:
+                continue  # a run of one point draws nothing
+            pts = " ".join(f"{a:.2f},{b:.2f}"
+                           for a, b in zip(sx.tolist(), sy.tolist()))
+            e.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = pt + 18 + 18 * i
         e.append(f'<line x1="{pr - 150}" y1="{ly - 4}" x2="{pr - 120}" '
@@ -329,48 +339,42 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args, cfg: dict) -> tuple[int, list]:
-    profile = build_profile(cfg)
-    c = get_speed(cfg)
-    report = classify(profile, c)
-    print(_write_json(_outdir(args, cfg) / "classify.json", report.to_dict()))
-    code = EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
-    return code, ["classify.json"]
+def cmd_classify(run: Run) -> int:
+    report = classify(build_profile(run.cfg), _require(run.cfg, "speed", "c"))
+    print(run.json("classify.json", report.to_dict()))
+    return EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
 
 
-def cmd_wave(args, cfg: dict) -> tuple[int, list]:
+def cmd_wave(run: Run) -> int:
+    cfg = run.cfg
     profile = build_profile(cfg)
-    c = get_speed(cfg)
+    c = _require(cfg, "speed", "c")
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile)
     wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
-    outdir = _outdir(args, cfg)
-    wave.to_csv(outdir / "wave.csv")
-    side = wave.sidecar_dict()
-    side["profile"] = profile.params_dict()
-    _write_json(outdir / "wave.json", side)
-    outputs = ["wave.csv", "wave.json"]
-    if args.svg:
+    wave.to_csv(run.path("wave.csv"))
+    run.json("wave.json", {**wave.sidecar_dict(),
+                           "profile": profile.params_dict()})
+    if run.args.svg:
         a_vals = np.asarray(profile.a(wave.grid), dtype=float)
-        svg_line_plot(outdir / "wave_profile.svg",
-                      [("phi", wave.grid, wave.phi), ("a", wave.grid, a_vals)],
-                      title=f"forced wave, c = {c:g}", xlabel="z",
-                      ylabel="phi")
+        run.svg("wave_profile.svg",
+                [("phi", wave.grid, wave.phi), ("a", wave.grid, a_vals)],
+                title=f"forced wave, c = {c:g}", xlabel="z", ylabel="phi")
         right = wave.grid >= 0.0
-        svg_line_plot(outdir / "wave_tail.svg",
-                      [("phi", wave.grid[right], wave.phi[right]),
-                       ("a", wave.grid[right], a_vals[right])],
-                      title=f"tail decay, c = {c:g}", xlabel="z",
-                      ylabel="phi (log)", logy=True)
-        outputs += ["wave_profile.svg", "wave_tail.svg"]
+        run.svg("wave_tail.svg",
+                [("phi", wave.grid[right], wave.phi[right]),
+                 ("a", wave.grid[right], a_vals[right])],
+                title=f"tail decay, c = {c:g}", xlabel="z",
+                ylabel="phi (log)", logy=True)
     print(f"wave solved: c = {c:g}, target = {wave.decay_tag}, "
-          f"residual = {wave.residual_norm:.3e}, files in {outdir}")
-    return EXIT_OK, outputs
+          f"residual = {wave.residual_norm:.3e}, files in {run.dir}")
+    return EXIT_OK
 
 
-def cmd_family(args, cfg: dict) -> tuple[int, list]:
+def cmd_family(run: Run) -> int:
+    cfg = run.cfg
     profile = build_profile(cfg)
-    c = get_speed(cfg)
+    c = _require(cfg, "speed", "c")
     solver_cfg = build_solver_config(cfg, profile)
     K_values = cfg.get("solver", {}).get("K")
     if not K_values:
@@ -382,32 +386,26 @@ def cmd_family(args, cfg: dict) -> tuple[int, list]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    outdir = _outdir(args, cfg)
-    outputs = []
     members = []
     Ks = sorted(float(k) for k in K_values)
     for K, wave in zip(Ks, waves):
-        name = f"family_K{K:g}.csv"
-        wave.to_csv(outdir / name)
-        outputs.append(name)
+        wave.to_csv(run.path(f"family_K{K:g}.csv"))
         members.append({"K": K, **wave.sidecar_dict()})
     orderings = [dataclasses.asdict(wavesolver.ordering_check(lo, hi))
                  for lo, hi in zip(waves[:-1], waves[1:])]
-    _write_json(outdir / "family.json",
-                {"c": c, "members": members, "orderings": orderings,
-                 "profile": profile.params_dict()})
-    outputs.append("family.json")
-    if args.svg:
+    run.json("family.json", {"c": c, "members": members,
+                             "orderings": orderings,
+                             "profile": profile.params_dict()})
+    if run.args.svg:
         right = waves[0].grid >= 0.0
-        svg_line_plot(outdir / "family_tail.svg",
-                      [(f"K = {K:g}", w.grid[right], w.phi[right])
-                       for K, w in zip(Ks, waves)],
-                      title=f"slow family tails, c = {c:g}", xlabel="z",
-                      ylabel="phi (log)", logy=True)
-        outputs.append("family_tail.svg")
+        run.svg("family_tail.svg",
+                [(f"K = {K:g}", w.grid[right], w.phi[right])
+                 for K, w in zip(Ks, waves)],
+                title=f"slow family tails, c = {c:g}", xlabel="z",
+                ylabel="phi (log)", logy=True)
     ok = all(o["ordered"] for o in orderings)
     print(f"family of {len(waves)} solved; pairwise ordered: {ok}")
-    return (EXIT_OK if ok else EXIT_CHECK), outputs
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
@@ -419,17 +417,16 @@ def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
         center = sec.get("bump.center", profile.z_star)
         width = sec.get("bump.width", 5.0)
         height = sec.get("bump.height", 0.5 * profile.alpha)
-        if width <= 0 or height <= 0:
-            raise ConfigError("bump.width and bump.height must be positive")
         u0 = height * np.exp(-((grid - center) / width) ** 2)
         return np.minimum(u0, profile.alpha)
     raise ConfigError(
         f"[simulation] initial = {kind!r}; expected wave, alpha or bump")
 
 
-def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
+def cmd_simulate(run: Run) -> int:
+    cfg = run.cfg
     profile = build_profile(cfg)
-    c = get_speed(cfg)
+    c = _require(cfg, "speed", "c")
     sec = cfg.get("simulation", {})
     T = _require(cfg, "simulation", "T")
     solver_cfg = build_solver_config(cfg, profile)
@@ -450,11 +447,10 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
     }
     result = pdesim.evolve(state, T, dt=sec.get("dt"), monitors=monitors,
                            monitor_every=sec.get("monitor_every"))
-    outdir = _outdir(args, cfg)
-    state.snapshot_to_csv(outdir / "state_initial.csv")
-    result.state.snapshot_to_csv(outdir / "state_final.csv")
-    result.monitors_to_csv(outdir / "monitors.csv")
-    _write_json(outdir / "simulate.json", {
+    state.snapshot_to_csv(run.path("state_initial.csv"))
+    result.state.snapshot_to_csv(run.path("state_final.csv"))
+    result.monitors_to_csv(run.path("monitors.csv"))
+    run.json("simulate.json", {
         "c": c, "T": T, "dt": sec.get("dt"),
         "steps_taken": result.steps_taken,
         "t_final": result.state.t,
@@ -463,18 +459,15 @@ def cmd_simulate(args, cfg: dict) -> tuple[int, list]:
         "final_steady_residual": result.series["steady_residual"][-1],
         "final_front_position": result.series["front_position"][-1],
     })
-    outputs = ["state_initial.csv", "state_final.csv", "monitors.csv",
-               "simulate.json"]
-    if args.svg:
-        svg_line_plot(outdir / "simulate_states.svg",
-                      [("initial", state.grid, state.u),
-                       ("final", result.state.grid, result.state.u)],
-                      title=f"u at t = 0 and t = {result.state.t:g}",
-                      xlabel="z", ylabel="u")
-        outputs.append("simulate_states.svg")
+    if run.args.svg:
+        run.svg("simulate_states.svg",
+                [("initial", state.grid, state.u),
+                 ("final", result.state.grid, result.state.u)],
+                title=f"u at t = 0 and t = {result.state.t:g}",
+                xlabel="z", ylabel="u")
     print(f"evolved to t = {result.state.t:g} in {result.steps_taken} steps; "
           f"drift/time = {result.drift_per_unit_time:.3e}")
-    return EXIT_OK, outputs
+    return EXIT_OK
 
 
 def _candidate_ansatz(profile, c, tags) -> list:
@@ -487,21 +480,19 @@ def _candidate_ansatz(profile, c, tags) -> list:
 
 
 def _fit_options(cfg: dict) -> tuple[tuple, float]:
-    """The validated [fit] (candidates, window_fraction) of fit and sweep."""
+    """The [fit] (candidates, window_fraction) of fit and sweep."""
     fsec = cfg.get("fit", {})
     tags = fsec.get("candidates", TARGET_TAGS)
     for tag in tags:
         if tag not in TARGET_TAGS:
             raise ConfigError(f"[fit] candidates: unknown tag {tag!r}")
-    wfrac = fsec.get("window_fraction", 0.2)
-    if not 0.0 < wfrac < 1.0:
-        raise ConfigError("[fit] window_fraction must lie in (0, 1)")
-    return tags, wfrac
+    return tags, fsec.get("window_fraction", 0.2)
 
 
-def cmd_fit(args, cfg: dict) -> tuple[int, list]:
+def cmd_fit(run: Run) -> int:
+    cfg = run.cfg
     profile = build_profile(cfg)
-    c = get_speed(cfg)
+    c = _require(cfg, "speed", "c")
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile)
     tags, wfrac = _fit_options(cfg)
@@ -511,19 +502,18 @@ def cmd_fit(args, cfg: dict) -> tuple[int, list]:
                           "this profile and speed")
     wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
-    outdir = _outdir(args, cfg)
-    ranking.to_csv(outdir / "fit.csv")
-    _write_json(outdir / "fit.json", ranking.to_dict())
+    ranking.to_csv(run.path("fit.csv"))
+    run.json("fit.json", ranking.to_dict())
     w = ranking.winner
     flag = " (ambiguous)" if ranking.ambiguous else ""
     print(f"winner: {w.tag}{flag}, K = {w.amplitude:.6g}, "
           f"rms log error = {w.rms_log_error:.3e}")
-    return EXIT_OK, ["fit.csv", "fit.json"]
+    return EXIT_OK
 
 
-def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
-    profile = build_profile(cfg)
-    c = get_speed(cfg)
+def cmd_verify_oracles(run: Run) -> int:
+    profile = build_profile(run.cfg)
+    c = _require(run.cfg, "speed", "c")
     rows = []
     for name, make in oracles.comparison_suite(profile, c):
         try:
@@ -538,13 +528,12 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
                      "passed": rep.passed,
                      "min_residual": rep.min_residual,
                      "max_residual": rep.max_residual, "note": ""})
-    outdir = _outdir(args, cfg)
     header = ["construction", "applicable", "kind", "role", "passed",
               "min_residual", "max_residual", "note"]
-    write_csv(outdir / "oracles.csv", header,
+    write_csv(run.path("oracles.csv"), header,
               [[r.get(k, "") for r in rows] for k in header])
-    _write_json(outdir / "oracles.json", {"c": c, "results": rows,
-                                          "profile": profile.params_dict()})
+    run.json("oracles.json", {"c": c, "results": rows,
+                              "profile": profile.params_dict()})
     n_app = sum(r["applicable"] for r in rows)
     n_pass = sum(r.get("passed", False) for r in rows)
     for r in rows:
@@ -552,8 +541,7 @@ def cmd_verify_oracles(args, cfg: dict) -> tuple[int, list]:
                   "FAIL" if r["applicable"] else "n/a ")
         print(f"  {status}  {r['construction']}")
     print(f"{n_pass}/{n_app} applicable constructions pass")
-    code = EXIT_OK if n_pass == n_app else EXIT_CHECK
-    return code, ["oracles.csv", "oracles.json"]
+    return EXIT_OK if n_pass == n_app else EXIT_CHECK
 
 
 def _sweep_point(profile, outcome, fit_tags, wfrac) -> dict:
@@ -583,13 +571,12 @@ def _sweep_point(profile, outcome, fit_tags, wfrac) -> dict:
     return row
 
 
-def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
+def cmd_sweep(run: Run) -> int:
+    cfg = run.cfg
     profile = build_profile(cfg)
     start = _require(cfg, "speed", "c.start")
     stop = _require(cfg, "speed", "c.stop")
     steps = _require(cfg, "speed", "c.steps")
-    if steps < 0:
-        raise ConfigError("c.steps must be >= 0")
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile)
     fit_tags, wfrac = _fit_options(cfg)
@@ -600,11 +587,10 @@ def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
     outcomes = sorted(res.solutions + res.failures, key=lambda o: o.c,
                       reverse=start > stop)
     rows = [_sweep_point(profile, o, fit_tags, wfrac) for o in outcomes]
-    outdir = _outdir(args, cfg)
     header = ["c", "status", "inventory", "case_123", "residual_norm",
               "iterations", "phi_max", "phi_right", "winner", "winner_rms",
               "minimal_fit_ok"]
-    write_csv(outdir / "sweep.csv", header,
+    write_csv(run.path("sweep.csv"), header,
               [[r.get(k, "") for r in rows] for k in header])
 
     solved, failed = res.solved_c(), res.failed_c()
@@ -618,21 +604,18 @@ def cmd_sweep(args, cfg: dict) -> tuple[int, list]:
         "first_failed_c": min(failed) if failed else None,
         "existence_boundary_bracket": boundary,
     }
-    _write_json(outdir / "sweep.json", summary)
-    outputs = ["sweep.csv", "sweep.json"]
-    if args.svg and solved:
+    run.json("sweep.json", summary)
+    if run.args.svg and solved:
         amp = [r["phi_max"] for r in rows if r["status"] == "solved"]
-        svg_line_plot(outdir / "sweep.svg",
-                      [("max phi", np.array(solved), np.array(amp))],
-                      title="wave amplitude over the speed range",
-                      xlabel="c", ylabel="max phi")
-        outputs.append("sweep.svg")
+        run.svg("sweep.svg", [("max phi", np.array(solved), np.array(amp))],
+                title="wave amplitude over the speed range",
+                xlabel="c", ylabel="max phi")
     if boundary:
         print(f"sweep: {len(solved)}/{len(rows)} solved; existence boundary "
               f"in [{boundary[0]:g}, {boundary[1]:g}]")
     else:
         print(f"sweep: {len(solved)}/{len(rows)} solved")
-    return EXIT_OK, outputs
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -675,46 +658,42 @@ _FAILURES = {
 }
 
 
-def _report_failure(args, cfg: dict, exc: Exception) -> tuple[int, list]:
+def _report_failure(run: Run, exc: Exception) -> int:
     """Write failure.json for a typed error, plus residual_history.csv when
-    the error carries a Newton residual history; return the exit code and
-    the files written."""
+    the error carries a Newton residual history; return the exit code."""
     code, lead, at_c = next(v for cls, v in _FAILURES.items()
                             if isinstance(exc, cls))
-    c = cfg["speed"].get("c") if at_c and args.command != "sweep" else None
+    at_c = at_c and run.args.command != "sweep"
+    c = run.cfg["speed"].get("c") if at_c else None
     where = "" if c is None else f" at c = {c:g}"
     print(f"{lead}{where}: {exc}", file=sys.stderr)
-    outdir = _outdir(args, cfg)
     record = {"kind": exc.kind, "message": str(exc)}
     if c is not None:
         record["c"] = c
     if isinstance(exc, pdesim.StepRejectedError):
         record["suggested_dt"] = exc.suggested_dt
-    _write_json(outdir / "failure.json", record)
-    outputs = ["failure.json"]
+    run.json("failure.json", record)
     hist = getattr(exc, "residual_history", None)
     if hist is not None:
-        write_csv(outdir / "residual_history.csv",
+        write_csv(run.path("residual_history.csv"),
                   ["iteration", "max_residual"],
                   [range(len(hist)), [float(r) for r in hist]])
-        outputs.append("residual_history.csv")
-    return code, outputs
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _check_positive(cfg)
-        code, outputs = _COMMANDS[args.command](args, cfg)
+        run = Run(args, load_config(args.config))
+        code = _COMMANDS[args.command](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except tuple(_FAILURES) as exc:
-        code, outputs = _report_failure(args, cfg, exc)
-    _write_json(_outdir(args, cfg) / "manifest.json", {
+        code = _report_failure(run, exc)
+    run.json("manifest.json", {
         "command": args.command, "config": args.config, "svg": args.svg,
-        "outputs": sorted(outputs)})
+        "outputs": sorted(run.outputs)})
     return code
 
 

@@ -118,8 +118,8 @@ class ExpTail:
     integral_sq_finite = True
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.amplitude <= 0:
-            raise ValueError("ExpTail needs kappa > 0 and amplitude > 0")
+        if not (0 < self.kappa < math.inf and 0 < self.amplitude < math.inf):
+            raise ValueError("ExpTail needs finite kappa > 0 and amplitude > 0")
 
     def value(self, z):
         return self.amplitude * np.exp(-self.kappa * np.asarray(z, dtype=float))
@@ -149,8 +149,8 @@ class Algebraic:
     integral_sq_finite = True
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("Algebraic needs gamma > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("Algebraic needs finite gamma > 0")
 
     def value(self, z):
         return self.gamma / np.asarray(z, dtype=float)
@@ -199,8 +199,8 @@ class IteratedLog:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("IteratedLog needs k >= 1")
-        if self.r <= 0 or self.lead <= 0:
-            raise ValueError("IteratedLog needs r > 0 and lead > 0")
+        if not (0 < self.r < math.inf and 0 < self.lead < math.inf):
+            raise ValueError("IteratedLog needs finite r > 0 and lead > 0")
 
     @property
     def z_min(self) -> float:
@@ -305,8 +305,8 @@ class Power:
     integral_finite = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("Power needs gamma > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("Power needs finite gamma > 0")
         if not 0 < self.p < 1:
             raise ValueError("Power needs 0 < p < 1")
 
@@ -393,10 +393,12 @@ class EnvironmentProfile:
     transition_width: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.transition_width <= 0:
-            raise ValueError("transition_width must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.transition_width < math.inf:
+            raise ValueError("transition_width must be positive and finite")
+        if not math.isfinite(self.transition_center):
+            raise ValueError("transition_center must be finite")
         zs = self.z_star
         if zs <= self.tail.z_min:
             raise ValueError(

@@ -69,8 +69,8 @@ class SolverConfig:
     max_halvings: ClassVar[int] = 30
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("L must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
         if self.N < 1001:
             raise ValueError("N must be at least 1001")
 

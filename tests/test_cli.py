@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from forcedwaves import analysis, cli, pdesim, wavesolver
@@ -185,6 +186,50 @@ class TestConfigValidation:
         monkeypatch.setattr(wavesolver, "solve_wave", no_solve)
         assert run(command, cfg_file(tmp_path, ini), outdir) == 2
         assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    # each used to exit 1 (an OverflowError in evolve's monitor_every
+    # default, a ValueError from the IMEX step, brentq's NaN error), exit 4
+    # ("residual became non-finite") or, with monitor_every set, never return
+    @pytest.mark.parametrize("command, ini", [
+        ("simulate", EXP_INI + "\n[simulation]\nT = inf\n"),
+        ("simulate", EXP_INI + "\n[simulation]\nT = inf\nmonitor_every = 5\n"),
+        ("simulate", EXP_INI + "\n[simulation]\nT = 1.0\ninitial = bump\n"
+         "bump.height = inf\n"),
+        ("simulate", EXP_INI + "\n[simulation]\nT = 1.0\ninitial = bump\n"
+         "bump.center = nan\n"),
+        ("classify", EXP_INI.replace("center = 4.0", "center = nan")),
+        ("wave", EXP_INI.replace("alpha = 1.0", "alpha = nan")),
+        ("wave", EXP_INI.replace("L = 40", "L = inf")),
+        ("family", ALG_INI + "\n[solver]\nK = 0.5, nan\n"),
+    ], ids=["simulate-T-inf", "simulate-T-inf-monitor", "bump-height-inf",
+            "bump-center-nan", "profile-center-nan", "alpha-nan",
+            "solver-L-inf", "family-K-nan"])
+    def test_non_finite_values_exit_2(self, tmp_path, outdir, capsys,
+                                      monkeypatch, command, ini):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolved before the config was rejected")
+
+        monkeypatch.setattr(pdesim, "evolve", no_evolve)
+        assert run(command, cfg_file(tmp_path, ini), outdir) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    # checked when the file is read, whatever the command and [simulation]
+    # initial
+    @pytest.mark.parametrize("line, message", [
+        ("[speed]\nc.steps = -1", "[speed] c.steps must be >= 0"),
+        ("[simulation]\nbump.width = 0", "[simulation] bump.width must be positive"),
+        ("[simulation]\nbump.height = -0.5", "[simulation] bump.height must be positive"),
+        ("[fit]\nwindow_fraction = 0", "[fit] window_fraction must lie in (0, 1)"),
+    ], ids=["c-steps", "bump-width", "bump-height", "window-fraction"])
+    def test_ranges_are_checked_on_read(self, tmp_path, outdir, capsys,
+                                        line, message):
+        section = line.split("\n")[0]
+        ini = (EXP_INI.replace(section, line) if section in EXP_INI
+               else EXP_INI + f"\n{line}\n")
+        assert run("classify", cfg_file(tmp_path, ini), outdir) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
 
@@ -517,6 +562,63 @@ class TestSweep:
         assert written == ["sweep.csv", "sweep.json"]
         assert json.loads((outdir / "manifest.json").read_text())["outputs"] \
             == written
+
+
+class TestManifest:
+    """On success, with --svg and on a typed failure, manifest.json lists
+    exactly the files the run wrote."""
+
+    INI = (EXP_INI.replace("c = 1.0",
+                           "c = 1.0\nc.start = 1.0\nc.stop = 1.2\nc.steps = 2")
+           + "\n[simulation]\nT = 0.1\ndt = 0.01\ninitial = bump\n")
+
+    @pytest.mark.parametrize("mode", ["success", "svg", "failure"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_outputs_are_the_files_written(self, tmp_path, outdir, capsys,
+                                           monkeypatch, command, mode):
+        ini = (ALG_INI + "\n[solver]\nK = 0.5, 1.0\n" if command == "family"
+               else self.INI)
+        if mode == "failure":
+            def diverge(cfg):
+                raise wavesolver.NewtonDivergenceError(
+                    "stub", residual_history=[1.0, 0.5])
+
+            monkeypatch.setattr(cli, "build_profile", diverge)
+        extra = ["--svg"] if mode == "svg" else []
+        code = run(command, cfg_file(tmp_path, ini), outdir, *extra)
+        capsys.readouterr()
+        assert code == (4 if mode == "failure" else 0)
+        written = sorted(p.name for p in outdir.iterdir()
+                         if p.name != "manifest.json")
+        assert json.loads((outdir / "manifest.json").read_text())["outputs"] \
+            == written
+        svgs = [name for name in written if name.endswith(".svg")]
+        assert bool(svgs) == (mode == "svg" and command in
+                              ("wave", "family", "simulate", "sweep"))
+        if mode == "failure":
+            assert written == ["failure.json", "residual_history.csv"]
+
+
+def test_svg_line_plot_splits_at_dropped_points(tmp_path):
+    x = np.arange(10.0)
+    y = np.array([1.0, 2.0, np.nan, 3.0, -1.0, 4.0, 5.0, 6.0, 0.0, 7.0])
+
+    def polylines(**kw):
+        path = tmp_path / "plot.svg"
+        cli.svg_line_plot(path, [("y", x, y)], title="t", xlabel="x",
+                          ylabel="y", **kw)
+        return [[tuple(map(float, pt.split(","))) for pt in el.get("points").split()]
+                for el in ET.fromstring(path.read_text()).iter()
+                if el.tag.endswith("polyline")]
+
+    # the NaN splits the curve: x = 0, 1 and x = 3..9
+    assert [len(p) for p in polylines()] == [2, 7]
+    # a log axis also drops y <= 0: x = 0, 1 and x = 5, 6, 7 stay, and the
+    # one-point runs x = 3 and x = 9 draw nothing
+    runs = polylines(logy=True)
+    assert [len(p) for p in runs] == [2, 3]
+    step = runs[0][1][0] - runs[0][0][0]
+    assert runs[1][0][0] - runs[0][0][0] == pytest.approx(5 * step, abs=0.02)
 
 
 class TestFailureContract:

@@ -23,6 +23,7 @@ from forcedwaves.environment import (
     iterated_log,
     sigma1_valid_from,
 )
+from forcedwaves.wavesolver import SolverConfig
 
 
 def tilde_a_quad(profile, c, z0, z):
@@ -102,6 +103,30 @@ class TestProfileGeometry:
             Power(gamma=1.0, p=1.0)
         with pytest.raises(ValueError):
             IteratedLog(k=0, r=1.0, lead=1.0)
+
+    # a check written x <= 0 lets NaN through; every one of these was
+    # accepted before
+    @pytest.mark.parametrize("build", [
+        lambda: EnvironmentProfile(math.nan, ExpTail(kappa=2.0), 4.0, 4.0),
+        lambda: EnvironmentProfile(math.inf, ExpTail(kappa=2.0), 4.0, 4.0),
+        lambda: EnvironmentProfile(1.0, ExpTail(kappa=2.0), math.nan, 4.0),
+        lambda: EnvironmentProfile(1.0, ExpTail(kappa=2.0), 4.0, math.nan),
+        lambda: ExpTail(kappa=math.nan),
+        lambda: ExpTail(kappa=math.inf),
+        lambda: ExpTail(kappa=2.0, amplitude=math.nan),
+        lambda: Algebraic(math.nan),
+        lambda: Algebraic(math.inf),
+        lambda: Power(math.nan, 0.5),
+        lambda: IteratedLog(1, math.nan, 1.0),
+        lambda: IteratedLog(1, 2.0, math.inf),
+        lambda: SolverConfig(L=math.inf, N=8001),
+    ], ids=["alpha-nan", "alpha-inf", "center-nan", "width-nan", "kappa-nan",
+            "kappa-inf", "amplitude-nan", "algebraic-gamma-nan",
+            "algebraic-gamma-inf", "power-gamma-nan", "itlog-r-nan",
+            "itlog-lead-inf", "solver-L-inf"])
+    def test_non_finite_parameters_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestProfileDerivatives:

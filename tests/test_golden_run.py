@@ -1,7 +1,7 @@
 """tools/golden_run.py: --compare matches ACCEPTANCE lines by number and
 names the first differing line of a CSV whose cells parse equal, the
-ACCEPTANCE lines come from the tests beside --src, and every target tag gets
-a wave run."""
+ACCEPTANCE lines come from the tests beside --src, every target tag gets a
+wave run, and the plotting commands run with --svg."""
 
 import importlib.util
 import re
@@ -64,3 +64,29 @@ def test_one_wave_run_per_target_tag():
         for tag in TARGET_TAGS:
             assert re.findall(r"^target = (.*)$", runs[f"wave-{tag}"],
                               re.M) == [tag]
+
+
+def test_plotting_commands_run_with_svg_and_hash_the_plots(tmp_path,
+                                                           monkeypatch):
+    # wave, family, sweep and simulate write SVG plots only under --svg;
+    # each plot then counts as a data file of the run
+    plotting = {"wave", "family", "sweep", "simulate"}
+    seen = {}
+
+    def fake_run(argv, env, **kwargs):
+        command, out = argv[3], Path(argv[argv.index("--out") + 1])
+        seen[out.name] = (command, "--svg" in argv)
+        if "--svg" in argv:
+            (out / "plot.svg").write_text("<svg/>\n", encoding="utf-8")
+        (out / "manifest.json").write_text("{}\n", encoding="utf-8")
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(golden_run, "CONFIGS",
+                        {"exp": golden_run.CONFIGS["exp"]})
+    monkeypatch.setattr(golden_run.subprocess, "run", fake_run)
+    runs = golden_run.run_all(tmp_path / "golden", tmp_path / "src")
+    assert set(runs) == set(seen)
+    assert {command for command, _ in seen.values()} >= plotting
+    for name, (command, svg) in seen.items():
+        assert svg == (command in plotting)
+        assert sorted(runs[name]["files"]) == (["plot.svg"] if svg else [])

@@ -10,7 +10,8 @@ too short) and one wave run per target tag set through [solver] target
 profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
-file that carries timings and versions).  It also runs the
+file that carries timings and versions).  Every run of wave, family, sweep
+and simulate passes --svg, so the SVG plots are hashed with the data files.  It also runs the
 tests/test_acceptance.py beside SRC with -s and stores pytest's exit code
 and the ACCEPTANCE lines it prints, which carry each criterion's measured
 numbers.
@@ -173,6 +174,8 @@ COMMANDS = (
 )
 
 
+SVG_COMMANDS = ("wave", "family", "sweep", "simulate")
+
 # environment.TARGET_TAGS; the tool imports nothing from the tree it records
 TARGET_TAGS = ("pure_exp", "sigma1", "tilde_a", "slow_maximal", "profile_itself")
 
@@ -203,8 +206,9 @@ def run_all(out: Path, src: Path) -> dict:
             rundir.mkdir()
             ini = out / f"{name}.ini"
             ini.write_text(ini_text, encoding="utf-8")
+            svg = ["--svg"] if command in SVG_COMMANDS else []
             proc = subprocess.run(
-                [sys.executable, "-m", "forcedwaves.cli", command,
+                [sys.executable, "-m", "forcedwaves.cli", command, *svg,
                  "--config", str(ini), "--out", str(rundir)],
                 env=env, capture_output=True, text=True)
             files = {p.name: sha256(p) for p in sorted(rundir.iterdir())

@@ -7,18 +7,20 @@ is checked once, against _SCHEMA, when the file is parsed: unknown sections
 or keys are rejected, every number must be finite, and a key with a range
 (speeds, T, dt, monitor_every, c.steps, bump.width/height, window_fraction)
 must lie in it, whatever the command.  fit and sweep both reject an unknown
-[fit] candidate before any solve.  Data files (CSV/JSON/SVG) carry no
-timestamps, so identical configs produce byte-identical outputs; run
-metadata goes to a separate manifest.json.  Every CSV file, here and in the
-library's to_csv methods, is written by forcedwaves.tables.write_csv.
+[fit] candidate, and family K values whose member files would share a name,
+before any solve.  Data files (CSV/JSON/SVG) carry no timestamps, so
+identical configs produce byte-identical outputs; run metadata goes to a
+separate manifest.json.  Every CSV file, here and in the library's to_csv
+methods, is written by forcedwaves.tables.write_csv.
 
 Exit codes: 0 success, 2 usage or config error (no output directory is
 created; an unknown command or a missing --config exits from argparse before
-any config is read), 3 exceptional classification, 4 solver failure, 5
-check failure.  Exits 4 and 5 caused by a typed error write failure.json,
-whose "kind" is the error class's `kind`; only a Newton failure adds
-residual_history.csv.  Every file is written through a Run, which records
-its name: manifest.json lists exactly the files the run wrote.
+any config is read; an output directory that cannot be created, such as an
+--out naming a file, is a config error too), 3 exceptional classification,
+4 solver failure, 5 check failure.  Exits 4 and 5 caused by a typed error
+write failure.json, whose "kind" is the error class's `kind`; only a Newton
+failure adds residual_history.csv.  Every file is written through a Run,
+which records its name: manifest.json lists exactly the files the run wrote.
 """
 from __future__ import annotations
 
@@ -203,7 +205,11 @@ class Run:
 
     def path(self, name: str) -> Path:
         """Where to write the output file name, recorded as written."""
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"cannot create output directory {self.dir}: "
+                              f"{exc.strerror}") from None
         self.outputs.add(name)
         return self.dir / name
 
@@ -371,6 +377,10 @@ def cmd_wave(run: Run) -> int:
     return EXIT_OK
 
 
+def _member_file(K: float) -> str:
+    return f"family_K{K:g}.csv"
+
+
 def cmd_family(run: Run) -> int:
     cfg = run.cfg
     profile = build_profile(cfg)
@@ -379,6 +389,13 @@ def cmd_family(run: Run) -> int:
     K_values = cfg.get("solver", {}).get("K")
     if not K_values:
         raise ConfigError("missing required key 'K' in section [solver]")
+    names = {}
+    for K in K_values:
+        name = _member_file(K)
+        if name in names:
+            raise ConfigError(f"[solver] K = {names[name]!r} and {K!r} both "
+                              f"name the member file {name}")
+        names[name] = K
     try:
         waves = wavesolver.wave_family(profile, c, K_values, solver_cfg)
     except AnsatzUnavailableError:
@@ -389,7 +406,7 @@ def cmd_family(run: Run) -> int:
     members = []
     Ks = sorted(float(k) for k in K_values)
     for K, wave in zip(Ks, waves):
-        wave.to_csv(run.path(f"family_K{K:g}.csv"))
+        wave.to_csv(run.path(_member_file(K)))
         members.append({"K": K, **wave.sidecar_dict()})
     orderings = [dataclasses.asdict(wavesolver.ordering_check(lo, hi))
                  for lo, hi in zip(waves[:-1], waves[1:])]
@@ -685,15 +702,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = Run(args, load_config(args.config))
-        code = _COMMANDS[args.command](run)
+        try:
+            code = _COMMANDS[args.command](run)
+        except tuple(_FAILURES) as exc:
+            code = _report_failure(run, exc)
+        run.json("manifest.json", {
+            "command": args.command, "config": args.config, "svg": args.svg,
+            "outputs": sorted(run.outputs)})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except tuple(_FAILURES) as exc:
-        code = _report_failure(run, exc)
-    run.json("manifest.json", {
-        "command": args.command, "config": args.config, "svg": args.svg,
-        "outputs": sorted(run.outputs)})
     return code
 
 

@@ -232,6 +232,28 @@ class TestConfigValidation:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
+    # mkdir used to raise FileExistsError outside main's handlers (exit 1);
+    # the simulate case fails a step first, so its first write is failure.json
+    @pytest.mark.parametrize("command, ini, via", [
+        ("classify", EXP_INI, "--out"),
+        ("classify", EXP_INI, "[output]"),
+        ("simulate", EXP_INI + "\n[simulation]\ninitial = alpha\nT = 5.0\n"
+         "dt = 1.0\n", "--out"),
+    ])
+    def test_output_path_naming_a_file_exits_2(self, tmp_path, capsys,
+                                               command, ini, via):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        if via == "--out":
+            code = run(command, cfg_file(tmp_path, ini), afile)
+        else:
+            ini += f"\n[output]\ndirectory = {afile}\n"
+            code = cli.main([command, "--config", str(cfg_file(tmp_path, ini))])
+        assert code == 2
+        assert ("config error: cannot create output directory"
+                in capsys.readouterr().err)
+        assert afile.read_text() == "kept"
+
 
 class TestParser:
     @pytest.mark.parametrize("command", ["classify", "wave"])
@@ -358,6 +380,20 @@ class TestFamily:
         assert all(o["ordered"] for o in fam["orderings"])
         assert (outdir / "family_K0.5.csv").is_file()
         assert (outdir / "family_K1.csv").is_file()
+
+    # {K:g} names both 0.5 and 0.5000001 family_K0.5.csv, so the second
+    # member's file used to overwrite the first
+    @pytest.mark.parametrize("K", ["0.5, 0.5000001", "0.5, 0.5", "1, 2, 1.0"])
+    def test_colliding_member_files_exit_2(self, tmp_path, outdir, capsys,
+                                           monkeypatch, K):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was rejected")
+
+        monkeypatch.setattr(wavesolver, "solve_wave", no_solve)
+        cfg = cfg_file(tmp_path, ALG_INI + f"\n[solver]\nK = {K}\n")
+        assert run("family", cfg, outdir) == 2
+        assert "both name the member file" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_family_needs_K(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, ALG_INI)

@@ -3,8 +3,9 @@ step must all describe the same discrete A u = u'' + c u'."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from forcedwaves import frame
 from forcedwaves import pdesim as ps
@@ -78,20 +79,27 @@ def test_step_from_solved_wave_moves_by_at_most_dt_residual(exp_wave_c1, exp2):
     assert moved <= dt * exp_wave_c1.residual_norm + 1e-14
 
 
+def _symmetric_solve_called(*args, **kwargs):
+    raise AssertionError("frame.factor took the symmetric LDL^T solve")
+
+
+def _lu_solve_called(*args, **kwargs):
+    raise AssertionError("frame.factor took the pivoted LU solve")
+
+
 @pytest.mark.parametrize("sigma", [None, 0.0, -0.7])
 @pytest.mark.parametrize("scale, shift", [(-0.01, 1.0), (-1.0, 3.5)])  # IMEX, shifted -A
 @pytest.mark.parametrize("cols", [None, 2])
-def test_factored_solve_is_bit_identical_to_solve_banded(sigma, scale, shift, cols):
-    # the IMEX step factors I - dt A once with dgttrf and solves with
-    # dgttrs; that must reproduce solve_banded's gtsv to the last bit
+def test_factored_solve_is_bit_identical_to_solve_banded(monkeypatch, sigma,
+                                                         scale, shift, cols):
+    # at h c = 2.4 frame.factor falls back to dgttrf once and dgttrs per
+    # solve; that must reproduce solve_banded's gtsv to the last bit
+    monkeypatch.setattr(frame, "dpttrs", _symmetric_solve_called)
     rng = np.random.default_rng(1)
-    n, h, c = 401, 0.05, 1.0
+    n, h, c = 401, 0.05, 48.0
     ab = frame.banded(n, h, c, sigma, scale, shift)
     b = rng.uniform(0.0, 1.0, n if cols is None else (n, cols))
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    assert info == 0
-    x, info = dgttrs(*lu, b)
-    assert info == 0
+    x = frame.factor(ab)(b.copy(order="F"))
     assert np.array_equal(x, solve_banded((1, 1), ab, b))
 
 
@@ -120,3 +128,87 @@ def test_apply_and_residual_keep_the_expression_bits(sigma):
     if pin is not None:
         ref[-1] = u[-1] - pin
     assert ws.discrete_residual(u, a, h, c, a[0], sigma, pin).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# frame.factor: the symmetric LDL^T solve and its pivoted-LU fallback
+
+
+def thomas_longdouble(ab, b):
+    """M x = b in long double by elimination without pivoting; M is
+    diagonally dominant where h|c| < 2, and where h|c| > 2 its off-diagonal
+    pairs have negative products, which only raise the pivots."""
+    n = ab.shape[1]
+    dl, d, du = (np.array(v, dtype=np.longdouble)
+                 for v in (ab[2, :-1], ab[1], ab[0, 1:]))
+    x = np.array(b, dtype=np.longdouble)
+    for i in range(1, n):
+        w = dl[i - 1] / d[i - 1]
+        d[i] -= w * du[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
+    return x
+
+
+def test_step_error_on_the_acceptance_waves(monkeypatch, exp2, alg3, pow2,
+                                            exp_wave_c1, alg3_minimal,
+                                            alg3_family, alg3_maximal,
+                                            pow2_maximal):
+    # one IMEX step (dt = 0.01, as ACCEPTANCE 11) from each cross-validated
+    # wave, against the long-double solve of the same right-hand side;
+    # measured at most 1.0e-15 (solve_banded: 4.7e-16)
+    monkeypatch.setattr(frame, "dgttrs", _lu_solve_called)
+    dt = 0.01
+    for prof, wave in [(exp2, exp_wave_c1), (alg3, alg3_minimal),
+                       (alg3, alg3_family[1]), (alg3, alg3_maximal),
+                       (pow2, pow2_maximal)]:
+        state = ps.state_from_wave(wave, prof)
+        u, a = state.u, prof.a(state.grid)
+        rhs = u + dt * u * (a - u)
+        rhs[0] = state.left_value
+        sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
+        ab = frame.banded(len(u), state.h, state.c, sigma, -dt, 1.0)
+        exact = thomas_longdouble(ab, rhs)
+        assert np.max(np.abs(ps.step(state, dt).u - exact)) <= 2e-15
+
+
+# on GRID's h = 0.2, h c = 2.4 breaks the M-matrix condition; on the
+# default algebraic grid (L = 200, N = 8001) log2 of the scale's span is
+# 1012 at c = 3.5 (over 1000) and overflows at c = 4
+@pytest.mark.parametrize("L, n, c", [(40.0, 401, 12.0), (200.0, 8001, 3.5),
+                                     (200.0, 8001, 4.0)])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_fallback_is_solve_banded(monkeypatch, L, n, c, cols):
+    monkeypatch.setattr(frame, "dpttrs", _symmetric_solve_called)
+    rng = np.random.default_rng(3)
+    ab = frame.banded(n, 2.0 * L / (n - 1), c, 0.0, -0.01, 1.0)
+    b = rng.uniform(0.0, 1.0, n if cols is None else (n, cols))
+    x = frame.factor(ab)(b.copy(order="F"))
+    assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(h=st.floats(0.01, 0.5),
+       hc=st.floats(-1.99, 1.99) | st.floats(2.0, 4.0) | st.floats(-4.0, -2.0),
+       dt=st.floats(1e-4, 1.0), sigma=st.floats(-2.0, 0.0))
+def test_solve_matches_long_double(h, hc, dt, sigma):
+    # h|c| < 2 (the symmetric solve) and h|c| >= 2 (the LU); the bound is
+    # eps (1 + 4 dt / h^2) max|x|, a bound on the condition of I - dt A,
+    # times 16; the 60 examples measure at most 1.13 times the first factor
+    n = 201
+    ab = frame.banded(n, h, hc / h, sigma, -dt, 1.0)
+    b = np.random.default_rng(4).uniform(0.0, 1.0, n)
+    exact = thomas_longdouble(ab, b)
+    err = np.max(np.abs(frame.factor(ab)(b.copy()) - exact))
+    bound = 16.0 * np.finfo(float).eps * (1.0 + 4.0 * dt / h**2)
+    assert err <= bound * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("c", [1.0, 12.0])  # symmetric solve, LU (h = 0.2)
+@pytest.mark.parametrize("cols", [None, 2])
+def test_zero_stays_exactly_zero(c, cols):
+    ab = frame.banded(401, 0.2, c, -0.5, -0.01, 1.0)
+    zero = np.zeros(401 if cols is None else (401, cols), order="F")
+    assert frame.factor(ab)(zero.copy(order="F")).tobytes() == zero.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from forcedwaves import frame
 from forcedwaves import oracles as orc
@@ -57,7 +58,7 @@ class TestEquilibria:
         # is Newton-tolerance-sized, not O(dt)
         res = ps.evolve(wave_state, 10.0, dt=0.01,
                         monitors={"dist": ps.distance_monitor(exp_wave_c1.phi)})
-        assert max(res.series["dist"]) < 1e-10  # measured 5.3e-15
+        assert max(res.series["dist"]) < 1e-10  # measured 5.4e-14
         assert res.steps_taken == 1000
 
     def test_steady_residual_monitor_stays_small(self, wave_state):
@@ -276,8 +277,9 @@ class TestEvolveBookkeeping:
 
 def _reference_step(state, u, left, dt, a):
     """One IMEX step of u (a field or rows of fields) from the plain
-    expressions: the per-field exact dt check, u + dt u (a - u) and
-    solve_banded on frame.banded."""
+    expressions: the per-field exact dt check, u + dt u (a - u), the
+    finiteness check and a solve with frame.banded's M = I - dt A, by the
+    symmetric system where frame.factor takes it, else by solve_banded."""
     for m in np.atleast_1d(np.max(np.abs(a - 2.0 * u), axis=-1)):
         if dt * m >= 1.0:
             raise StepRejectedError(
@@ -285,9 +287,34 @@ def _reference_step(state, u, left, dt, a):
                 suggested_dt=0.9 / float(m))
     rhs = u + dt * u * (a - u)
     rhs[..., 0] = left
+    np.asarray_chkfinite(rhs)
     sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
     ab = frame.banded(len(state.u), state.h, state.c, sigma, -dt, 1.0)
-    return solve_banded((1, 1), ab, rhs.T).T
+    x = _symmetric_solve(ab, rhs.T)
+    return (solve_banded((1, 1), ab, rhs.T) if x is None else x).T
+
+
+def _symmetric_solve(ab, b):
+    """M x = b for M in banded's layout as s M s^-1 (s x) = s b, one-shot
+    dptsv on the symmetric tridiagonal system after folding the Dirichlet
+    row 0 into row 1; None where the off-diagonal pairs below row 0 are not
+    all negative, s spans more than 2**1000 or dptsv finds M s^-1 not
+    positive definite."""
+    p, q = ab[0, 2:], ab[2, 1:-1]  # (M[i, i+1], M[i+1, i]), i >= 1
+    if not (np.all(p < 0.0) and np.all(q < 0.0)):
+        return None
+    with np.errstate(all="ignore"):
+        s = np.cumprod(np.concatenate(([1.0, 1.0], np.sqrt(p / q))))
+    lo, hi = s[1:].min(), s[1:].max()
+    if not hi <= 2.0 ** 1000 * lo:
+        return None
+    s[1:] = s[1:] * 2.0 ** -((math.frexp(lo)[1] + math.frexp(hi)[1]) // 2)
+    s = s.reshape((-1,) + (1,) * (b.ndim - 1))
+    b = b.copy()
+    b[1] = b[1] - ab[2, 0] * b[0]
+    e = np.concatenate(([0.0], -np.sqrt(p * q)))
+    *_, y, info = dptsv(ab[1], e, s * b)
+    return None if info else y / s
 
 
 def _reference_march(state, u, left, T, dt):
@@ -352,6 +379,8 @@ class TestReferenceBits:
     """step, evolve and comparison_test reproduce the plain-expression step
     bit for bit, whether the dt bound or the exact check admits the step."""
 
+    C = 1.0  # h c = 0.2 on GRID: the symmetric LDL^T solve
+
     # dt = 0.01 is inside dt (max|a| + 2 max|u|) <= 1/2 on every step;
     # dt = 0.3 is outside it on every step (max|u| >= 0.9 and the last step
     # is 0.24) and still passes the exact check dt max|a - 2u| < 1
@@ -359,7 +388,7 @@ class TestReferenceBits:
     @pytest.mark.parametrize("kind", ["bump", "signed-subnormal"])
     @pytest.mark.parametrize("robin", [None, -0.5])
     def test_step_and_evolve(self, exp2, checked, dt, exact, kind, robin):
-        st0 = ps.make_state(exp2, 1.0, GRID, _field(kind), robin_sigma=robin)
+        st0 = ps.make_state(exp2, self.C, GRID, _field(kind), robin_sigma=robin)
         ref = _reference_march(st0, st0.u, st0.left_value, 11.8 * dt, dt)
         assert len(ref) == 12
         del checked[:]  # solve_banded's own checks in the reference
@@ -381,9 +410,9 @@ class TestReferenceBits:
 
     @pytest.mark.parametrize("dt,exact", [(0.01, False), (0.3, True)])
     def test_comparison_pair(self, exp2, checked, dt, exact):
-        lo = ps.make_state(exp2, 1.0, GRID, 0.5 * _field("signed-subnormal"),
+        lo = ps.make_state(exp2, self.C, GRID, 0.5 * _field("signed-subnormal"),
                            robin_sigma=-0.5, left_value=0.5)
-        hi = ps.make_state(exp2, 1.0, GRID, np.maximum(_field("bump"), lo.u),
+        hi = ps.make_state(exp2, self.C, GRID, np.maximum(_field("bump"), lo.u),
                            robin_sigma=-0.5)
         expect = _reference_comparison(lo, hi, 11.8 * dt, dt)
         del checked[:]
@@ -394,7 +423,7 @@ class TestReferenceBits:
     def test_rejection_like_reference(self, exp2, level):
         # dt = 0.4 fails dt max|a - 2u| < 1 on both plateaus (max 3); only
         # the min reduction of u keeps the bound from passing the negative one
-        st0 = ps.make_state(exp2, 1.0, GRID, np.full_like(GRID, level))
+        st0 = ps.make_state(exp2, self.C, GRID, np.full_like(GRID, level))
         ref = _outcome(lambda: _reference_step(st0, st0.u, st0.left_value,
                                                0.4, exp2.a(GRID)))
         assert ref[0] is StepRejectedError
@@ -403,12 +432,12 @@ class TestReferenceBits:
             assert _outcome(run) == ref
 
     def test_nan_left_value_raises_like_solve_banded(self, exp2):
-        st0 = ps.make_state(exp2, 1.0, GRID, _field("bump"),
+        st0 = ps.make_state(exp2, self.C, GRID, _field("bump"),
                             left_value=math.nan)
         a = exp2.a(GRID)
         ref = _outcome(lambda: _reference_step(st0, st0.u, math.nan, 0.01, a))
         assert ref[0] is ValueError and "infs or NaNs" in ref[1]
-        zero = ps.make_state(exp2, 1.0, GRID, np.zeros_like(GRID),
+        zero = ps.make_state(exp2, self.C, GRID, np.zeros_like(GRID),
                              left_value=0.0)
         for run in (lambda: ps.step(st0, 0.01),
                     lambda: ps.evolve(st0, 0.1, dt=0.01),
@@ -419,12 +448,13 @@ class TestReferenceBits:
               database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), pair=st.booleans(),
            limit=st.sampled_from(["bound", "reject"]),
-           factor=st.floats(0.5, 1.5), robin=st.sampled_from([None, -0.5]))
+           factor=st.floats(0.5, 1.5), robin=st.sampled_from([None, -0.5]),
+           c=st.sampled_from([C, 12.0]))
     def test_random_fields_match_reference(self, exp2, seed, pair, limit,
-                                           factor, robin):
+                                           factor, robin, c):
         # fields in [-0.5, 1.5]; dt on either side of the dt bound
         # dt (max|a| + 2 max|u|) = 1/2 or of the rejection limit
-        # dt max|a - 2u| = 1
+        # dt max|a - 2u| = 1; c on either side of h c = 2
         rng = np.random.default_rng(seed)
         u = rng.uniform(-0.5, 1.5, (2, len(GRID)))
         u.sort(axis=0)  # rows lo <= hi, as comparison_test requires
@@ -435,7 +465,7 @@ class TestReferenceBits:
         else:
             dt = factor / np.max(np.abs(a - 2.0 * u))
         dt = float(dt)
-        lo, hi = (ps.make_state(exp2, 1.0, GRID, u[i], robin_sigma=robin,
+        lo, hi = (ps.make_state(exp2, c, GRID, u[i], robin_sigma=robin,
                                 left_value=float(left[i])) for i in (0, 1))
         if pair:
             got = _outcome(lambda: ps.comparison_test(lo, hi, 3.0 * dt, dt=dt))
@@ -445,3 +475,13 @@ class TestReferenceBits:
             want = _outcome(lambda: _reference_step(hi, hi.u, hi.left_value,
                                                     dt, a))
         assert got == want
+
+
+class TestReferenceBitsLU(TestReferenceBits):
+    """The same checks where h c = 2.4 on GRID: the step takes the pivoted
+    LU, and the reference is solve_banded."""
+
+    C = 12.0
+    # hypothesis runs a @given method for one class only; the base class
+    # draws both speeds
+    test_random_fields_match_reference = None

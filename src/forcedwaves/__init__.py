@@ -7,8 +7,8 @@ resource profile.  Subpackages:
 
     environment   profiles, eigenvalues, decay shapes, regime classifier
     localsolve    backward shooting for local tail solutions
-    frame         the discrete moving-frame operator and its banded matrices
-    wavesolver    collocation + Newton boundary-value solver
+    frame         the discrete problem: operator, residual, Jacobian, solves
+    wavesolver    damped Newton on frame's collocation system
     pdesim        semi-implicit time stepper and comparison tests
     oracles       closed-form sub/super-solutions with sign certificates
     analysis      decay fitting and inventory verdicts

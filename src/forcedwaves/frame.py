@@ -1,15 +1,21 @@
-"""The discrete moving-frame operator A u = u'' + c u' on a uniform grid.
+"""The discrete problem on a uniform grid: the moving-frame operator
+A u = u'' + c u', the collocation residual, Newton's Jacobian and the
+tridiagonal solves.
 
 Centred second-order differences on the interior.  Row 0 is a Dirichlet row.
 The last row is the Robin condition u'(L) = sigma u(L) when sigma is a float
 (0.0 is homogeneous Neumann), eliminated through the ghost node
 u_{N+1} = u_{N-1} + 2 h sigma u_N, which keeps that row a centred
 second-order discretization and the matrix tridiagonal; with sigma None it is
-an amplitude pin.  The rows that carry the operator are the free rows.
+an amplitude pin.  The rows that carry the operator are the free rows.  A
+pin replaces the Robin row (right_sigma), in the residual and the Jacobian
+alike.
 
-The Newton solver (in phi and, rescaled, in log phi), the IMEX step and
-the residual monitor all use this one stencil, so a solved wave is an
-exact fixed point of the step.
+This module is the only one that knows the rows and the linear algebra:
+discrete_residual is the system Newton solves and the residual monitor
+reads, jacobian is Newton's matrix (in phi and, rescaled, in log phi),
+solve_banded its solve and factor the IMEX step's.  They all use this one
+stencil, so a solved wave is an exact fixed point of the step.
 
 factor solves with the IMEX step's implicit matrix M = I - dt A.  When
 h|c| < 2 every off-diagonal pair of M is negative (M is an M-matrix), and a
@@ -28,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
 
 # largest max(s)/min(s) on the symmetric path.  The running product starts
 # at 1, so it stays normal, and after centring s lies in (2**-502, 2**501):
@@ -89,6 +95,73 @@ def banded(n: int, h: float, c: float, sigma: Optional[float], scale: float,
     if sigma is None:
         ab[1, -1], ab[2, -2] = 1.0, 0.0
     return ab
+
+
+def right_sigma(sigma_R: Optional[float], pin_value: Optional[float]):
+    """The last row's sigma: None (a pin row) when pin_value is set, which
+    replaces the Robin row u'(L) = sigma_R u(L)."""
+    return None if pin_value is not None else sigma_R
+
+
+def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
+                      left_value: float, sigma_R: Optional[float],
+                      pin_value: Optional[float]) -> np.ndarray:
+    """Residual of the collocation system; boundary rows at both ends.
+
+    apply writes A phi straight into the free rows and the reaction
+    phi (a - phi) is added to them in place: the same sum of the same two
+    terms as Au + phi (a - phi), with two temporaries where that expression
+    made eleven.
+    """
+    sigma = right_sigma(sigma_R, pin_value)
+    F = np.empty_like(phi)
+    F[0] = phi[0] - left_value
+    free = slice(1, len(phi) if sigma is not None else len(phi) - 1)
+    Au = apply(phi, h, c, sigma, out=F[free])
+    reaction = np.subtract(a[free], phi[free])
+    np.multiply(reaction, phi[free], out=reaction)
+    np.add(Au, reaction, out=Au)
+    if pin_value is not None:
+        F[-1] = phi[-1] - pin_value
+    return F
+
+
+def jacobian(linear: np.ndarray, phi: np.ndarray, sigma: Optional[float],
+             R: Optional[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Newton's Jacobian of discrete_residual at phi, written into out.
+
+    linear is banded(n, h, c, sigma, 1.0, a), the Jacobian's part that does
+    not depend on phi; the reaction adds -2 phi to the free rows' diagonal.
+    With R None that is J, the Jacobian in phi.  Given R = F / phi it is
+    the Jacobian of G = F / phi in v = log phi, diag(1/phi) J diag(phi) -
+    diag(R): each off-diagonal is scaled by a ratio of neighbouring phi.
+    """
+    np.copyto(out, linear)
+    free = slice(1, len(phi) if sigma is not None else len(phi) - 1)
+    out[1, free] -= 2.0 * phi[free]
+    if R is not None:
+        ratio = phi[1:] / phi[:-1]
+        np.multiply(linear[0, 1:], ratio, out=out[0, 1:])
+        np.divide(linear[2, :-1], ratio, out=out[2, :-1])
+        out[1] -= R
+    return out
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tridiagonal system in banded's (3, n) layout, by one LAPACK dgtsv.
+
+    That is the routine scipy.linalg.solve_banded((1, 1), ab, b) calls,
+    without the wrapper's argument handling; the bits are the wrapper's, and
+    so are the errors: ValueError on a NaN or inf entry, LinAlgError on a
+    zero pivot.  ab is left as it is; b is overwritten, and x shares its
+    memory, when b is a float vector or (n, k) array in Fortran order.
+    """
+    np.asarray_chkfinite(ab)
+    np.asarray_chkfinite(b)
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def factor(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

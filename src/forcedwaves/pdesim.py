@@ -10,9 +10,10 @@ construction.
 
 A converged wave from the solver is an exact fixed point of the step: the
 IMEX update (I - dt A) u' = u + dt f(u) at u = phi reduces to A phi + f(phi)
-= 0, which is the solved system.  This holds because step and
-wavesolver.discrete_residual build A, boundary rows included, from the one
-stencil in forcedwaves.frame.  Measured drift therefore reflects only the
+= 0, which is the solved system.  This holds because step, the residual
+monitor and Newton take A, boundary rows included, from forcedwaves.frame:
+the step's matrix from frame.banded, the monitor's and Newton's residual
+from frame.discrete_residual.  Measured drift therefore reflects only the
 Newton tolerance, not the time discretization.
 
 a(grid) is evaluated once per trajectory and I - dt A factored once per dt
@@ -21,9 +22,9 @@ check (see _stepper).  Under the M-matrix condition a diagonal scale makes
 I - dt A symmetric, and it is factored as LDL^T, which halves the cost of a
 solve.  Where h|c| >= 2, the scale spans too wide a range (at L = 200,
 N = 8001 for |c| above about 3.45) or the LDL^T factor fails, the factor is
-the pivoted LU, bit-identical to solve_banded.  comparison_test advances
-its pair as the two columns of one solve, and evolve builds a state only
-for the steps it records.
+the pivoted LU, bit-identical to frame.solve_banded.  comparison_test
+advances its pair as the two columns of one solve, and evolve builds a
+state only for the steps it records.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
         rhs += u
         rhs[..., 0] = left
         if not proven:
-            np.asarray_chkfinite(rhs)  # as solve_banded checked b
+            np.asarray_chkfinite(rhs)  # as frame.solve_banded checks b
         return solve(rhs.T).T  # fields as columns
     return advance
 
@@ -188,18 +189,18 @@ def distance_monitor(reference: np.ndarray) -> Callable[[SimulationState], float
 
 
 def residual_monitor() -> Callable[[SimulationState], float]:
-    """Interior max-norm of u'' + c u' + u (a - u) (steady-state residual)."""
+    """Interior max-norm of u'' + c u' + u (a - u) (steady-state residual):
+    the interior rows of frame.discrete_residual, whose boundary rows are
+    not read."""
     last = [None, None, None]  # grid, profile and a(grid) of the last call
 
     def mon(state: SimulationState) -> float:
-        u = state.u
         if last[0] is not state.grid or last[1] is not state.profile:
             last[:] = (state.grid, state.profile,
                        np.asarray(state.profile.a(state.grid), dtype=float))
-        # sigma None: the operator on the interior rows only
-        r = (frame.apply(u, state.h, state.c, None)
-             + u[1:-1] * (last[2][1:-1] - u[1:-1]))
-        return float(np.max(np.abs(r)))
+        F = frame.discrete_residual(state.u, last[2], state.h, state.c,
+                                    state.left_value, 0.0, None)
+        return float(np.max(np.abs(F[1:-1])))
     return mon
 
 
@@ -265,8 +266,6 @@ def evolve(state: SimulationState, T: float, dt: Optional[float] = None,
     if cur.t < t:
         cur = replace(cur, t=t, u=u)
         record()
-    # drift is measured from the evolution start
-    times[0] = state.t
     return EvolveResult(state=cur, times=times, series=series,
                         initial_u=initial_u, steps_taken=k)
 

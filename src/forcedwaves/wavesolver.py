@@ -8,15 +8,16 @@ the target ansatz's log-derivative, or an amplitude pin phi(L) = value for
 selecting individual members of the slow family (the Robin coefficient is
 shared across that family, so it cannot separate them).
 
-The nonlinear system is solved by damped Newton with a tridiagonal Jacobian,
-for phi or, for a target the classifier predicts, for v = log phi with each
-row divided by phi: the stopping test is then relative, so a tail of 1e-50
-is resolved instead of passing the absolute Robin row for any decay rate,
-and phi stays positive.  _plan reads the target once and fixes the Robin
-coefficient, the variable and the start.  A converged phi <= 0 or wall
-layer is the meaningful "no positive wave" outcome, distinct from Newton
-divergence.  Either way a failure's residual_history holds the
-phi-residual max |F| at each iterate.
+The rows, the tridiagonal Jacobian and its solve are forcedwaves.frame's;
+this module holds the damped Newton iteration, the targets and the starts.
+Newton runs for phi or, for a target the classifier predicts, for
+v = log phi with each row divided by phi: the stopping test is then
+relative, so a tail of 1e-50 is resolved instead of passing the absolute
+Robin row for any decay rate, and phi stays positive.  _plan reads the
+target once and fixes the Robin coefficient, the variable and the start.  A
+converged phi <= 0 or wall layer is the meaningful "no positive wave"
+outcome, distinct from Newton divergence.  Either way a failure's
+residual_history holds the phi-residual max |F| at each iterate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
-from scipy.linalg import solve_banded
 
 from . import frame, oracles
 from .environment import (
@@ -42,6 +42,8 @@ from .environment import (
     classify,
     resolve_target,
 )
+# _newton calls these by this module's names, which tests and tracing patch
+from .frame import discrete_residual, solve_banded
 from .tables import write_csv
 
 __all__ = [
@@ -140,33 +142,6 @@ class WaveSolution:
         }
 
 
-# ---------------------------------------------------------------------------
-# discrete operator
-# ---------------------------------------------------------------------------
-
-def discrete_residual(phi: np.ndarray, a: np.ndarray, h: float, c: float,
-                      left_value: float, sigma_R: Optional[float],
-                      pin_value: Optional[float]) -> np.ndarray:
-    """Residual of the collocation system; boundary rows at both ends.
-
-    frame.apply writes A phi straight into the free rows and the reaction
-    phi (a - phi) is added to them in place: the same sum of the same two
-    terms as Au + phi (a - phi), with two temporaries where that expression
-    made eleven.
-    """
-    sigma = None if pin_value is not None else sigma_R
-    F = np.empty_like(phi)
-    F[0] = phi[0] - left_value
-    free = slice(1, len(phi) if sigma is not None else len(phi) - 1)
-    Au = frame.apply(phi, h, c, sigma, out=F[free])
-    reaction = np.subtract(a[free], phi[free])
-    np.multiply(reaction, phi[free], out=reaction)
-    np.add(Au, reaction, out=Au)
-    if pin_value is not None:
-        F[-1] = phi[-1] - pin_value
-    return F
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
             log: bool = False):
@@ -174,8 +149,8 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
 
     With log False the unknown is phi and the residual F = discrete_residual.
     With log True the unknown is v = log phi and the residual is G = F / phi,
-    the same system with each row divided by phi_i, whose Jacobian is
-    diag(1/phi) J diag(phi) - diag(G).  Its stopping test is relative, so a
+    the same system with each row divided by phi_i.  Each step solves with
+    frame.jacobian in the matching form.  Its stopping test is relative, so a
     tail far below newton_tol is resolved, and phi stays positive.  The
     iterate is kept as phi and stepped by the increment phi (e^delta - 1):
     as in phi, an update below half an ulp leaves an entry unchanged, so
@@ -185,9 +160,9 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
     count and max |F| (= max |phi G|) at each accepted iterate; every
     failure raises NewtonDivergenceError.
 
-    The Jacobian is written from `linear` into one band array per solve, a
-    full step skips 1.0 * delta, and the step and max |F| work in place on
-    arrays that nothing reads afterwards.  Each in-place ufunc repeats one
+    The Jacobian is written into one band array per solve, a full step
+    skips 1.0 * delta, and the step and max |F| work in place on arrays
+    that nothing reads afterwards.  Each in-place ufunc repeats one
     IEEE operation of the plain expressions on the same operands, so the
     iterates keep their bits.  Residuals and trial iterates stay fresh
     arrays, which the allocator recycles: a set kept for the whole solve
@@ -195,9 +170,9 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
     faulted it back in on the next (about 190 page faults per log solve
     at N = 8001).
     """
-    free = slice(1, len(phi0) if sigma_R is not None else len(phi0) - 1)
-    linear = frame.banded(len(phi0), h, c, sigma_R, 1.0, a)
-    ab = linear.copy()  # off-diagonals stay linear's unless log rescales them
+    sigma = frame.right_sigma(sigma_R, pin_value)
+    linear = frame.banded(len(phi0), h, c, sigma, 1.0, a)
+    ab = np.empty_like(linear)
 
     def evaluate(phi):
         F = discrete_residual(phi, a, h, c, left_value, sigma_R, pin_value)
@@ -206,15 +181,9 @@ def _newton(phi0, a, h, c, left_value, sigma_R, pin_value, cfg: SolverConfig,
         return R, nrm, float(np.abs(F, out=F).max()) if log else nrm
 
     def newton_step(phi, R):
-        np.copyto(ab[1], linear[1])
-        ab[1, free] -= 2.0 * phi[free]
-        if log:
-            ratio = phi[1:] / phi[:-1]
-            np.multiply(linear[0, 1:], ratio, out=ab[0, 1:])
-            np.divide(linear[2, :-1], ratio, out=ab[2, :-1])
-            ab[1] -= R
+        frame.jacobian(linear, phi, sigma, R if log else None, ab)
         try:
-            return solve_banded((1, 1), ab, -R)
+            return solve_banded(ab, -R)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NewtonDivergenceError(f"no Newton step: {exc}",
                                         last_iterate=phi, residual_history=history)

@@ -39,7 +39,8 @@ class _Captured(Exception):
     pass
 
 
-@pytest.mark.parametrize("sigma_R, pin", [(-0.8, None), (None, 0.05)])
+# with both set, the pin replaces the Robin row in the matrix as in the residual
+@pytest.mark.parametrize("sigma_R, pin", [(-0.8, None), (None, 0.05), (-0.8, 0.05)])
 def test_newton_jacobian_matches_residual_differences(monkeypatch, sigma_R, pin):
     n, c = 41, 1.0
     z = np.linspace(-10.0, 10.0, n)
@@ -48,7 +49,7 @@ def test_newton_jacobian_matches_residual_differences(monkeypatch, sigma_R, pin)
     phi = 0.5 * (1.0 - np.tanh(z / 3.0)) + 0.01
 
     # the matrix _newton hands to its first linear solve
-    def capture(l_and_u, ab, b):
+    def capture(ab, b):
         raise _Captured(ab.copy())
 
     monkeypatch.setattr(ws, "solve_banded", capture)
@@ -68,6 +69,147 @@ def test_newton_jacobian_matches_residual_differences(monkeypatch, sigma_R, pin)
     # the residual is quadratic in phi, so central differences are exact up
     # to rounding
     np.testing.assert_allclose(dense(ab), fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("sigma_R, pin", [(-0.8, None), (None, 0.05)])
+def test_log_jacobian_matches_residual_differences(sigma_R, pin):
+    # with R = F / phi, jacobian is the Jacobian of G(v) = F(e^v) / e^v in
+    # v = log phi, the system the log Newton solves
+    n, c = 41, 1.0
+    z = np.linspace(-10.0, 10.0, n)
+    h = float(z[1] - z[0])
+    a = 1.0 / (1.0 + np.exp(z))
+    phi = 0.5 * (1.0 - np.tanh(z / 3.0)) + 0.01
+    sigma = frame.right_sigma(sigma_R, pin)
+    linear = frame.banded(n, h, c, sigma, 1.0, a)
+
+    def G(v):
+        p = np.exp(v)
+        return frame.discrete_residual(p, a, h, c, a[0], sigma_R, pin) / p
+
+    R = frame.discrete_residual(phi, a, h, c, a[0], sigma_R, pin) / phi
+    J = frame.jacobian(linear, phi, sigma, R, np.empty_like(linear))
+    v, delta = np.log(phi), 1e-5
+    fd = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = delta
+        fd[:, j] = (G(v + e) - G(v - e)) / (2.0 * delta)
+    np.testing.assert_allclose(dense(J), fd, rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# frame.solve_banded: one dgtsv with scipy.linalg.solve_banded's bits and errors
+
+
+def scipy_solve(ab, b):
+    return solve_banded((1, 1), ab, b)
+
+
+@pytest.mark.parametrize("pivot", [False, True])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_solve_banded_is_scipys(pivot, cols):
+    rng = np.random.default_rng(4)
+    n = 501
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    # diagonally dominant, or with |dl_i| > |d_i| on most rows
+    ab[1] = 0.1 * ab[1] if pivot else 3.0 + ab[1]
+    assert np.any(np.abs(ab[2, :-1]) > np.abs(ab[1, :-1])) == pivot
+    b = rng.uniform(-1.0, 1.0, n if cols is None else (n, cols))
+    expect, before = scipy_solve(ab, b), ab.copy()
+    b_in = b.copy(order="F")
+    x = frame.solve_banded(ab, b_in)
+    assert x.tobytes() == expect.tobytes()
+    assert np.shares_memory(x, b_in)
+    assert ab.tobytes() == before.tobytes()
+
+
+def test_newton_solves_at_solved_waves_are_scipys(alg3, pow2, itlog, alg3_minimal,
+                                                  pow2_maximal):
+    # the phi-form and log-form Newton systems at converged waves
+    for prof, wave in [(alg3, alg3_minimal), (pow2, pow2_maximal),
+                       (itlog, ws.solve_wave(itlog, 1.0, "sigma1"))]:
+        phi, a = wave.phi, prof.a(wave.grid)
+        n, sigma = len(phi), wave.bc_right
+        linear = frame.banded(n, wave.h, wave.c, sigma, 1.0, a)
+        F = frame.discrete_residual(phi, a, wave.h, wave.c, a[0], sigma, None)
+        for R in (None, F / phi):
+            ab = frame.jacobian(linear, phi, sigma, R, np.empty_like(linear))
+            b = -(F if R is None else R)
+            expect = scipy_solve(ab, b)
+            assert frame.solve_banded(ab, b).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["ab", "b"])
+def test_solve_banded_rejects_non_finite_entries_as_scipy(bad, where):
+    ab, b = frame.banded(11, 0.1, 1.0, -0.5, 1.0, 0.3), np.ones(11)
+    if where == "ab":
+        ab[0, 4] = bad
+    else:
+        b[4] = bad
+    with pytest.raises(ValueError) as ref:
+        scipy_solve(ab, b)
+    with pytest.raises(ValueError) as mine:
+        frame.solve_banded(ab, b)
+    assert str(mine.value) == str(ref.value) == "array must not contain infs or NaNs"
+
+
+def test_solve_banded_zero_pivot_is_scipys_error():
+    # row 5 of the matrix is zero
+    ab, b = frame.banded(11, 0.1, 1.0, -0.5, 1.0, 0.3), np.ones(11)
+    ab[1, 5] = ab[0, 6] = ab[2, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        scipy_solve(ab, b)
+    with pytest.raises(np.linalg.LinAlgError) as mine:
+        frame.solve_banded(ab, b)
+    assert str(mine.value) == str(ref.value) == "singular matrix"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "singular matrix"), (np.nan, "array must not contain infs or NaNs")])
+def test_unsolvable_newton_system_is_divergence(monkeypatch, alg3, bad, message):
+    # a singular or non-finite Newton matrix ends the solve as a typed
+    # divergence that keeps the iterate and the history
+    def broken(ab, b):
+        ab[:, 5] = bad
+        return frame.solve_banded(ab, b)
+
+    monkeypatch.setattr(ws, "solve_banded", broken)
+    with pytest.raises(ws.NewtonDivergenceError,
+                       match=f"^no Newton step: {message}$") as info:
+        ws.solve_wave(alg3, 1.0, "sigma1")
+    assert info.value.last_iterate is not None
+    assert len(info.value.residual_history) == 1
+
+
+def _outcome(solve):
+    """What a solve returns or how it fails, in bits."""
+    try:
+        w = solve()
+    except (ws.NewtonDivergenceError, ws.NoPositiveWaveError) as exc:
+        return type(exc), str(exc), exc.residual_history
+    return w.phi.tobytes(), w.iterations, w.residual_norm
+
+
+def test_solve_wave_is_unchanged_by_scipys_wrapper(monkeypatch, exp2, alg3, pow2):
+    solves = [lambda: ws.solve_wave(alg3, 1.0, "sigma1"),  # log phi
+              lambda: ws.solve_wave(exp2, 1.0, "tilde_a"),  # phi
+              lambda: ws.wave_family(alg3, 1.0, (2.0,))[0],  # pinned
+              lambda: ws.solve_wave(alg3, 1.0, "profile_itself"),  # min phi < 0
+              lambda: ws.solve_wave(pow2, 1.0, "tilde_a")]  # divergence
+    mine = [_outcome(solve) for solve in solves]
+    assert [m[0] for m in mine[3:]] == [ws.NoPositiveWaveError,
+                                        ws.NewtonDivergenceError]
+    calls = []
+
+    def wrapper(ab, b):
+        calls.append(1)
+        return scipy_solve(ab, b)
+
+    monkeypatch.setattr(ws, "solve_banded", wrapper)
+    assert [_outcome(solve) for solve in solves] == mine
+    assert len(calls) > 20
 
 
 def test_step_from_solved_wave_moves_by_at_most_dt_residual(exp_wave_c1, exp2):

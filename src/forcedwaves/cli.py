@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (_TAIL_KINDS, TARGET_TAGS, AnsatzUnavailableError,
+from .environment import (TAIL_KINDS, TARGET_TAGS, AnsatzUnavailableError,
                           EnvironmentProfile, classify, minimal_tag,
                           resolve_target)
 from . import analysis, oracles, pdesim, wavesolver
@@ -69,7 +69,7 @@ _SCHEMA = {
     "profile": {
         "alpha": float, "center": float, "width": float, "tail.kind": str,
         **{f"tail.{f.name}": int if f.type == "int" else float
-           for cls in _TAIL_KINDS.values() for f in dataclasses.fields(cls)},
+           for cls in TAIL_KINDS.values() for f in dataclasses.fields(cls)},
     },
     "speed": {"c": (float, _GT0), "c.start": (float, _GT0),
               "c.stop": (float, _GT0), "c.steps": (int, _GE0)},
@@ -150,10 +150,10 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
     center = _require(cfg, "profile", "center")
     width = _require(cfg, "profile", "width")
     kind = _require(cfg, "profile", "tail.kind")
-    if kind not in _TAIL_KINDS:
+    if kind not in TAIL_KINDS:
         raise ConfigError(f"tail.kind = {kind!r}; expected one of "
-                          f"{sorted(_TAIL_KINDS)}")
-    tail_cls = _TAIL_KINDS[kind]
+                          f"{sorted(TAIL_KINDS)}")
+    tail_cls = TAIL_KINDS[kind]
     names = {f.name for f in dataclasses.fields(tail_cls)}
     params = {}
     for key, val in cfg["profile"].items():

@@ -32,6 +32,7 @@ __all__ = [
     "IteratedLog",
     "Power",
     "TailFamily",
+    "TAIL_KINDS",
     "EnvironmentProfile",
     "sigma1_valid_from",
     "generalized_eigenvalues",
@@ -361,7 +362,7 @@ class Power:
 
 TailFamily = Union[ExpTail, Algebraic, IteratedLog, Power]
 
-_TAIL_KINDS = {"exp": ExpTail, "algebraic": Algebraic, "iterated_log": IteratedLog, "power": Power}
+TAIL_KINDS = {"exp": ExpTail, "algebraic": Algebraic, "iterated_log": IteratedLog, "power": Power}
 
 
 # ---------------------------------------------------------------------------

@@ -232,34 +232,28 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
         zM = float(brentq(lambda s: float(log_b(s)) + math.log(Mv), z0, hi, xtol=1e-12))
         return zM if float(tail.value(zM)) <= c * c / 6.0 else None
 
-    @functools.cache
-    def log_need():
-        """log(1/b(z*)) with a(z*) = c^2/6 (z* = z0 if a(z0) is below already),
-        or None if a stays above c^2/6 to the horizon.  On the decreasing
-        tail z_M is admissible exactly when z_M >= z*, i.e. M >= 1/b(z*)."""
-        cap = c * c / 6.0
-        z_star = z0
-        if float(tail.value(z0)) > cap:
-            hi = 2.0 * z0
-            while float(tail.value(hi)) > cap:
-                hi *= 2.0
-                if hi > 1e12:
-                    return None
-            z_star = float(brentq(lambda s: float(tail.value(s)) - cap, z0, hi))
-        return -float(log_b(z_star))
+    # z* where a(z*) = c^2/6 (z0 if a(z0) is below already), and
+    # log(1/b(z*)); None if a stays above c^2/6 to the horizon.  On the
+    # decreasing tail z_M is admissible exactly when z_M >= z*, i.e.
+    # M >= 1/b(z*), so lattice points below 1/b(z*) probe to None.
+    cap = c * c / 6.0
+    z_star, hi = z0, 2.0 * z0
+    if float(tail.value(z0)) > cap:
+        while hi <= 1e12 and float(tail.value(hi)) > cap:
+            hi *= 2.0
+        z_star = (float(brentq(lambda s: float(tail.value(s)) - cap, z0, hi))
+                  if hi <= 1e12 else None)
+    log_need = None if z_star is None else -float(log_b(z_star))
 
     def find_zM(Av):
         """Smallest (M, z_M) with M > 2Av/c, M b(z_M) = 1 and a(z_M) <= c^2/6,
-        M on the lattice 2.5 Av/c 2^k, k < 80.  Lattice points below
-        1/b(z*) probe to None, so past a first None the walk starts at the
-        first point above 1/b(z*), stepped down while the point below it
-        probes to an answer."""
+        M on the lattice 2.5 Av/c 2^k, k < 80.  The walk starts one point
+        below the first lattice point above 1/b(z*), to absorb the rounding
+        of that jump."""
         M0 = 2.5 * Av / c
         k = 0
-        if probe(M0) is None and log_need() is not None:
-            k = min(80, max(1, math.ceil((log_need() - math.log(M0)) / math.log(2.0))))
-            while k > 1 and probe(math.ldexp(M0, k - 1)) is not None:
-                k -= 1
+        if log_need is not None:
+            k = min(80, max(0, math.ceil((log_need - math.log(M0)) / math.log(2.0)) - 1))
         while k < 80 and probe(math.ldexp(M0, k)) is None:
             k += 1
         Mv = math.ldexp(M0, k)

@@ -83,6 +83,11 @@ class SimulationState:
     def h(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    @property
+    def right_sigma(self) -> float:
+        """The Robin coefficient at +L; None is the Neumann wall 0.0."""
+        return 0.0 if self.robin_sigma is None else self.robin_sigma
+
     def copy(self) -> "SimulationState":
         return replace(self, u=self.u.copy())
 
@@ -133,9 +138,8 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
     is one fresh array built in place in the order of u + dt u (a - u)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    sigma = 0.0 if state.robin_sigma is None else state.robin_sigma
-    solve = frame.factor(frame.banded(len(state.u), state.h, state.c, sigma,
-                                      -dt, 1.0))
+    solve = frame.factor(frame.banded(len(state.u), state.h, state.c,
+                                      state.right_sigma, -dt, 1.0))
     a_max, left_ok = np.max(np.abs(a)), np.isfinite(left).all()
 
     def advance(u: np.ndarray) -> np.ndarray:
@@ -279,8 +283,8 @@ def comparison_test(state_lo: SimulationState, state_hi: SimulationState,
     """
     if not np.array_equal(state_lo.grid, state_hi.grid):
         raise ValueError("comparison requires identical grids")
-    if (state_lo.robin_sigma, state_lo.c, state_lo.profile) != \
-            (state_hi.robin_sigma, state_hi.c, state_hi.profile):
+    if (state_lo.right_sigma, state_lo.c, state_lo.profile) != \
+            (state_hi.right_sigma, state_hi.c, state_hi.profile):
         raise ValueError("comparison requires identical boundary conditions, "
                          "speed and profile")
     if state_lo.left_value > state_hi.left_value:

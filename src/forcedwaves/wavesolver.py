@@ -13,10 +13,13 @@ this module holds the damped Newton iteration, the targets and the starts.
 Newton runs for phi or, for a target the classifier predicts, for
 v = log phi with each row divided by phi: the stopping test is then
 relative, so a tail of 1e-50 is resolved instead of passing the absolute
-Robin row for any decay rate, and phi stays positive.  _plan reads the
-target once and fixes the Robin coefficient, the variable and the start.  A
-converged phi <= 0 or wall layer is the meaningful "no positive wave"
-outcome, distinct from Newton divergence.  Either way a failure's
+Robin row for any decay rate, and phi stays positive.
+
+A solve reads top to bottom: _plan resolves the target, checks it and the
+guess, asks the classifier and returns a Plan (tag, law, Robin coefficient,
+variable, start); _newton iterates; certify accepts the converged state or
+raises.  A converged phi <= 0 or wall layer is the meaningful "no positive
+wave" outcome, distinct from Newton divergence.  Either way a failure's
 residual_history holds the phi-residual max |F| at each iterate.
 """
 
@@ -31,7 +34,6 @@ from scipy.interpolate import make_interp_spline
 
 from . import frame, oracles
 from .environment import (
-    _LAWS,
     MINIMAL_TAGS,
     TARGET_TAGS,  # not used here; kept importable as wavesolver.TARGET_TAGS
     AnsatzUnavailableError,
@@ -51,6 +53,7 @@ __all__ = [
     "WaveSolution",
     "NewtonDivergenceError",
     "NoPositiveWaveError",
+    "certify",
     "standard_starts",
     "solve_wave",
     "continuation_in_c",
@@ -266,14 +269,27 @@ def standard_starts(profile: EnvironmentProfile, c: float,
     return starts
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What solve_wave reads of a target: its tag and law, the Robin
+    coefficient, Newton's variable and the start."""
+
+    tag: str
+    ansatz: Optional[DecayAnsatz]
+    sigma_R: Optional[float]  # None when the amplitude is pinned
+    log: bool                 # Newton in v = log phi
+    start: np.ndarray = field(repr=False)
+
+
 def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str],
-          grid: np.ndarray, guess: Optional[np.ndarray], pinned: bool):
-    """(tag, ansatz, sigma_R, log, start): what solve_wave reads of a target.
+          grid: np.ndarray, guess: Optional[np.ndarray], pinned: bool) -> Plan:
+    """Resolve the target, check it and the guess, then ask the classifier.
 
     sigma_R, the Robin coefficient, is the ansatz's log-derivative at L, or
     None when the amplitude is pinned.  slow_maximal where int tilde_a
     diverges has no ansatz; its coefficient degenerates to the tilde_a value
     -a(L)/c.  Any other unavailable ansatz raises AnsatzUnavailableError.
+    The target's own errors come before the classifier's.
 
     A target the classifier predicts is solved for log phi (log True), from
     its decay shape capped at alpha (e^{-c (z - z_switch)} if minimal, as
@@ -285,22 +301,8 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
     minimal one, whose only root for c >= 2 sqrt(alpha) is the wall layer,
     from a(-L) e^{-(c/2)(z + L)}: c/2 is the double root of
     lambda^2 - c lambda + alpha at threshold.
-
-    A tag the classifier's report already holds a law for takes that law, so
-    no law is built twice.  A classifier error is raised after the target's
-    own checks, where the classifier ran before.
     """
-    try:
-        report, deferred = classify(profile, c), None
-    except AnsatzUnavailableError as exc:
-        report, deferred = None, exc
-    laws = {} if report is None else {
-        law.tag: law for law in (report.minimal_decay, report.maximal_decay)
-        if law is not None}
-    if isinstance(target, str) and target in laws:
-        tag, ansatz = target, laws[target]
-    else:
-        tag, ansatz = resolve_target(profile, c, target)
+    tag, ansatz = resolve_target(profile, c, target)
     if ansatz is None and tag != "slow_maximal":
         raise AnsatzUnavailableError(f"no {tag} ansatz for this profile at c = {c:g}")
     sigma_R = None
@@ -312,8 +314,7 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
         guess = np.asarray(guess, dtype=float)
         if guess.shape != grid.shape:
             raise ValueError("initial guess does not match the grid")
-    if deferred is not None:
-        raise deferred
+    report = classify(profile, c)
     minimal = tag in MINIMAL_TAGS
     # the classifier sets maximal_decay exactly in cases 2 and 3
     law = report.minimal_decay if minimal else report.maximal_decay
@@ -322,17 +323,41 @@ def _plan(profile: EnvironmentProfile, c: float, target: Union[DecayAnsatz, str]
         if guess is None:
             guess = (float(profile.a(grid[0])) * np.exp(-0.5 * c * (grid - grid[0]))
                      if minimal else _tanh_start(profile, grid))
-        return tag, ansatz, sigma_R, log, guess
-    shaped = _LAWS["pure_exp"](profile, c) if minimal else ansatz
+        return Plan(tag, ansatz, sigma_R, log, guess)
+    shaped = resolve_target(profile, c, "pure_exp")[1] if minimal else ansatz
     shape = np.minimum(profile.alpha, shaped.value(np.maximum(grid, profile.z_switch)))
     if guess is None:
         guess = shape if minimal else _tanh_start(profile, grid)
-    return tag, ansatz, sigma_R, log, np.maximum(guess, shape)
+    return Plan(tag, ansatz, sigma_R, log, np.maximum(guess, shape))
 
 
 # ---------------------------------------------------------------------------
 # solver entry points
 # ---------------------------------------------------------------------------
+
+def certify(profile: EnvironmentProfile, phi: np.ndarray, residual_norm: float,
+            history: list) -> None:
+    """Accept a converged state as a forced wave, or raise NoPositiveWaveError.
+
+    A converged phi <= 0 somewhere is no positive wave.  A forced wave holds
+    the plateau at the left wall; a state whose first grid cell already
+    leaves alpha is a truncation artifact (the boundary layer "wave" that
+    exists on any finite domain even where the infinite-domain problem has
+    no solution).
+    """
+    lowest = float(np.min(phi))
+    if lowest <= 0.0:
+        message = (f"converged state has min phi = {lowest:.3e} <= 0: "
+                   "no positive wave with this target")
+    elif abs(phi[1] - phi[0]) > 1e-6 * profile.alpha:
+        message = (f"converged state has a boundary layer at the left wall "
+                   f"(|phi' (-L)| h = {abs(phi[1] - phi[0]):.3e}): it does not "
+                   "connect to the plateau equilibrium, so it is not a forced wave")
+    else:
+        return
+    raise NoPositiveWaveError(message, phi=phi, residual_norm=residual_norm,
+                              residual_history=history)
+
 
 def solve_wave(profile: EnvironmentProfile, c: float,
                target: Union[DecayAnsatz, str], cfg: Optional[SolverConfig] = None,
@@ -340,38 +365,24 @@ def solve_wave(profile: EnvironmentProfile, c: float,
                pin_amplitude: Optional[float] = None) -> WaveSolution:
     """Solve the truncated boundary value problem for one targeted wave.
 
-    The variable and the start, which initial_guess enters, are _plan's.
-    No oracle is constructed.  pin_amplitude, when given, replaces
-    the Robin row by the Dirichlet condition phi(L) = pin_amplitude (used by
-    wave_family to separate slow family members, which share the same
-    Robin coefficient).
+    The variable and the start, which initial_guess enters, are _plan's;
+    certify accepts the result.  No oracle is constructed.  pin_amplitude,
+    when given, replaces the Robin row by the Dirichlet condition
+    phi(L) = pin_amplitude (used by wave_family to separate slow family
+    members, which share the same Robin coefficient).
     """
     if c <= 0:
         raise ValueError("c must be positive")
     cfg = SolverConfig.default_for(profile) if cfg is None else cfg
     grid = cfg.grid()
-    tag, ansatz, sigma_R, log, start = _plan(profile, c, target, grid, initial_guess,
-                                             pin_amplitude is not None)
+    plan = _plan(profile, c, target, grid, initial_guess, pin_amplitude is not None)
     a = np.asarray(profile.a(grid), dtype=float)
-    phi, nrm, iters, history = _newton(start, a, float(grid[1] - grid[0]), c,
-                                       float(a[0]), sigma_R, pin_amplitude, cfg, log)
-    if float(np.min(phi)) <= 0.0:
-        raise NoPositiveWaveError(
-            f"converged state has min phi = {float(np.min(phi)):.3e} <= 0: "
-            "no positive wave with this target",
-            phi=phi, residual_norm=nrm, residual_history=history)
-    # a forced wave holds the plateau at the left wall; a state whose first
-    # grid cell already leaves alpha is a truncation artifact (the boundary
-    # layer "wave" that exists on any finite domain even where the infinite-
-    # domain problem has no solution)
-    if abs(phi[1] - phi[0]) > 1e-6 * profile.alpha:
-        raise NoPositiveWaveError(
-            f"converged state has a boundary layer at the left wall "
-            f"(|phi' (-L)| h = {abs(phi[1] - phi[0]):.3e}): it does not "
-            "connect to the plateau equilibrium, so it is not a forced wave",
-            phi=phi, residual_norm=nrm, residual_history=history)
+    phi, nrm, iters, history = _newton(plan.start, a, float(grid[1] - grid[0]), c,
+                                       float(a[0]), plan.sigma_R, pin_amplitude, cfg,
+                                       plan.log)
+    certify(profile, phi, nrm, history)
     return WaveSolution(c=c, grid=grid, phi=phi, residual_norm=nrm,
-                        decay_tag=tag, bc_right=sigma_R, target=ansatz,
+                        decay_tag=plan.tag, bc_right=plan.sigma_R, target=plan.ansatz,
                         pinned_amplitude=pin_amplitude, iterations=iters,
                         config=cfg)
 

@@ -1,6 +1,7 @@
 """One owner for the discrete problem: only forcedwaves.frame imports from
 scipy.linalg or calls frame.apply, so the rows and the linear algebra of the
-collocation system are written in one module."""
+collocation system are written in one module.  And no module imports
+another module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 import forcedwaves
 
 SRC = Path(forcedwaves.__file__).parent
-OTHERS = sorted(p.name for p in SRC.glob("*.py") if p.name != "frame.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+OTHERS = [name for name in MODULES if name != "frame.py"]
 
 
 def _violations(tree):
@@ -50,3 +52,29 @@ def test_modules_are_found():
 def test_only_frame_holds_the_discrete_problem(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert _violations(tree) == []
+
+
+def _private_imports(tree):
+    """(line, name) for each underscore name imported from a sibling module;
+    dunders such as __version__ are not private."""
+    return [(node.lineno, f"{node.module or ''}.{alias.name}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level == 1 or (node.module or "").split(".")[0] == "forcedwaves")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_the_private_import_check_sees_each_form():
+    tree = ast.parse("from .environment import _LAWS, TARGET_TAGS\n"
+                     "from forcedwaves.cli import _SCHEMA\n"
+                     "from . import frame, __version__, _hidden\n"
+                     "from numpy import _core\n")
+    assert _private_imports(tree) == [(1, "environment._LAWS"),
+                                      (2, "forcedwaves.cli._SCHEMA"), (3, "._hidden")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_private_names(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert _private_imports(tree) == []

@@ -183,6 +183,17 @@ class TestComparison:
         with pytest.raises(ValueError, match="boundary"):
             ps.comparison_test(lo, hi, 1.0)  # Neumann vs Robin
 
+    def test_neumann_wall_written_two_ways_is_one_boundary(self, exp2, exp_wave_c1):
+        # robin_sigma None is the Neumann wall 0.0: both step to the same
+        # bits, so a pair that writes it both ways is one comparison
+        grid, zero = exp_wave_c1.grid, np.zeros_like(exp_wave_c1.phi)
+        pairs = [(ps.make_state(exp2, 1.0, grid, zero, robin_sigma=lo, left_value=0.0),
+                  ps.make_state(exp2, 1.0, grid, exp_wave_c1.phi, robin_sigma=hi))
+                 for lo, hi in ((None, None), (None, 0.0), (0.0, None))]
+        same, *mixed = [ps.comparison_test(lo, hi, 0.5, dt=0.01) for lo, hi in pairs]
+        assert mixed == [same, same]
+        assert {st.right_sigma for pair in pairs for st in pair} == {0.0}
+
     def test_rejects_mismatched_speed_or_profile(self, exp2, alg3, exp_wave_c1):
         # the pair is advanced by one matrix and one a(grid): two different
         # equations would certify nothing

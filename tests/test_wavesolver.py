@@ -193,20 +193,6 @@ class TestLayerCounts:
         assert (calls["discrete_residual"], calls["solve_banded"],
                 w.iterations) == expected
 
-    def test_sigma1_law_is_built_once_per_solve(self, alg3, monkeypatch):
-        # _plan takes the law from the classifier's report instead of
-        # building it again, so sigma1_valid_from's root-find runs once
-        calls = []
-        valid_from = env.sigma1_valid_from
-
-        def counted(*args):
-            calls.append(args)
-            return valid_from(*args)
-
-        monkeypatch.setattr(env, "sigma1_valid_from", counted)
-        ws.solve_wave(alg3, 1.0, "sigma1")
-        assert len(calls) == 1
-
 
 class TestTargetOutcomes:
     @pytest.mark.parametrize("tag", ws.TARGET_TAGS)
@@ -242,6 +228,65 @@ class TestTargetOutcomes:
         # such a target would set the Robin row from another problem's law
         with pytest.raises(ValueError, match=match):
             ws.solve_wave(alg3, 1.0, build(alg3, pow2))
+
+
+class TestPlanOrder:
+    """_plan resolves and checks the target, then the guess, then asks the
+    classifier.  On pow2 at c = 0.002 the classifier raises (a(z) never
+    drops below c^2/4), so its error is the one that comes last."""
+
+    C = 0.002
+
+    def test_the_classifier_raises_here(self, pow2):
+        with pytest.raises(AnsatzUnavailableError, match="never drops below c\\^2/4"):
+            env.classify(pow2, self.C)
+
+    @pytest.mark.parametrize("build,kwargs,error,match", [
+        (lambda alg3, c: "bogus", {}, ValueError, "unknown target 'bogus'"),
+        (lambda alg3, c: TildeA(alg3, c), {}, ValueError, "built for another profile"),
+        (lambda alg3, c: "tilde_a", {"initial_guess": np.ones(5)}, ValueError,
+         "initial guess does not match the grid"),
+        (lambda alg3, c: "sigma1", {}, AnsatzUnavailableError,
+         "no sigma1 ansatz for this profile"),
+        (lambda alg3, c: "slow_maximal", {}, AnsatzUnavailableError,
+         "never drops below c\\^2/4"),
+        (lambda alg3, c: "tilde_a", {"pin_amplitude": 1e-3}, AnsatzUnavailableError,
+         "never drops below c\\^2/4"),
+    ], ids=["unknown-tag", "other-profile", "guess-shape", "no-sigma1",
+            "slow_maximal", "pinned-tilde_a"])
+    def test_target_checks_come_before_the_classifier(self, alg3, pow2, build,
+                                                      kwargs, error, match):
+        with pytest.raises(error, match=match):
+            ws.solve_wave(pow2, self.C, build(alg3, self.C), **kwargs)
+
+
+class TestCertify:
+    def test_nonpositive_state_is_rejected_with_its_payload(self, alg3):
+        phi = np.linspace(1.0, -0.1, 12)
+        with pytest.raises(NoPositiveWaveError) as info:
+            ws.certify(alg3, phi, 3e-11, [0.5, 3e-11])
+        assert str(info.value) == ("converged state has min phi = -1.000e-01 <= 0: "
+                                   "no positive wave with this target")
+        assert info.value.phi is phi
+        assert (info.value.residual_norm, info.value.residual_history) == \
+            (3e-11, [0.5, 3e-11])
+
+    def test_left_wall_layer_is_rejected_with_its_payload(self, alg3):
+        phi = np.linspace(1.0, 0.5, 11)  # first cell drops by 0.05
+        with pytest.raises(NoPositiveWaveError) as info:
+            ws.certify(alg3, phi, 2e-11, [2e-11])
+        assert str(info.value) == (
+            "converged state has a boundary layer at the left wall "
+            "(|phi' (-L)| h = 5.000e-02): it does not connect to the plateau "
+            "equilibrium, so it is not a forced wave")
+        assert info.value.phi is phi
+        assert (info.value.residual_norm, info.value.residual_history) == \
+            (2e-11, [2e-11])
+        assert info.value.kind == "no_positive_wave"
+
+    def test_solved_wave_is_accepted(self, exp2, exp_wave_c1):
+        w = exp_wave_c1
+        assert ws.certify(exp2, w.phi, w.residual_norm, [w.residual_norm]) is None
 
 
 class TestOrderingCheck:

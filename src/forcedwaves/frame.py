@@ -27,21 +27,35 @@ pivoted dgttrs, whose back-substitution divides on every row.  Where the
 pairs are not all negative, s spans more than _SCALE_SPAN or dpttrf finds
 the matrix not positive definite, factor uses the pivoted LU (dgttrf and
 dgttrs, bit-identical to solve_banded) instead.
+
+s is placed at the top of the exponent range: a power of two, which
+rounds nothing, puts max(s) in [2**(K-1), 2**K) with
+K = 1023 - 64 - ceil(log2 ||T||_inf), T = s M s^{-1}.  On the free rows T
+is diagonally dominant with margin at least 1 (for a Robin sigma <= 0), so
+||T^{-1}||_inf <= 1, and s b, the solution s x and every value of the
+dpttrs sweeps stay below ||T||_inf max(s) |b| < 2**1023 for |b| < 2**64.
+A transient field's far field, where the exact solution decays through
+the subnormal range, then decays through normal numbers in the scaled
+sweep to the end of the grid (about 2**954 of headroom at h = 0.05,
+dt = 0.01), instead of sticking at the smallest subnormal, which a sweep
+multiplier above 1/2 rounds back to itself.  Where the sweeps stay
+normal, the bits are those of any other power-of-two placement.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
 
 # largest max(s)/min(s) on the symmetric path.  The running product starts
-# at 1, so it stays normal, and after centring s lies in (2**-502, 2**501):
-# s b cannot overflow for |b| < 2**522, and an underflow of s b changes x by
-# about 2**-1074 / min(s) < 2**-572 at most.  On banded's interior rows
-# log s grows by atanh(h c / 2) per node, so at L = 200, N = 8001 the
-# symmetric path holds for |c| up to about 3.45.
+# at 1, so it stays normal, and after placement min(s) >= 2**(K - 1001)
+# (2**-47 at K = 954): an underflow of s b changes x by at most
+# 2**-1074 / min(s).  On banded's interior rows log s grows by
+# atanh(h c / 2) per node, so at L = 200, N = 8001 the symmetric path holds
+# for |c| up to about 3.45.
 _SCALE_SPAN = 2.0 ** 1000
 
 
@@ -172,6 +186,11 @@ def factor(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     together; solve overwrites b and returns x, which shares b's memory when
     b is contiguous in Fortran order.  The symmetric path is taken when the
     module docstring's three conditions hold, the pivoted LU otherwise.
+
+    Contract: x and every intermediate value are finite when |b_i| < 2**64
+    on every row i >= 1, row 1 taken after row 0 is folded into it
+    (b_1 - M[1,0] b_0), and the free rows of M are diagonally dominant with
+    margin at least 1, as I - dt A is for h|c| < 2 and a Robin sigma <= 0.
     """
     dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
     symmetric = _symmetric(dl, d, du)
@@ -202,9 +221,11 @@ def _symmetric(dl, d, du):
     lo, hi = s[1:].min(), s[1:].max()
     if not hi <= _SCALE_SPAN * lo:
         return None
-    # centre on 1 by a power of two, which rounds nothing
-    s[1:] = np.ldexp(s[1:], -((np.frexp(lo)[1] + np.frexp(hi)[1]) // 2))
-    d_fact, e_fact, info = dpttrf(d, np.concatenate(([0.0], -np.sqrt(p * q))))
+    e = np.concatenate(([0.0], -np.sqrt(p * q)))  # T's off-diagonal
+    # max(d) + 2 max|e| >= ||T||_inf; its frexp exponent >= ceil(log2) of it
+    top = 1023 - 64 - math.frexp(d.max() - 2.0 * e.min())[1]
+    s[1:] = np.ldexp(s[1:], top - math.frexp(hi)[1])
+    d_fact, e_fact, info = dpttrf(d, e)
     if info:
         return None
     fold, s_col = dl[0], s[:, None]

@@ -17,20 +17,26 @@ from frame.discrete_residual.  Measured drift therefore reflects only the
 Newton tolerance, not the time discretization.
 
 a(grid) is evaluated once per trajectory and I - dt A factored once per dt
-by frame.factor; each step is one in-place solve after a bound-first dt
-check (see _stepper).  Under the M-matrix condition a diagonal scale makes
-I - dt A symmetric, and it is factored as LDL^T, which halves the cost of a
-solve.  Where h|c| >= 2, the scale spans too wide a range (at L = 200,
-N = 8001 for |c| above about 3.45) or the LDL^T factor fails, the factor is
-the pivoted LU, bit-identical to frame.solve_banded.  comparison_test
-advances its pair as the two columns of one solve, and evolve builds a
-state only for the steps it records.
+by frame.factor, and a last step within 1e-12 of dt is taken at dt, so a
+horizon of whole steps factors once; each step is one in-place solve after
+a bound-first dt check (see _stepper).  Under the M-matrix condition a
+diagonal scale makes I - dt A symmetric, and it is factored as LDL^T, which
+halves the cost of a solve.  The scale sits at the top of the exponent
+range, so the far field of a transient field, whose exact values decay
+through the subnormal range, decays through normal numbers in the solve.
+Where h|c| >= 2, the scale spans too wide a range (at L = 200, N = 8001
+for |c| above about 3.45), the LDL^T factor fails or the step's bound on
+its right-hand side leaves frame.factor's |b| < 2**64, the solve is the
+pivoted LU, bit-identical to frame.solve_banded.  comparison_test advances
+its pair as the two columns of one solve, and evolve builds a state only
+for the steps it records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,12 +141,25 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
     prove dt max|a - 2u| < 1 and a finite right-hand side, rounding included;
     only other steps (NaN or inf in u too) run the exact and finiteness
     checks, so each step decides and reports as before.  The right-hand side
-    is one fresh array built in place in the order of u + dt u (a - u)."""
+    is one fresh array built in place in the order of u + dt u (a - u).
+
+    Both admissions give dt |a - 2u| < 1, so with dt u = (dt a - delta) / 2,
+    |delta| < 1, each entry of the right-hand side is at most
+    (1 + dt max|a|)(3 + dt max|a|) / (4 dt), and frame.factor's fold adds
+    |M[1,0]| max|left| to row 1: about 1/dt in all.  frame.factor's
+    symmetric solve is finite for |b| < 2**64; where this bound reaches
+    2**63, which leaves room for rounding (a dt below about 2**-63, or a
+    huge profile or left value), the step takes the pivoted LU instead."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    solve = frame.factor(frame.banded(len(state.u), state.h, state.c,
-                                      state.right_sigma, -dt, 1.0))
-    a_max, left_ok = np.max(np.abs(a)), np.isfinite(left).all()
+    ab = frame.banded(len(state.u), state.h, state.c, state.right_sigma,
+                      -dt, 1.0)
+    a_max, left_max = np.max(np.abs(a)), np.max(np.abs(left))
+    b_max = ((1.0 + dt * a_max) * (3.0 + dt * a_max) / (4.0 * dt)
+             + abs(ab[2, 0]) * left_max)
+    solve = (frame.factor(ab) if b_max < 2.0 ** 63
+             else partial(frame.solve_banded, ab))
+    left_ok = math.isfinite(left_max)
 
     def advance(u: np.ndarray) -> np.ndarray:
         proven = left_ok and dt * (a_max + 2.0 * max(u.max(), -u.min())) <= 0.5
@@ -161,15 +180,20 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
 
 
 def _march(state: SimulationState, u: np.ndarray, left, T: float, dt: float):
-    """Yield (t, u) after each step to state.t + T; one factor per distinct dt."""
+    """Yield (t, u) after each step to state.t + T; one factor per distinct dt.
+
+    A remainder within the loop's 1e-12 slack of dt is stepped at dt, so the
+    rounding of t += dt costs no second factor; the last step ends at
+    state.t + T."""
     t, t_end, d_lu = state.t, state.t + T, None
     a = state.profile.a(state.grid)
     while t < t_end - 1e-12:
-        d = min(dt, t_end - t)
+        rest = t_end - t
+        d = dt if rest > dt - 1e-12 else rest
         if d != d_lu:
             advance, d_lu = _stepper(state, d, a, left), d
         u = advance(u)
-        t += d
+        t = t + d if rest > dt + 1e-12 else t_end
         yield t, u
 
 

@@ -316,6 +316,58 @@ def test_step_error_on_the_acceptance_waves(monkeypatch, exp2, alg3, pow2,
         assert np.max(np.abs(ps.step(state, dt).u - exact)) <= 2e-15
 
 
+def _simulate_bump(grid, z_star):
+    """The simulate command's bump: height 1/2 and width 5 at z_star."""
+    return 0.5 * np.exp(-((grid - z_star) / 5.0) ** 2)
+
+
+def _max_relative_error(x, exact, floor=1e-290):
+    """max |x - exact| / |exact| over the entries with |exact| >= floor."""
+    keep = np.abs(exact) >= floor
+    return float(np.max(np.abs(x[keep] - exact[keep]) / np.abs(exact[keep])))
+
+
+@pytest.mark.parametrize("name", ["alg3", "pow2", "itlog"])
+def test_transient_step_decays_through_normal_numbers(monkeypatch, request,
+                                                      name):
+    # one step (dt = 0.01, sigma = 0, c = 1) from the bump on the default
+    # grid (L = 200, N = 8001), whose Gaussian tails underflow: the exact
+    # step decays through the subnormal range towards +L.  Relative error
+    # against the long-double solve where it is at least 1e-290: measured
+    # 1.0e-13; 9.6e-5 with s centred on 1, where the dpttrs sweep stuck at
+    # the smallest subnormal (its multiplier is about 0.61 > 1/2)
+    monkeypatch.setattr(frame, "dgttrs", _lu_solve_called)
+    prof, dt = request.getfixturevalue(name), 0.01
+    grid = ws.SolverConfig.default_for(prof).grid()
+    state = ps.make_state(prof, 1.0, grid, _simulate_bump(grid, prof.z_star))
+    u, a = state.u, prof.a(grid)
+    rhs = u + dt * u * (a - u)
+    rhs[0] = state.left_value
+    ab = frame.banded(len(u), state.h, 1.0, 0.0, -dt, 1.0)
+    exact = thomas_longdouble(ab, rhs)
+    assert _max_relative_error(ps.step(state, dt).u, exact) <= 1e-12
+
+
+def test_solve_at_the_edge_of_the_contract(monkeypatch, alg3):
+    # |b| just under 2**64, as two columns of one solve on the same grid: the
+    # bump (its far field decays through the subnormal range) and a plateau
+    # (s b and s x within a few bits of overflow at the top of s); row 0 is
+    # 0, so the fold leaves row 1 inside the contract too
+    monkeypatch.setattr(frame, "dgttrs", _lu_solve_called)
+    grid = ws.SolverConfig.default_for(alg3).grid()
+    n, h = len(grid), float(grid[1] - grid[0])
+    ab = frame.banded(n, h, 1.0, 0.0, -0.01, 1.0)
+    edge, bump = np.nextafter(2.0 ** 64, 0.0), _simulate_bump(grid, 8.0)
+    b = np.column_stack([edge * (bump / bump.max()), np.full(n, edge)])
+    b[0] = 0.0
+    assert np.max(np.abs(b)) == edge
+    x = frame.factor(ab)(b.copy(order="F"))
+    assert np.isfinite(x).all()
+    for j in range(2):
+        exact = thomas_longdouble(ab, b[:, j])
+        assert _max_relative_error(x[:, j], exact) <= 1e-12
+
+
 # on GRID's h = 0.2, h c = 2.4 breaks the M-matrix condition; on the
 # default algebraic grid (L = 200, N = 8001) log2 of the scale's span is
 # 1012 at c = 3.5 (over 1000) and overflows at c = 4

@@ -1,5 +1,6 @@
-"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number and
-names the first differing line of a CSV whose cells parse equal, the
+"""tools/golden_run.py: --compare matches ACCEPTANCE lines by number,
+gives each differing CSV column's relative difference beside the absolute
+one and names the first differing line of a CSV whose cells parse equal, the
 ACCEPTANCE lines come from the tests beside --src, every target tag gets a
 wave run, and the plotting commands run with --svg."""
 
@@ -35,6 +36,18 @@ def test_equal_cells_name_the_first_differing_line(tmp_path):
     assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
         "run/wave.csv: max |delta| z 0, phi 0; "
         "line 3: '1,1e+16\\r\\n' != '1,10000000000000000\\r\\n'"]
+
+
+def test_column_deltas_give_the_relative_difference(tmp_path):
+    # an absolute 3e-292 in a field that decays to 1e-287 is a relative 3e-5
+    for side, cell in (("a", "1e-287"), ("b", "1.00003e-287")):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "state.csv").write_text(
+            f"z,u\r\n0,0.5\r\n1,{cell}\r\n", encoding="utf-8", newline="")
+    a = {"runs": {"run": {"exit": 0, "files": {"state.csv": "sha-a"}}}}
+    b = {"runs": {"run": {"exit": 0, "files": {"state.csv": "sha-b"}}}}
+    assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
+        "run/state.csv: max |delta| z 0, u 3e-292 (rel 3e-05)"]
 
 
 def test_acceptance_runs_the_tests_beside_src(tmp_path, monkeypatch):

@@ -146,6 +146,23 @@ class TestStepControl:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 run()
 
+    @pytest.mark.parametrize("dt, left", [(2.0 ** -64, 0.5), (0.01, 2.0 ** 70)])
+    def test_step_outside_the_symmetric_contract_is_solve_banded(
+            self, monkeypatch, exp2, dt, left):
+        # a right-hand side bound of 2**63 or more, from dt (about 1/dt) or
+        # from the left value folded into row 1, is outside frame.factor's
+        # |b| < 2**64: the step takes the pivoted LU of solve_banded
+        def factored(ab):
+            raise AssertionError("the step factored its matrix")
+
+        monkeypatch.setattr(frame, "factor", factored)
+        st0 = ps.make_state(exp2, 1.0, GRID, _field("bump"), left_value=left)
+        u, a = st0.u, exp2.a(GRID)
+        rhs = u + dt * u * (a - u)
+        rhs[0] = left
+        ab = frame.banded(len(GRID), st0.h, 1.0, 0.0, -dt, 1.0)
+        assert _same_bits(ps.step(st0, dt).u, solve_banded((1, 1), ab, rhs))
+
 
 class TestComparison:
     def test_zero_below_wave(self, exp2, exp_wave_c1):
@@ -260,7 +277,9 @@ class TestEvolveBookkeeping:
     def test_trajectory_work_is_done_once(self, monkeypatch, wave_state,
                                           exp_wave_c1):
         # a(grid) once for the steps and once for the residual monitor, one
-        # implicit matrix per distinct dt (not per step)
+        # implicit matrix per trajectory: the 100th step's remainder,
+        # 1 - t = 0.009999999999999343 after 99 rounded additions of dt, is
+        # stepped at dt
         counts = {"a": 0, "dt": []}
         a, banded = EnvironmentProfile.a, frame.banded
 
@@ -278,8 +297,9 @@ class TestEvolveBookkeeping:
                         monitors={"res": ps.residual_monitor(),
                                   "dist": ps.distance_monitor(exp_wave_c1.phi)})
         assert res.steps_taken == 100 and len(res.times) == 11
+        assert res.state.t == 1.0
         assert counts["a"] <= 2
-        assert 1 <= len(counts["dt"]) == len(set(counts["dt"])) <= 2
+        assert counts["dt"] == [0.01]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +330,9 @@ def _symmetric_solve(ab, b):
     dptsv on the symmetric tridiagonal system after folding the Dirichlet
     row 0 into row 1; None where the off-diagonal pairs below row 0 are not
     all negative, s spans more than 2**1000 or dptsv finds M s^-1 not
-    positive definite."""
+    positive definite.  s is shifted by a power of two to max(s) in
+    [2**(K-1), 2**K), K = 1023 - 64 - the frexp exponent of
+    max(diag) + 2 max|offdiag|, an upper bound on ||s M s^-1||_inf."""
     p, q = ab[0, 2:], ab[2, 1:-1]  # (M[i, i+1], M[i+1, i]), i >= 1
     if not (np.all(p < 0.0) and np.all(q < 0.0)):
         return None
@@ -319,23 +341,28 @@ def _symmetric_solve(ab, b):
     lo, hi = s[1:].min(), s[1:].max()
     if not hi <= 2.0 ** 1000 * lo:
         return None
-    s[1:] = s[1:] * 2.0 ** -((math.frexp(lo)[1] + math.frexp(hi)[1]) // 2)
+    e = np.concatenate(([0.0], -np.sqrt(p * q)))
+    K = 1023 - 64 - math.frexp(np.max(ab[1]) + 2.0 * np.max(np.abs(e)))[1]
+    s[1:] = s[1:] * 2.0 ** (K - math.frexp(hi)[1])
     s = s.reshape((-1,) + (1,) * (b.ndim - 1))
     b = b.copy()
     b[1] = b[1] - ab[2, 0] * b[0]
-    e = np.concatenate(([0.0], -np.sqrt(p * q)))
     *_, y, info = dptsv(ab[1], e, s * b)
     return None if info else y / s
 
 
 def _reference_march(state, u, left, T, dt):
-    """[(t, u)] after each reference step to state.t + T."""
+    """[(t, u)] after each reference step to state.t + T; a remainder
+    within 1e-12 of dt is stepped at dt, and the last step ends at
+    state.t + T."""
     t, t_end, a = state.t, state.t + T, state.profile.a(state.grid)
     out = []
     while t < t_end - 1e-12:
-        d = min(dt, t_end - t)
-        u = _reference_step(state, u, left, d, a)
-        t += d
+        if t_end - t > dt + 1e-12:
+            u, t = _reference_step(state, u, left, dt, a), t + dt
+        else:
+            d = dt if t_end - t > dt - 1e-12 else t_end - t
+            u, t = _reference_step(state, u, left, d, a), t_end
         out.append((t, u))
     return out
 
@@ -361,9 +388,17 @@ def _outcome(run):
 
 
 GRID = np.linspace(-40.0, 40.0, 401)
+# the algebraic-family default grid, L = 200 and N = 8001
+WIDE = ws.SolverConfig(L=200.0, N=8001).grid()
+GRIDS = {"bump": GRID, "signed-subnormal": GRID, "wide-bump": WIDE}
 
 
 def _field(kind):
+    if kind == "wide-bump":
+        # the simulate bump (height 1/2, width 5) at z = 8: its Gaussian
+        # tails underflow, and at dt = 0.01 the exact step decays through
+        # the subnormal range towards +L
+        return 0.5 * np.exp(-((WIDE - 8.0) / 5.0) ** 2)
     u = 0.9 * np.exp(-((GRID - 4.0) / 6.0) ** 2)
     if kind == "signed-subnormal":
         u[::7] = 5e-324
@@ -393,13 +428,15 @@ class TestReferenceBits:
     C = 1.0  # h c = 0.2 on GRID: the symmetric LDL^T solve
 
     # dt = 0.01 is inside dt (max|a| + 2 max|u|) <= 1/2 on every step;
-    # dt = 0.3 is outside it on every step (max|u| >= 0.9 and the last step
-    # is 0.24) and still passes the exact check dt max|a - 2u| < 1
+    # dt = 0.3 is outside it on every step (max|u| >= 0.9; the wide bump's
+    # 0.5 at the first step, then its left value 1; the last step is 0.24)
+    # and still passes the exact check dt max|a - 2u| < 1
     @pytest.mark.parametrize("dt,exact", [(0.01, False), (0.3, True)])
-    @pytest.mark.parametrize("kind", ["bump", "signed-subnormal"])
+    @pytest.mark.parametrize("kind", ["bump", "signed-subnormal", "wide-bump"])
     @pytest.mark.parametrize("robin", [None, -0.5])
     def test_step_and_evolve(self, exp2, checked, dt, exact, kind, robin):
-        st0 = ps.make_state(exp2, self.C, GRID, _field(kind), robin_sigma=robin)
+        st0 = ps.make_state(exp2, self.C, GRIDS[kind], _field(kind),
+                            robin_sigma=robin)
         ref = _reference_march(st0, st0.u, st0.left_value, 11.8 * dt, dt)
         assert len(ref) == 12
         del checked[:]  # solve_banded's own checks in the reference
@@ -489,8 +526,9 @@ class TestReferenceBits:
 
 
 class TestReferenceBitsLU(TestReferenceBits):
-    """The same checks where h c = 2.4 on GRID: the step takes the pivoted
-    LU, and the reference is solve_banded."""
+    """The same checks where h c = 2.4 on GRID and the scale on WIDE spans
+    far more than 2**1000 (h c = 0.6): the step takes the pivoted LU, and
+    the reference is solve_banded."""
 
     C = 12.0
     # hypothesis runs a @given method for one class only; the base class

@@ -27,8 +27,9 @@ source tree to import forcedwaves from (default: src next to this script).
 runs, files and ACCEPTANCE lines that differ and exits 1 if any do; lines
 are matched by criterion number, so a criterion that printed no line is
 named alone.  For a differing CSV file that both directories still hold,
-it also prints max |A - B| per numeric column and, when every cell parses
-equal, the first line whose text differs.
+it also prints max |A - B| per numeric column, with the max relative
+difference beside each nonzero one, and, when every cell parses equal, the
+first line whose text differs.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ def acceptance_lines(src: Path) -> tuple[int, list[str]]:
 
 
 def column_deltas(fa: Path, fb: Path) -> str:
-    """max |A - B| per numeric column of two CSV files, row by row.  When
+    """max |A - B| per numeric column of two CSV files, row by row, and
+    beside a nonzero one the max relative |A - B| / max(|A|, |B|).  When
     every cell parses equal, also the first line whose text differs, with
     its number and both texts (1e+16 against 10000000000000000, say)."""
     la, lb = (f.read_bytes().decode("utf-8").splitlines(keepends=True)
@@ -246,14 +248,18 @@ def column_deltas(fa: Path, fb: Path) -> str:
         return "header or row count differs"
     out, worst = [], 0.0
     for j, name in enumerate(ra[0]):
-        deltas = []
+        deltas, rels = [], []
         for x, y in zip(ra[1:], rb[1:]):
             try:
-                deltas.append(abs(float(x[j]) - float(y[j])))
+                u, v = float(x[j]), float(y[j])
             except ValueError:
-                pass  # text or empty cells are covered by the hash
+                continue  # text or empty cells are covered by the hash
+            deltas.append(abs(u - v))
+            rels.append(deltas[-1] / max(abs(u), abs(v)) if deltas[-1] else 0.0)
         if deltas:
-            out.append(f"{name} {max(deltas):.3g}")
+            # an absolute 3e-292 can be a relative 1e-5
+            rel = f" (rel {max(rels):.3g})" if max(deltas) else ""
+            out.append(f"{name} {max(deltas):.3g}{rel}")
             worst = max(worst, max(deltas))
     text = "max |delta| " + ", ".join(out)
     if worst == 0.0:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .environment import (MINIMAL_TAGS, AnsatzUnavailableError, DecayAnsatz,
                           EnvironmentProfile, classify)
-from .tables import write_csv
 
 __all__ = [
     "DecayFit",
@@ -62,16 +61,6 @@ class DecayFit:
     def tag(self) -> str:
         return self.candidate.tag
 
-    def to_dict(self) -> dict:
-        return {
-            "candidate": self.tag,
-            "window": [self.window[0], self.window[1]],
-            "amplitude": self.amplitude,
-            "rms_log_error": self.rms_log_error,
-            "local_rate_error": self.local_rate_error,
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
 class FitRanking:
@@ -81,26 +70,6 @@ class FitRanking:
     @property
     def winner(self) -> DecayFit:
         return self.fits[0]
-
-    def __iter__(self):
-        return iter(self.fits)
-
-    def __len__(self):
-        return len(self.fits)
-
-    def __getitem__(self, i):
-        return self.fits[i]
-
-    def to_dict(self) -> dict:
-        return {"ambiguous": self.ambiguous,
-                "fits": [f.to_dict() for f in self.fits]}
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["candidate", "K", "rms_log_error", "rate_error"],
-                  [[f.tag for f in self.fits],
-                   [f.amplitude for f in self.fits],
-                   [f.rms_log_error for f in self.fits],
-                   [f.local_rate_error for f in self.fits]])
 
 
 def tail_window(grid: np.ndarray, window_fraction: float = 0.2) -> np.ndarray:

@@ -9,9 +9,11 @@ or keys are rejected, every number must be finite, and a key with a range
 must lie in it, whatever the command.  fit and sweep both reject an unknown
 [fit] candidate, and family K values whose member files would share a name,
 before any solve.  Data files (CSV/JSON/SVG) carry no timestamps, so
-identical configs produce byte-identical outputs; run metadata goes to a
-separate manifest.json.  Every CSV file, here and in the library's to_csv
-methods, is written by forcedwaves.tables.write_csv.
+identical configs produce byte-identical outputs on one numpy build and one
+set of CPU features; run metadata goes to a separate manifest.json.  This
+module alone decides the fields and columns of every output file: the
+library returns data, the record builders and file writers below turn it
+into JSON objects and CSV files, each written by forcedwaves.tables.write_csv.
 
 Exit codes: 0 success, 2 usage or config error (no output directory is
 created; an unknown command or a missing --config exits from argparse before
@@ -342,12 +344,85 @@ def svg_line_plot(path, curves, *, title: str, xlabel: str, ylabel: str,
 
 
 # ---------------------------------------------------------------------------
+# output records
+# ---------------------------------------------------------------------------
+
+def _profile_record(profile: EnvironmentProfile) -> dict:
+    return {"alpha": profile.alpha, "tail_kind": profile.tail.kind,
+            "tail_params": dataclasses.asdict(profile.tail),
+            "transition_center": profile.transition_center,
+            "transition_width": profile.transition_width,
+            "z_star": profile.z_star, "z_switch": profile.z_switch}
+
+
+def _law_record(law) -> Optional[dict]:
+    """A decay law's tag and every dataclass field except the profile."""
+    if law is None:
+        return None
+    return {"tag": law.tag, **{f.name: getattr(law, f.name)
+                               for f in dataclasses.fields(law)
+                               if f.name != "profile"}}
+
+
+def _wave_record(wave: wavesolver.WaveSolution) -> dict:
+    """The sidecar of one wave's CSV file."""
+    return {"c": wave.c, "L": float(wave.grid[-1]), "N": int(len(wave.grid)),
+            "residual_norm": wave.residual_norm, "decay_tag": wave.decay_tag,
+            "bc_right": wave.bc_right,
+            "pinned_amplitude": wave.pinned_amplitude,
+            "iterations": wave.iterations}
+
+
+def _write_wave_csv(path, wave: wavesolver.WaveSolution) -> None:
+    write_csv(path, ["z", "phi"], [wave.grid, wave.phi])
+
+
+def _write_state_csv(path, state: pdesim.SimulationState) -> None:
+    """Long-format (t, z, u) rows with t formatted once."""
+    write_csv(path, ["t", "z", "u"], [float(state.t), state.grid, state.u])
+
+
+def _write_monitors_csv(path, result: pdesim.EvolveResult) -> None:
+    """Long-format (t, metric, value) rows with the metrics by name."""
+    names = sorted(result.series)
+    write_csv(path, ["t", "metric", "value"],
+              [[t for _ in names for t in result.times],
+               [name for name in names for _ in result.times],
+               [v for name in names for v in result.series[name]]])
+
+
+def _write_fit_csv(path, ranking: analysis.FitRanking) -> None:
+    fits = ranking.fits
+    write_csv(path, ["candidate", "K", "rms_log_error", "rate_error"],
+              [[f.tag for f in fits], [f.amplitude for f in fits],
+               [f.rms_log_error for f in fits],
+               [f.local_rate_error for f in fits]])
+
+
+def _ranking_record(ranking: analysis.FitRanking) -> dict:
+    return {"ambiguous": ranking.ambiguous, "fits": [
+        {"candidate": f.tag, "window": [f.window[0], f.window[1]],
+         "amplitude": f.amplitude, "rms_log_error": f.rms_log_error,
+         "local_rate_error": f.local_rate_error, "n_points": f.n_points}
+        for f in ranking.fits]}
+
+
+# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_classify(run: Run) -> int:
     report = classify(build_profile(run.cfg), _require(run.cfg, "speed", "c"))
-    print(run.json("classify.json", report.to_dict()))
+    # flat profile_* keys here, where the other JSON files nest a "profile"
+    # object: either layout change is a change of the output files
+    print(run.json("classify.json", {
+        "c": report.c, "case_abcd": report.case_abcd,
+        "case_123": report.case_123, "lambda1": report.lambda1,
+        "lambda1_prime": report.lambda1_prime, "inventory": report.inventory,
+        "minimal_decay": _law_record(report.minimal_decay),
+        "maximal_decay": _law_record(report.maximal_decay),
+        **{f"profile_{k}": v
+           for k, v in _profile_record(report.profile).items()}}))
     return EXIT_EXCEPTIONAL if report.case_123 == "exceptional" else EXIT_OK
 
 
@@ -358,9 +433,9 @@ def cmd_wave(run: Run) -> int:
     solver_cfg = build_solver_config(cfg, profile)
     target = resolve_cli_target(cfg, profile)
     wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
-    wave.to_csv(run.path("wave.csv"))
-    run.json("wave.json", {**wave.sidecar_dict(),
-                           "profile": profile.params_dict()})
+    _write_wave_csv(run.path("wave.csv"), wave)
+    run.json("wave.json", {**_wave_record(wave),
+                           "profile": _profile_record(profile)})
     if run.args.svg:
         a_vals = np.asarray(profile.a(wave.grid), dtype=float)
         run.svg("wave_profile.svg",
@@ -406,13 +481,13 @@ def cmd_family(run: Run) -> int:
     members = []
     Ks = sorted(float(k) for k in K_values)
     for K, wave in zip(Ks, waves):
-        wave.to_csv(run.path(_member_file(K)))
-        members.append({"K": K, **wave.sidecar_dict()})
+        _write_wave_csv(run.path(_member_file(K)), wave)
+        members.append({"K": K, **_wave_record(wave)})
     orderings = [dataclasses.asdict(wavesolver.ordering_check(lo, hi))
                  for lo, hi in zip(waves[:-1], waves[1:])]
     run.json("family.json", {"c": c, "members": members,
                              "orderings": orderings,
-                             "profile": profile.params_dict()})
+                             "profile": _profile_record(profile)})
     if run.args.svg:
         right = waves[0].grid >= 0.0
         run.svg("family_tail.svg",
@@ -464,9 +539,9 @@ def cmd_simulate(run: Run) -> int:
     }
     result = pdesim.evolve(state, T, dt=sec.get("dt"), monitors=monitors,
                            monitor_every=sec.get("monitor_every"))
-    state.snapshot_to_csv(run.path("state_initial.csv"))
-    result.state.snapshot_to_csv(run.path("state_final.csv"))
-    result.monitors_to_csv(run.path("monitors.csv"))
+    _write_state_csv(run.path("state_initial.csv"), state)
+    _write_state_csv(run.path("state_final.csv"), result.state)
+    _write_monitors_csv(run.path("monitors.csv"), result)
     run.json("simulate.json", {
         "c": c, "T": T, "dt": sec.get("dt"),
         "steps_taken": result.steps_taken,
@@ -519,8 +594,8 @@ def cmd_fit(run: Run) -> int:
                           "this profile and speed")
     wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
     ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
-    ranking.to_csv(run.path("fit.csv"))
-    run.json("fit.json", ranking.to_dict())
+    _write_fit_csv(run.path("fit.csv"), ranking)
+    run.json("fit.json", _ranking_record(ranking))
     w = ranking.winner
     flag = " (ambiguous)" if ranking.ambiguous else ""
     print(f"winner: {w.tag}{flag}, K = {w.amplitude:.6g}, "
@@ -550,7 +625,7 @@ def cmd_verify_oracles(run: Run) -> int:
     write_csv(run.path("oracles.csv"), header,
               [[r.get(k, "") for r in rows] for k in header])
     run.json("oracles.json", {"c": c, "results": rows,
-                              "profile": profile.params_dict()})
+                              "profile": _profile_record(profile)})
     n_app = sum(r["applicable"] for r in rows)
     n_pass = sum(r.get("passed", False) for r in rows)
     for r in rows:

@@ -18,7 +18,7 @@ closed form except for iterated-log tails below lead (one panel pass).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -508,17 +508,6 @@ class EnvironmentProfile:
         out = self.tail.slow_scale(z_arr, c)
         return out if np.ndim(z) else float(out)
 
-    def params_dict(self):
-        return {
-            "alpha": self.alpha,
-            "tail_kind": self.tail.kind,
-            "tail_params": asdict(self.tail),
-            "transition_center": self.transition_center,
-            "transition_width": self.transition_width,
-            "z_star": self.z_star,
-            "z_switch": self.z_switch,
-        }
-
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
@@ -625,13 +614,6 @@ class DecayAnsatz:
 
     def value(self, z):
         return np.exp(self.log_value(z))
-
-    def describe(self) -> dict:
-        """The tag and every dataclass field except the profile, JSON-ready."""
-        d = {"tag": self.tag}
-        d.update((f.name, getattr(self, f.name)) for f in fields(self)
-                 if f.name != "profile")
-        return d
 
 
 @dataclass(frozen=True)
@@ -852,20 +834,6 @@ class RegimeReport:
     inventory: Optional[str]
     minimal_decay: Optional[DecayAnsatz]
     maximal_decay: Optional[DecayAnsatz]
-
-    def to_dict(self) -> dict:
-        d = {
-            "c": self.c,
-            "case_abcd": self.case_abcd,
-            "case_123": self.case_123,
-            "lambda1": self.lambda1,
-            "lambda1_prime": self.lambda1_prime,
-            "inventory": self.inventory,
-            "minimal_decay": self.minimal_decay.describe() if self.minimal_decay else None,
-            "maximal_decay": self.maximal_decay.describe() if self.maximal_decay else None,
-        }
-        d.update({f"profile_{k}": v for k, v in self.profile.params_dict().items()})
-        return d
 
 
 def classify(profile: EnvironmentProfile, c: float) -> RegimeReport:

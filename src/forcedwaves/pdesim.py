@@ -43,7 +43,6 @@ import numpy as np
 
 from . import frame
 from .environment import EnvironmentProfile
-from .tables import write_csv
 
 __all__ = [
     "SimulationState",
@@ -96,10 +95,6 @@ class SimulationState:
 
     def copy(self) -> "SimulationState":
         return replace(self, u=self.u.copy())
-
-    def snapshot_to_csv(self, path) -> None:
-        """Long-format rows (t, z, u); t is formatted once."""
-        write_csv(path, ["t", "z", "u"], [float(self.t), self.grid, self.u])
 
 
 def make_state(profile: EnvironmentProfile, c: float, grid: np.ndarray,
@@ -256,14 +251,6 @@ class EvolveResult:
         if span <= 0:
             return 0.0
         return float(np.max(np.abs(self.state.u - self.initial_u))) / span
-
-    def monitors_to_csv(self, path) -> None:
-        """Long-format rows (t, metric, value), metrics by name."""
-        names = sorted(self.series)
-        write_csv(path, ["t", "metric", "value"],
-                  [[t for _ in names for t in self.times],
-                   [name for name in names for _ in self.times],
-                   [v for name in names for v in self.series[name]]])
 
 
 def evolve(state: SimulationState, T: float, dt: Optional[float] = None,

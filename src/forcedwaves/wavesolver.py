@@ -46,7 +46,6 @@ from .environment import (
 )
 # _newton calls these by this module's names, which tests and tracing patch
 from .frame import discrete_residual, solve_banded
-from .tables import write_csv
 
 __all__ = [
     "SolverConfig",
@@ -128,21 +127,6 @@ class WaveSolution:
     @property
     def h(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["z", "phi"], [self.grid, self.phi])
-
-    def sidecar_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "L": float(self.grid[-1]),
-            "N": int(len(self.grid)),
-            "residual_norm": self.residual_norm,
-            "decay_tag": self.decay_tag,
-            "bc_right": self.bc_right,
-            "pinned_amplitude": self.pinned_amplitude,
-            "iterations": self.iterations,
-        }
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from forcedwaves import analysis as an
+from forcedwaves import cli
 from forcedwaves import wavesolver as ws
 from forcedwaves.analysis import FitWindowError
 
@@ -97,7 +98,7 @@ class TestWindowErrors:
         wave = SimpleNamespace(grid=grid,
                                phi=itself.value(np.maximum(grid, 20.0)))
         rk = an.fit_decay(wave, [sigma1, itself])
-        assert [f.tag for f in rk] == ["profile_itself"]
+        assert [f.tag for f in rk.fits] == ["profile_itself"]
         with pytest.raises(FitWindowError, match="no candidate"):
             an.fit_decay(wave, [sigma1])
 
@@ -110,15 +111,15 @@ class TestComputedWaveFits:
         rk = an.fit_decay(exp_wave_c1, cands)
         assert rk.winner.tag == "pure_exp"
         assert rk.ambiguous
-        assert {rk[0].tag, rk[1].tag} == {"pure_exp", "sigma1"}
+        assert {rk.fits[0].tag, rk.fits[1].tag} == {"pure_exp", "sigma1"}
 
     def test_tied_exponential_laws_keep_candidate_order(self, exp2):
         # at c = 0.3 the two rms values differ by ~4e-10 relative; rounding
         # must not pick the winner, so either candidate order wins
         wave = ws.solve_wave(exp2, 0.3, "sigma1", ws.SolverConfig(L=60.0, N=4001))
         cands = candidates_for(exp2, 0.3, ("pure_exp", "sigma1"))
-        assert [f.tag for f in an.fit_decay(wave, cands)] == ["pure_exp", "sigma1"]
-        assert [f.tag for f in an.fit_decay(wave, cands[::-1])] == ["sigma1", "pure_exp"]
+        assert [f.tag for f in an.fit_decay(wave, cands).fits] == ["pure_exp", "sigma1"]
+        assert [f.tag for f in an.fit_decay(wave, cands[::-1]).fits] == ["sigma1", "pure_exp"]
 
     def test_family_member_fits_tilde_a_with_its_pin(self, alg3, alg3_family):
         cands = candidates_for(alg3, 1.0, ("sigma1", "tilde_a", "slow_maximal"))
@@ -132,7 +133,7 @@ class TestComputedWaveFits:
         rk = an.fit_decay(alg3_maximal, cands)
         assert rk.winner.tag == "slow_maximal"
         assert not rk.ambiguous
-        assert rk[1].rms_log_error >= 5.0 * rk[0].rms_log_error  # measured ~800x
+        assert rk.fits[1].rms_log_error >= 5.0 * rk.winner.rms_log_error  # measured ~800x
 
     def test_power_maximal_fits_profile_itself(self, pow2, pow2_maximal):
         cands = candidates_for(pow2, 1.0, ("sigma1", "tilde_a", "profile_itself"))
@@ -149,20 +150,21 @@ def ranking(exp2, exp_wave_c1):
 
 class TestRankingContainer:
     def test_sequence_protocol(self, ranking):
-        assert len(ranking) == 3
-        assert ranking[0] is ranking.winner
-        rms = [f.rms_log_error for f in ranking]
+        assert len(ranking.fits) == 3
+        assert ranking.fits[0] is ranking.winner
+        rms = [f.rms_log_error for f in ranking.fits]
         assert rms == sorted(rms)
 
+    # fit.json and fit.csv are built in cli, from the ranking alone
     def test_json_roundtrip(self, ranking):
-        payload = ranking.to_dict()
+        payload = cli._ranking_record(ranking)
         assert payload["ambiguous"] is True
         assert payload["fits"][0]["candidate"] == "pure_exp"
         assert json.loads(json.dumps(payload)) == payload
 
     def test_csv_header(self, ranking, tmp_path):
         p = tmp_path / "fits.csv"
-        ranking.to_csv(p)
+        cli._write_fit_csv(p, ranking)
         rows = p.read_text().strip().splitlines()
         assert rows[0] == "candidate,K,rms_log_error,rate_error"
         assert len(rows) == 4

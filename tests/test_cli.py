@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from forcedwaves import analysis, cli, pdesim, wavesolver
-from forcedwaves.environment import AnsatzUnavailableError
+from forcedwaves.environment import (TARGET_TAGS, AnsatzUnavailableError,
+                                     resolve_target)
 from forcedwaves.wavesolver import NoPositiveWaveError
 
 EXP_INI = """\
@@ -77,6 +78,39 @@ def cfg_file(tmp_path, text, name="exp.ini"):
 
 def run(cmd, config, out, *extra):
     return cli.main([cmd, "--config", str(config), "--out", str(out), *extra])
+
+
+@pytest.fixture()
+def records(monkeypatch):
+    """The object behind each JSON file a run writes, by file name; Run.json
+    writes non-JSON values through str, so JSON-readiness is checked here."""
+    seen = {}
+    real = cli.Run.json
+
+    def spy(self, name, obj):
+        seen[name] = obj
+        return real(self, name, obj)
+
+    monkeypatch.setattr(cli.Run, "json", spy)
+    return seen
+
+
+@pytest.fixture()
+def solved(monkeypatch):
+    """Every wave the run's solve_wave calls return, in order."""
+    waves = []
+    real = wavesolver.solve_wave
+
+    def spy(*args, **kwargs):
+        waves.append(real(*args, **kwargs))
+        return waves[-1]
+
+    monkeypatch.setattr(wavesolver, "solve_wave", spy)
+    return waves
+
+
+def json_ready(obj) -> bool:
+    return json.loads(json.dumps(obj)) == obj
 
 
 class TestConfigValidation:
@@ -320,6 +354,27 @@ class TestClassify:
         cfg = cfg_file(tmp_path, EXP_INI)
         assert run("classify", cfg, outdir) == 3
 
+    def test_report_is_json_ready(self, tmp_path, outdir, capsys, records):
+        cfg = cfg_file(tmp_path, ALG_INI)
+        assert run("classify", cfg, outdir) == 0
+        capsys.readouterr()
+        d = records["classify.json"]
+        assert json_ready(d)
+        assert d["minimal_decay"]["tag"] == "sigma1"
+        assert d["maximal_decay"]["tag"] == "slow_maximal"
+        assert d["profile_tail_params"] == {"gamma": 3.0}
+
+    @pytest.mark.parametrize("tag", TARGET_TAGS)
+    @pytest.mark.parametrize("fixture", ["alg3", "pow2"])
+    def test_law_record_is_json_ready(self, request, fixture, tag):
+        # every decay law class, on the profiles where all five are defined
+        law = resolve_target(request.getfixturevalue(fixture), 1.0, tag)[1]
+        d = cli._law_record(law)
+        assert json_ready(d)
+        assert d["tag"] == tag and "profile" not in d
+        assert set(d) == {"tag"} | {f.name for f in dataclasses.fields(law)
+                                    if f.name != "profile"}
+
     def test_output_dir_from_config(self, tmp_path, capsys):
         dest = tmp_path / "cfg_dest"
         ini = EXP_INI + f"\n[output]\ndirectory = {dest}\n"
@@ -330,17 +385,26 @@ class TestClassify:
 
 
 class TestWave:
-    def test_solves_and_writes(self, tmp_path, outdir, capsys):
-        cfg = cfg_file(tmp_path, EXP_INI)
+    def test_solves_and_writes(self, tmp_path, outdir, capsys, records,
+                               solved):
+        cfg = cfg_file(tmp_path, EXP_INI + "target = sigma1\n")
         assert run("wave", cfg, outdir) == 0
         assert "wave solved" in capsys.readouterr().out
-        rows = (outdir / "wave.csv").read_text().strip().splitlines()
-        assert rows[0] == "z,phi"
-        assert len(rows) == 2002
+        [wave] = solved
+        data = (outdir / "wave.csv").read_bytes()
+        assert data.startswith(b"z,phi\r\n") and data.endswith(b"\r\n")
+        lines = data.decode().split("\r\n")[:-1]
+        assert len(lines) == 2002 == len(wave.grid) + 1
+        # every cell reads back as the exact float it was written from
+        cells = [line.split(",") for line in lines[1:]]
+        assert all(float(z) == v for (z, _), v in zip(cells, wave.grid))
+        assert all(float(p) == v for (_, p), v in zip(cells, wave.phi))
+        assert json_ready(records["wave.json"])
         side = json.loads((outdir / "wave.json").read_text())
         assert side["c"] == 1.0
         assert side["profile"]["tail_kind"] == "exp"
-        assert float(side["residual_norm"]) < 1e-9
+        assert side["decay_tag"] == "sigma1"
+        assert side["residual_norm"] == wave.residual_norm < 1e-9
 
     def test_failure_protocol(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI.replace("c = 1.0", "c = 2.2"))
@@ -417,12 +481,21 @@ class TestSimulate:
         assert meta["steps_taken"] == 100
         assert float(meta["drift_per_unit_time"]) < 1e-10
         for name in ("state_initial.csv", "state_final.csv"):
-            assert (outdir / name).read_text().splitlines()[0] == "t,z,u"
-        mon = (outdir / "monitors.csv").read_text().splitlines()
-        assert mon[0] == "t,metric,value"
-        metrics = {r.split(",")[1] for r in mon[1:]}
-        assert metrics == {"distance_to_initial", "steady_residual",
-                           "front_position"}
+            rows = (outdir / name).read_text().splitlines()
+            assert rows[0] == "t,z,u"
+            assert len(rows) == 2001 + 1
+        # long format: each metric's rows in one block, metrics by name,
+        # every block on the same times
+        mon = [r.split(",") for r in
+               (outdir / "monitors.csv").read_text().splitlines()]
+        assert mon[0] == ["t", "metric", "value"]
+        names = sorted({"distance_to_initial", "steady_residual",
+                        "front_position"})
+        n = (len(mon) - 1) // len(names)
+        assert n > 1 and len(mon) == 1 + n * len(names)
+        assert [r[1] for r in mon[1:]] == [m for m in names for _ in range(n)]
+        times = [r[0] for r in mon[1:]]
+        assert times == times[:n] * len(names)
 
     def test_bump_initial(self, tmp_path, outdir, capsys):
         ini = (EXP_INI + "\n[simulation]\ninitial = bump\nT = 0.5\n"
@@ -464,16 +537,21 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_fit_reports_ambiguous_exponential(self, tmp_path, outdir, capsys):
-        ini = EXP_INI + "\n[fit]\ncandidates = pure_exp, sigma1\n"
+    def test_fit_reports_ambiguous_exponential(self, tmp_path, outdir, capsys,
+                                               records):
+        ini = EXP_INI + "\n[fit]\ncandidates = pure_exp, sigma1, tilde_a\n"
         cfg = cfg_file(tmp_path, ini)
         assert run("fit", cfg, outdir) == 0
         out = capsys.readouterr().out
         assert "winner: pure_exp" in out and "(ambiguous)" in out
+        assert json_ready(records["fit.json"])
         fit = json.loads((outdir / "fit.json").read_text())
+        assert fit == records["fit.json"]
         assert fit["ambiguous"] is True
-        assert (outdir / "fit.csv").read_text().splitlines()[0] == \
-            "candidate,K,rms_log_error,rate_error"
+        assert fit["fits"][0]["candidate"] == "pure_exp"
+        rows = (outdir / "fit.csv").read_text().strip().splitlines()
+        assert rows[0] == "candidate,K,rms_log_error,rate_error"
+        assert len(rows) == 4
 
     def test_unknown_candidate(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI + "\n[fit]\ncandidates = banana\n")

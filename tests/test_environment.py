@@ -556,12 +556,6 @@ class TestAnsatzShapes:
             with pytest.raises(AnsatzUnavailableError, match="z = 1e\\+10"):
                 method(np.array([50.0, 1e10]))
 
-    def test_describe_is_json_friendly(self, ansatz_zoo):
-        import json
-
-        for fn in ansatz_zoo.values():
-            json.dumps(fn.describe())
-
     @pytest.mark.parametrize("tag", list(ANSATZ_BUILDERS))
     def test_float_for_a_scalar_array_for_an_array(self, tag, ansatz_zoo):
         fn = ansatz_zoo[tag]
@@ -718,14 +712,6 @@ class TestClassifier:
         r = classify(exp2, 1.0)
         assert r.lambda1 == pytest.approx(-0.75)
         assert r.lambda1_prime == pytest.approx(-0.75)
-
-    def test_report_to_dict_is_json_ready(self, alg3):
-        import json
-
-        d = classify(alg3, 1.0).to_dict()
-        json.dumps(d)
-        assert d["minimal_decay"]["tag"] == "sigma1"
-        assert d["maximal_decay"]["tag"] == "slow_maximal"
 
     def test_rejects_nonpositive_speed(self, alg3):
         with pytest.raises(ValueError):

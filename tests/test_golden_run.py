@@ -2,12 +2,16 @@
 gives each differing CSV column's relative difference beside the absolute
 one and names the first differing line of a CSV whose cells parse equal, the
 ACCEPTANCE lines come from the tests beside --src, every target tag gets a
-wave run, and the plotting commands run with --svg."""
+wave run, the plotting commands run with --svg, and two records of different
+numpy builds get one note line that is not a difference."""
 
 import importlib.util
+import json
 import re
 import subprocess
 from pathlib import Path
+
+import numpy as np
 
 from forcedwaves.environment import TARGET_TAGS
 
@@ -48,6 +52,42 @@ def test_column_deltas_give_the_relative_difference(tmp_path):
     b = {"runs": {"run": {"exit": 0, "files": {"state.csv": "sha-b"}}}}
     assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
         "run/state.csv: max |delta| z 0, u 3e-292 (rel 3e-05)"]
+
+
+def test_a_different_numpy_build_is_a_note_not_a_difference(tmp_path, capsys):
+    # without AVX-512 dispatch np.exp rounds differently, so the data files
+    # of one tree can differ between the two records
+    avx512 = {"baseline": ["X86_V2"],
+              "found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
+    v3 = {"baseline": ["X86_V2"], "found": ["X86_V3"],
+          "not found": ["X86_V4", "AVX512_ICL", "AVX512_SPR"]}
+    old = {"runs": {}, "acceptance": [], "acceptance_exit": 0}
+    records = {"a": avx512, "b": v3, "c": avx512, "old": None}
+    for side, simd in records.items():
+        (tmp_path / side).mkdir()
+        rec = old if simd is None else dict(old, numpy_version="2.4.6",
+                                             simd_extensions=simd)
+        (tmp_path / side / "golden.json").write_text(json.dumps(rec))
+
+    def compare(x, y):
+        code = golden_run.main(["--compare", str(tmp_path / x), str(tmp_path / y)])
+        return code, capsys.readouterr().out.splitlines()
+
+    code, lines = compare("a", "b")
+    assert code == 0 and lines == [
+        "note: A ran numpy 2.4.6 on X86_V3,X86_V4,AVX512_ICL,AVX512_SPR, "
+        "B ran numpy 2.4.6 on X86_V3; exp, log and power may round "
+        "differently, so data files may differ in their last bits",
+        "0 difference(s)"]
+    # the same build, or a record from before the fields, gives no note
+    assert compare("a", "c") == (0, ["0 difference(s)"])
+    assert compare("a", "old") == (0, ["0 difference(s)"])
+
+
+def test_the_record_names_the_numpy_build():
+    build = golden_run.numpy_build()
+    assert build["numpy_version"] == np.__version__
+    assert "baseline" in build["simd_extensions"]
 
 
 def test_acceptance_runs_the_tests_beside_src(tmp_path, monkeypatch):

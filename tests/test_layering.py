@@ -1,7 +1,9 @@
 """One owner for the discrete problem: only forcedwaves.frame imports from
 scipy.linalg or calls frame.apply, so the rows and the linear algebra of the
-collocation system are written in one module.  And no module imports
-another module's private (underscore) names."""
+collocation system are written in one module.  One owner for the output
+files: only forcedwaves.cli imports forcedwaves.tables, so every CSV column
+and JSON field is decided there.  And no module imports another module's
+private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -52,6 +54,46 @@ def test_modules_are_found():
 def test_only_frame_holds_the_discrete_problem(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert _violations(tree) == []
+
+
+def _tables_imports(tree):
+    """(line, what) for each import of forcedwaves.tables, relative or
+    absolute; a top-level 'tables' is another package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.split(".")[:2] == ["forcedwaves", "tables"]]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            path = module.split(".") if module else []  # within the package
+            if node.level == 0:
+                if path[:1] != ["forcedwaves"]:
+                    continue
+                path = path[1:]
+            names = {alias.name for alias in node.names}
+            if path[:1] == ["tables"] or (not path and "tables" in names):
+                out.append((node.lineno, f"from {'.' * node.level}{module} import"))
+    return out
+
+
+def test_the_tables_check_sees_each_form():
+    tree = ast.parse("from .tables import write_csv\n"
+                     "from . import analysis, tables\n"
+                     "import forcedwaves.tables\n"
+                     "from forcedwaves.tables import write_csv\n"
+                     "from forcedwaves import tables\n"
+                     "from .frame import apply\n"
+                     "import tables\n"
+                     "from tables import File\n")
+    assert [line for line, _ in _tables_imports(tree)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES
+                                  if n not in ("cli.py", "tables.py")])
+def test_only_cli_writes_the_output_files(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert _tables_imports(tree) == []
 
 
 def _private_imports(tree):

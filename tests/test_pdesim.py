@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dptsv
 
-from forcedwaves import frame
+from forcedwaves import cli, frame
 from forcedwaves import oracles as orc
 from forcedwaves import pdesim as ps
 from forcedwaves import wavesolver as ws
@@ -40,7 +40,7 @@ class TestStateConstruction:
 
     def test_snapshot_csv(self, wave_state, tmp_path):
         p = tmp_path / "snap.csv"
-        wave_state.snapshot_to_csv(p)
+        cli._write_state_csv(p, wave_state)
         rows = p.read_text().strip().splitlines()
         assert rows[0] == "t,z,u"
         assert len(rows) == len(wave_state.grid) + 1
@@ -250,7 +250,7 @@ class TestEvolveBookkeeping:
         res = ps.evolve(wave_state, 0.1, dt=0.01,
                         monitors={"dist": ps.distance_monitor(exp_wave_c1.phi)})
         p = tmp_path / "mon.csv"
-        res.monitors_to_csv(p)
+        cli._write_monitors_csv(p, res)
         rows = p.read_text().strip().splitlines()
         assert rows[0] == "t,metric,value"
         assert all(r.split(",")[1] == "dist" for r in rows[1:])

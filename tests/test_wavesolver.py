@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from forcedwaves import analysis as an
+from forcedwaves import cli
 from forcedwaves import environment as env
 from forcedwaves import oracles as orc
 from forcedwaves import wavesolver as ws
@@ -67,17 +68,18 @@ class TestMinimalWave:
         assert len(w.grid) == 2001 and w.grid[-1] == 40.0
         assert w.residual_norm < 1e-10
 
+    # wave.json's sidecar and wave.csv are built in cli, from the wave alone
     def test_sidecar_dict(self, exp_wave_c1):
         import json
 
-        d = exp_wave_c1.sidecar_dict()
+        d = cli._wave_record(exp_wave_c1)
         json.dumps(d)
         assert d["decay_tag"] == "sigma1"
         assert d["residual_norm"] == exp_wave_c1.residual_norm
 
     def test_to_csv_round_trips_exactly(self, exp_wave_c1, tmp_path):
         path = tmp_path / "wave.csv"
-        exp_wave_c1.to_csv(path)
+        cli._write_wave_csv(path, exp_wave_c1)
         data = path.read_bytes()
         assert data.startswith(b"z,phi\r\n") and data.endswith(b"\r\n")
         lines = data.decode().split("\r\n")[:-1]

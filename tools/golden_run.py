@@ -18,6 +18,15 @@ numbers.
 A refactor that must not change results is checked by running this on the
 code before and after it and comparing the two.
 
+Byte-identical holds only for one numpy build on one set of CPU features:
+numpy dispatches exp, log, power, expm1 and log1p to SIMD kernels chosen at
+run time, and these round differently with and without AVX-512 (sqrt and
+tanh do not).  With NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR"
+the exp wave run writes a different wave.csv.  So golden.json records
+numpy's version and its "SIMD Extensions" (which follow that variable), and
+--compare prints one note line when both records carry them and they
+differ; the note is not a difference and leaves the exit code alone.
+
     python tools/golden_run.py OUT [--src SRC]
     python tools/golden_run.py --compare A B
 
@@ -270,6 +279,30 @@ def column_deltas(fa: Path, fb: Path) -> str:
     return text
 
 
+def numpy_build() -> dict:
+    """numpy's version and the SIMD extensions it dispatches to in this
+    environment, as golden.json records them."""
+    import numpy as np
+
+    return {"numpy_version": np.__version__,
+            "simd_extensions": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
+def build_note(a: dict, b: dict):
+    """One line when both records name their numpy build and the builds
+    differ, else None: the data files may then differ in their last bits."""
+    keys = ("numpy_version", "simd_extensions")
+    if (any(k not in r for r in (a, b) for k in keys)
+            or all(a[k] == b[k] for k in keys)):
+        return None
+
+    def name(r):
+        found = ",".join(r["simd_extensions"].get("found", [])) or "baseline"
+        return f"numpy {r['numpy_version']} on {found}"
+    return (f"note: A ran {name(a)}, B ran {name(b)}; exp, log and power may "
+            "round differently, so data files may differ in their last bits")
+
+
 def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:
     """Differing ACCEPTANCE lines, runs and files of two golden.json records
     whose run files are under dir_a and dir_b.  A differing CSV that both
@@ -324,6 +357,9 @@ def main(argv=None) -> int:
     if args.compare:
         (a, dir_a), (b, dir_b) = map(load, args.compare)
         diffs = compare(a, b, dir_a, dir_b)
+        note = build_note(a, b)
+        if note:
+            print(note)
         for d in diffs:
             print(d)
         print(f"{len(diffs)} difference(s)")
@@ -335,7 +371,7 @@ def main(argv=None) -> int:
     code, lines = acceptance_lines(Path(args.src))
     (out / "golden.json").write_text(
         json.dumps({"runs": runs, "acceptance": lines,
-                    "acceptance_exit": code}, indent=2,
+                    "acceptance_exit": code, **numpy_build()}, indent=2,
                    sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -4,13 +4,14 @@ Commands: classify, wave, family, simulate, fit, verify-oracles, sweep; the
 options --config, --out and --svg may come before or after the command.
 Experiments are described by an INI file ('#' comments, UTF-8).  Each value
 is checked once, against _SCHEMA, when the file is parsed: unknown sections
-or keys are rejected, every number must be finite, and a key with a range
+or keys are rejected, every number must be finite, a key with a range
 (speeds, T, dt, monitor_every, c.steps, bump.width/height, window_fraction)
-must lie in it, whatever the command.  fit and sweep both reject an unknown
-[fit] candidate, and family K values whose member files would share a name,
-before any solve.  Data files (CSV/JSON/SVG) carry no timestamps, so
-identical configs produce byte-identical outputs on one numpy build and one
-set of CPU features; run metadata goes to a separate manifest.json.  This
+must lie in it and a key with named values (tail.kind, target, initial,
+candidates) must name one of them, whatever the command.  family rejects K
+values whose member files would share a name before any solve.  Data
+files (CSV/JSON/SVG) carry no timestamps, so identical configs produce
+byte-identical outputs on one numpy build and one set of CPU features; run
+metadata goes to a separate manifest.json.  This
 module alone decides the fields and columns of every output file: the
 library returns data, the record builders and file writers below turn it
 into JSON objects and CSV files, each written by forcedwaves.tables.write_csv.
@@ -65,49 +66,65 @@ _GT0 = (lambda v: v > 0, "must be positive")
 _GE0 = (lambda v: v >= 0, "must be >= 0")
 _IN01 = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 
+
+def _one_of(names) -> tuple:
+    """The check that a value is one of names; _convert formats {v!r} in
+    its message with the value that fails."""
+    return (lambda v: v in names, "{v!r} is not one of " + ", ".join(names))
+
+
+_INITIAL_FIELDS = ("wave", "alpha", "bump")  # [simulation] initial
+
 # section -> key -> python type ('floats'/'strs' are comma lists), or
-# (type, value check); tail.<name> for every field of every tail family
+# (type, value check), a list's check applying to each of its values;
+# tail.<name> for every field of every tail family
 _SCHEMA = {
     "profile": {
-        "alpha": float, "center": float, "width": float, "tail.kind": str,
+        "alpha": float, "center": float, "width": float,
+        "tail.kind": (str, _one_of(sorted(TAIL_KINDS))),
         **{f"tail.{f.name}": int if f.type == "int" else float
            for cls in TAIL_KINDS.values() for f in dataclasses.fields(cls)},
     },
     "speed": {"c": (float, _GT0), "c.start": (float, _GT0),
               "c.stop": (float, _GT0), "c.steps": (int, _GE0)},
-    "solver": {"L": float, "N": int, "target": str, "K": "floats"},
+    "solver": {"L": float, "N": int, "target": (str, _one_of(TARGET_TAGS)),
+               "K": "floats"},
     "simulation": {
-        "T": (float, _GT0), "dt": (float, _GT0), "initial": str,
+        "T": (float, _GT0), "dt": (float, _GT0),
+        "initial": (str, _one_of(_INITIAL_FIELDS)),
         "monitor_every": (int, _GT0), "bump.center": float,
         "bump.width": (float, _GT0), "bump.height": (float, _GT0),
     },
-    "fit": {"window_fraction": (float, _IN01), "candidates": "strs"},
+    "fit": {"window_fraction": (float, _IN01),
+            "candidates": ("strs", _one_of(TARGET_TAGS))},
     "output": {"directory": str},
 }
 
 
 def _convert(section: str, key: str, raw: str):
     """One INI value as its schema type; every float must be finite, and
-    the value must pass its key's check."""
+    every value must pass its key's check."""
     spec = _SCHEMA[section][key]
     spec, check = spec if isinstance(spec, tuple) else (spec, None)
     if spec is str:
-        return raw
-    if spec == "strs":
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-    try:
-        vals = ([float(t) for t in raw.split(",") if t.strip()]
-                if spec == "floats" else [spec(raw)])
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a valid "
-            f"{getattr(spec, '__name__', spec)}") from None
-    # an int is finite, and past 1e308 too large for math.isfinite
-    if spec is not int and not all(map(math.isfinite, vals)):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
-    if check and not check[0](vals[0]):
-        raise ConfigError(f"[{section}] {key} {check[1]}")
-    return tuple(vals) if spec == "floats" else vals[0]
+        vals = [raw]
+    elif spec == "strs":
+        vals = [t.strip() for t in raw.split(",") if t.strip()]
+    else:
+        try:
+            vals = ([float(t) for t in raw.split(",") if t.strip()]
+                    if spec == "floats" else [spec(raw)])
+        except ValueError:
+            raise ConfigError(
+                f"[{section}] {key} = {raw!r} is not a valid "
+                f"{getattr(spec, '__name__', spec)}") from None
+        # an int is finite, and past 1e308 too large for math.isfinite
+        if spec is not int and not all(map(math.isfinite, vals)):
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    for v in vals if check else ():
+        if not check[0](v):
+            raise ConfigError(f"[{section}] {key} {check[1].format(v=v)}")
+    return tuple(vals) if spec in ("floats", "strs") else vals[0]
 
 
 def load_config(path) -> dict:
@@ -152,9 +169,6 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
     center = _require(cfg, "profile", "center")
     width = _require(cfg, "profile", "width")
     kind = _require(cfg, "profile", "tail.kind")
-    if kind not in TAIL_KINDS:
-        raise ConfigError(f"tail.kind = {kind!r}; expected one of "
-                          f"{sorted(TAIL_KINDS)}")
     tail_cls = TAIL_KINDS[kind]
     names = {f.name for f in dataclasses.fields(tail_cls)}
     params = {}
@@ -184,11 +198,7 @@ def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
 def resolve_cli_target(cfg: dict, profile: EnvironmentProfile) -> str:
     """[solver] target, defaulting at every speed to the tail family's
     exponential law (environment.minimal_tag)."""
-    tag = cfg.get("solver", {}).get("target", minimal_tag(profile))
-    if tag not in TARGET_TAGS:
-        raise ConfigError(f"[solver] target = {tag!r}; expected one of "
-                          f"{TARGET_TAGS}")
-    return tag
+    return cfg.get("solver", {}).get("target", minimal_tag(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +511,15 @@ def cmd_family(run: Run) -> int:
 
 
 def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
+    """The [simulation] initial field alpha or bump on grid."""
     sec = cfg.get("simulation", {})
-    kind = sec.get("initial", "alpha")
-    if kind == "alpha":
+    if sec.get("initial", "alpha") == "alpha":
         return np.full_like(grid, profile.alpha)
-    if kind == "bump":
-        center = sec.get("bump.center", profile.z_star)
-        width = sec.get("bump.width", 5.0)
-        height = sec.get("bump.height", 0.5 * profile.alpha)
-        u0 = height * np.exp(-((grid - center) / width) ** 2)
-        return np.minimum(u0, profile.alpha)
-    raise ConfigError(
-        f"[simulation] initial = {kind!r}; expected wave, alpha or bump")
+    center = sec.get("bump.center", profile.z_star)
+    width = sec.get("bump.width", 5.0)
+    height = sec.get("bump.height", 0.5 * profile.alpha)
+    u0 = height * np.exp(-((grid - center) / width) ** 2)
+    return np.minimum(u0, profile.alpha)
 
 
 def cmd_simulate(run: Run) -> int:
@@ -574,11 +581,8 @@ def _candidate_ansatz(profile, c, tags) -> list:
 def _fit_options(cfg: dict) -> tuple[tuple, float]:
     """The [fit] (candidates, window_fraction) of fit and sweep."""
     fsec = cfg.get("fit", {})
-    tags = fsec.get("candidates", TARGET_TAGS)
-    for tag in tags:
-        if tag not in TARGET_TAGS:
-            raise ConfigError(f"[fit] candidates: unknown tag {tag!r}")
-    return tags, fsec.get("window_fraction", 0.2)
+    return (fsec.get("candidates", TARGET_TAGS),
+            fsec.get("window_fraction", 0.2))
 
 
 def cmd_fit(run: Run) -> int:

@@ -17,29 +17,35 @@ reads, jacobian is Newton's matrix (in phi and, rescaled, in log phi),
 solve_banded its solve and factor the IMEX step's.  They all use this one
 stencil, so a solved wave is an exact fixed point of the step.
 
-factor solves with the IMEX step's implicit matrix M = I - dt A.  When
-h|c| < 2 every off-diagonal pair of M is negative (M is an M-matrix), and a
-diagonal scale s with s_{i+1}/s_i = sqrt(M[i,i+1]/M[i+1,i]) makes it
-symmetric: s M s^{-1} has off-diagonals -sqrt(M[i,i+1] M[i+1,i]).  That
-matrix is factored once as LDL^T (LAPACK dpttrf) and each solve is one
-dpttrs between a scaling and an unscaling, about half the cost of the
-pivoted dgttrs, whose back-substitution divides on every row.  Where the
-pairs are not all negative, s spans more than _SCALE_SPAN or dpttrf finds
-the matrix not positive definite, factor uses the pivoted LU (dgttrf and
-dgttrs, bit-identical to solve_banded) instead.
+factor solves with the IMEX step's implicit matrix M = I - dt A, and it
+alone chooses how: its caller states only a bound rows on |b_i| for i >= 1
+and a bound left on |b_0| of the right-hand sides it will solve.  Row 0 is
+folded into row 1 (b_1 - M[1,0] b_0), so row 1 is bounded by
+rows + |M[1,0]| left.  When h|c| < 2 every off-diagonal pair of M is
+negative (M is an M-matrix), and a diagonal scale s with
+s_{i+1}/s_i = sqrt(M[i,i+1]/M[i+1,i]) makes it symmetric: s M s^{-1} has
+off-diagonals -sqrt(M[i,i+1] M[i+1,i]).  That matrix is factored once as
+LDL^T (LAPACK dpttrf) and each solve is one dpttrs between a scaling and an
+unscaling, about half the cost of the pivoted dgttrs, whose
+back-substitution divides on every row.  Where the folded bound reaches
+2**63, the pairs are not all negative, s spans more than _SCALE_SPAN or
+dpttrf finds the matrix not positive definite, factor uses the pivoted LU
+(dgttrf once, dgttrs per solve, bit-identical to solve_banded) instead.
 
 s is placed at the top of the exponent range: a power of two, which
 rounds nothing, puts max(s) in [2**(K-1), 2**K) with
 K = 1023 - 64 - ceil(log2 ||T||_inf), T = s M s^{-1}.  On the free rows T
 is diagonally dominant with margin at least 1 (for a Robin sigma <= 0), so
 ||T^{-1}||_inf <= 1, and s b, the solution s x and every value of the
-dpttrs sweeps stay below ||T||_inf max(s) |b| < 2**1023 for |b| < 2**64.
-A transient field's far field, where the exact solution decays through
-the subnormal range, then decays through normal numbers in the scaled
-sweep to the end of the grid (about 2**954 of headroom at h = 0.05,
-dt = 0.01), instead of sticking at the smallest subnormal, which a sweep
-multiplier above 1/2 rounds back to itself.  Where the sweeps stay
-normal, the bits are those of any other power-of-two placement.
+dpttrs sweeps stay below ||T||_inf max(s) |b| < 2**1023 for |b| < 2**64,
+row 1 folded: twice the 2**63 the folded bound must stay below, which
+leaves room for the rounding of the caller's bound and of the fold.  A
+transient field's far field, where the exact solution decays through the
+subnormal range, then decays through normal numbers in the scaled sweep
+to the end of the grid (about 2**954 of headroom at h = 0.05, dt = 0.01),
+instead of sticking at the smallest subnormal, which a sweep multiplier
+above 1/2 rounds back to itself.  Where the sweeps stay normal, the bits
+are those of any other power-of-two placement.
 """
 
 from __future__ import annotations
@@ -178,24 +184,28 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def factor(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def factor(ab: np.ndarray, rows: float,
+           left: float) -> Callable[[np.ndarray], np.ndarray]:
     """Factor banded's implicit matrix M once; return solve(b) -> M^{-1} b.
 
     ab is in solve_banded's (3, n) layout with row 0 a Dirichlet identity
     row.  b is a vector of length n or an (n, k) array of k columns solved
     together; solve overwrites b and returns x, which shares b's memory when
-    b is contiguous in Fortran order.  The symmetric path is taken when the
-    module docstring's three conditions hold, the pivoted LU otherwise.
+    b is contiguous in Fortran order.
 
-    Contract: x and every intermediate value are finite when |b_i| < 2**64
-    on every row i >= 1, row 1 taken after row 0 is folded into it
-    (b_1 - M[1,0] b_0), and the free rows of M are diagonally dominant with
-    margin at least 1, as I - dt A is for h|c| < 2 and a Robin sigma <= 0.
+    rows bounds |b_i| on every row i >= 1 and left bounds |b_0|, for every
+    b that solve will be given.  The symmetric path is taken when the
+    folded bound rows + |M[1,0]| left is below 2**63 and the module
+    docstring's three conditions hold, the pivoted LU otherwise.  On the
+    symmetric path x and every intermediate value are finite when the free
+    rows of M are diagonally dominant with margin at least 1, as I - dt A
+    is for h|c| < 2 and a Robin sigma <= 0.
     """
     dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
-    symmetric = _symmetric(dl, d, du)
-    if symmetric is not None:
-        return symmetric
+    if rows + abs(dl[0]) * left < 2.0 ** 63:
+        symmetric = _symmetric(dl, d, du)
+        if symmetric is not None:
+            return symmetric
     *lu, info = dgttrf(dl, d, du)
     if info:
         raise np.linalg.LinAlgError("singular implicit matrix")

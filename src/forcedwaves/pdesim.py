@@ -19,24 +19,18 @@ Newton tolerance, not the time discretization.
 a(grid) is evaluated once per trajectory and I - dt A factored once per dt
 by frame.factor, and a last step within 1e-12 of dt is taken at dt, so a
 horizon of whole steps factors once; each step is one in-place solve after
-a bound-first dt check (see _stepper).  Under the M-matrix condition a
-diagonal scale makes I - dt A symmetric, and it is factored as LDL^T, which
-halves the cost of a solve.  The scale sits at the top of the exponent
-range, so the far field of a transient field, whose exact values decay
-through the subnormal range, decays through normal numbers in the solve.
-Where h|c| >= 2, the scale spans too wide a range (at L = 200, N = 8001
-for |c| above about 3.45), the LDL^T factor fails or the step's bound on
-its right-hand side leaves frame.factor's |b| < 2**64, the solve is the
-pivoted LU, bit-identical to frame.solve_banded.  comparison_test advances
-its pair as the two columns of one solve, and evolve builds a state only
-for the steps it records.
+a bound-first dt check (see _stepper).  The step gives frame.factor its
+bounds on the right-hand side, and frame.factor alone chooses the solve:
+the symmetric LDL^T under the M-matrix condition h|c| < 2, the pivoted LU
+otherwise (see frame for the scale and the other conditions).
+comparison_test advances its pair as the two columns of one solve, and
+evolve builds a state only for the steps it records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,21 +133,17 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
     is one fresh array built in place in the order of u + dt u (a - u).
 
     Both admissions give dt |a - 2u| < 1, so with dt u = (dt a - delta) / 2,
-    |delta| < 1, each entry of the right-hand side is at most
-    (1 + dt max|a|)(3 + dt max|a|) / (4 dt), and frame.factor's fold adds
-    |M[1,0]| max|left| to row 1: about 1/dt in all.  frame.factor's
-    symmetric solve is finite for |b| < 2**64; where this bound reaches
-    2**63, which leaves room for rounding (a dt below about 2**-63, or a
-    huge profile or left value), the step takes the pivoted LU instead."""
+    |delta| < 1, each entry of the right-hand side below row 0 is at most
+    (1 + dt max|a|)(3 + dt max|a|) / (4 dt), about 1/dt, and row 0 is at
+    most max|left|.  Those are the bounds frame.factor is given; it decides
+    from them, and from M, which solve the step takes."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     ab = frame.banded(len(state.u), state.h, state.c, state.right_sigma,
                       -dt, 1.0)
     a_max, left_max = np.max(np.abs(a)), np.max(np.abs(left))
-    b_max = ((1.0 + dt * a_max) * (3.0 + dt * a_max) / (4.0 * dt)
-             + abs(ab[2, 0]) * left_max)
-    solve = (frame.factor(ab) if b_max < 2.0 ** 63
-             else partial(frame.solve_banded, ab))
+    rows = (1.0 + dt * a_max) * (3.0 + dt * a_max) / (4.0 * dt)
+    solve = frame.factor(ab, rows, left_max)
     left_ok = math.isfinite(left_max)
 
     def advance(u: np.ndarray) -> np.ndarray:
@@ -169,7 +159,7 @@ def _stepper(state: SimulationState, dt: float, a: np.ndarray, left):
         rhs += u
         rhs[..., 0] = left
         if not proven:
-            np.asarray_chkfinite(rhs)  # as frame.solve_banded checks b
+            np.asarray_chkfinite(rhs)  # a NaN or inf raises ValueError
         return solve(rhs.T).T  # fields as columns
     return advance
 

@@ -203,8 +203,9 @@ class TestConfigValidation:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not outdir.exists()
 
-    # rejected only after the command has built what the check reads, yet
-    # before any solve and before the output directory exists
+    # rejected before any solve and before the output directory exists: the
+    # family and fit cases only after the command has built what the check
+    # reads, the unknown initial when the file is parsed
     @pytest.mark.parametrize("command, ini", [
         ("family", ALG_INI.replace("gamma = 3.0", "gamma = 0.5")
          + "\n[solver]\nK = 0.5, 1.0\n"),
@@ -220,6 +221,26 @@ class TestConfigValidation:
         monkeypatch.setattr(wavesolver, "solve_wave", no_solve)
         assert run(command, cfg_file(tmp_path, ini), outdir) == 2
         assert "config error" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    # checked against _SCHEMA at parse time, so a command that never reads
+    # the key rejects it too; classify and verify-oracles used to exit 0
+    @pytest.mark.parametrize("command", ["classify", "verify-oracles"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("tail.kind = exp", "tail.kind = warp", "[profile] tail.kind 'warp'"),
+        ("N = 2001", "N = 2001\ntarget = warp_drive",
+         "[solver] target 'warp_drive'"),
+        ("N = 2001", "N = 2001\n\n[simulation]\ninitial = vortex",
+         "[simulation] initial 'vortex'"),
+        ("N = 2001", "N = 2001\n\n[fit]\ncandidates = pure_exp, banana",
+         "[fit] candidates 'banana'"),
+    ], ids=["tail-kind", "target", "initial", "candidates"])
+    def test_unknown_names_exit_2_whatever_the_command(
+            self, tmp_path, outdir, capsys, command, old, new, message):
+        assert old in EXP_INI
+        cfg = cfg_file(tmp_path, EXP_INI.replace(old, new))
+        assert run(command, cfg, outdir) == 2
+        assert f"{message} is not one of" in capsys.readouterr().err
         assert not outdir.exists()
 
     # each used to exit 1 (an OverflowError in evolve's monitor_every
@@ -526,7 +547,8 @@ class TestSimulate:
         ini = EXP_INI + "\n[simulation]\nT = 1.0\ninitial = vortex\n"
         cfg = cfg_file(tmp_path, ini)
         assert run("simulate", cfg, outdir) == 2
-        assert "expected wave, alpha or bump" in capsys.readouterr().err
+        assert ("[simulation] initial 'vortex' is not one of wave, alpha, bump"
+                in capsys.readouterr().err)
 
     def test_svg(self, tmp_path, outdir, capsys):
         ini = EXP_INI + "\n[simulation]\ninitial = wave\nT = 0.2\ndt = 0.01\n"
@@ -556,7 +578,7 @@ class TestFit:
     def test_unknown_candidate(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI + "\n[fit]\ncandidates = banana\n")
         assert run("fit", cfg, outdir) == 2
-        assert "unknown tag 'banana'" in capsys.readouterr().err
+        assert "[fit] candidates 'banana' is not one of" in capsys.readouterr().err
 
     def test_window_fraction_range(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI + "\n[fit]\nwindow_fraction = 1.5\n")

@@ -1,6 +1,8 @@
 """One moving-frame operator: the banded matrices, the residual and the IMEX
 step must all describe the same discrete A u = u'' + c u'."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,11 @@ def _lu_solve_called(*args, **kwargs):
     raise AssertionError("frame.factor took the pivoted LU solve")
 
 
+def _bounds(b):
+    """frame.factor's (rows, left) for b alone: max|b_i| over i >= 1, |b_0|."""
+    return np.max(np.abs(b[1:])), np.max(np.abs(b[0]))
+
+
 @pytest.mark.parametrize("sigma", [None, 0.0, -0.7])
 @pytest.mark.parametrize("scale, shift", [(-0.01, 1.0), (-1.0, 3.5)])  # IMEX, shifted -A
 @pytest.mark.parametrize("cols", [None, 2])
@@ -241,7 +248,7 @@ def test_factored_solve_is_bit_identical_to_solve_banded(monkeypatch, sigma,
     n, h, c = 401, 0.05, 48.0
     ab = frame.banded(n, h, c, sigma, scale, shift)
     b = rng.uniform(0.0, 1.0, n if cols is None else (n, cols))
-    x = frame.factor(ab)(b.copy(order="F"))
+    x = frame.factor(ab, *_bounds(b))(b.copy(order="F"))
     assert np.array_equal(x, solve_banded((1, 1), ab, b))
 
 
@@ -349,10 +356,12 @@ def test_transient_step_decays_through_normal_numbers(monkeypatch, request,
 
 
 def test_solve_at_the_edge_of_the_contract(monkeypatch, alg3):
-    # |b| just under 2**64, as two columns of one solve on the same grid: the
-    # bump (its far field decays through the subnormal range) and a plateau
-    # (s b and s x within a few bits of overflow at the top of s); row 0 is
-    # 0, so the fold leaves row 1 inside the contract too
+    # stated bounds just inside 2**63, and b up to twice that, just under
+    # 2**64, the margin left for the rounding of a caller's bound; as two
+    # columns of one solve on the same grid: the bump (its far field decays
+    # through the subnormal range) and a plateau (s b and s x within a few
+    # bits of overflow at the top of s); row 0 is 0, so the fold leaves
+    # row 1 inside the contract too
     monkeypatch.setattr(frame, "dgttrs", _lu_solve_called)
     grid = ws.SolverConfig.default_for(alg3).grid()
     n, h = len(grid), float(grid[1] - grid[0])
@@ -361,7 +370,7 @@ def test_solve_at_the_edge_of_the_contract(monkeypatch, alg3):
     b = np.column_stack([edge * (bump / bump.max()), np.full(n, edge)])
     b[0] = 0.0
     assert np.max(np.abs(b)) == edge
-    x = frame.factor(ab)(b.copy(order="F"))
+    x = frame.factor(ab, np.nextafter(2.0 ** 63, 0.0), 0.0)(b.copy(order="F"))
     assert np.isfinite(x).all()
     for j in range(2):
         exact = thomas_longdouble(ab, b[:, j])
@@ -379,7 +388,7 @@ def test_fallback_is_solve_banded(monkeypatch, L, n, c, cols):
     rng = np.random.default_rng(3)
     ab = frame.banded(n, 2.0 * L / (n - 1), c, 0.0, -0.01, 1.0)
     b = rng.uniform(0.0, 1.0, n if cols is None else (n, cols))
-    x = frame.factor(ab)(b.copy(order="F"))
+    x = frame.factor(ab, *_bounds(b))(b.copy(order="F"))
     assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
 
 
@@ -395,7 +404,7 @@ def test_solve_matches_long_double(h, hc, dt, sigma):
     ab = frame.banded(n, h, hc / h, sigma, -dt, 1.0)
     b = np.random.default_rng(4).uniform(0.0, 1.0, n)
     exact = thomas_longdouble(ab, b)
-    err = np.max(np.abs(frame.factor(ab)(b.copy()) - exact))
+    err = np.max(np.abs(frame.factor(ab, *_bounds(b))(b.copy()) - exact))
     bound = 16.0 * np.finfo(float).eps * (1.0 + 4.0 * dt / h**2)
     assert err <= bound * np.max(np.abs(exact))
 
@@ -405,4 +414,46 @@ def test_solve_matches_long_double(h, hc, dt, sigma):
 def test_zero_stays_exactly_zero(c, cols):
     ab = frame.banded(401, 0.2, c, -0.5, -0.01, 1.0)
     zero = np.zeros(401 if cols is None else (401, cols), order="F")
-    assert frame.factor(ab)(zero.copy(order="F")).tobytes() == zero.tobytes()
+    solve = frame.factor(ab, *_bounds(zero))
+    assert solve(zero.copy(order="F")).tobytes() == zero.tobytes()
+
+
+def _routes(monkeypatch):
+    """The names of the LAPACK solves frame.factor's solve calls, in order."""
+    calls = []
+    for name in ("dpttrs", "dgttrs"):
+        def counted(*args, _real=getattr(frame, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(frame, name, counted)
+    return calls
+
+
+# frame.factor's folded bound rows + |M[1,0]| left, with M[1,0] = -0.225
+# here (h c = 0.2, where the symmetric conditions hold): just inside 2**63
+# the symmetric solve; at or above it, or NaN, the pivoted LU
+@pytest.mark.parametrize("rows, left, route", [
+    (np.nextafter(2.0 ** 63, 0.0), 0.0, "dpttrs"),
+    (2.0 ** 63, 0.0, "dgttrs"),
+    (np.nextafter(2.0 ** 64, 0.0), 0.0, "dgttrs"),
+    (1.0, 2.0 ** 70, "dgttrs"),  # the left bound alone, through the fold
+    (2.0 ** 62, 2.0 ** 64, "dpttrs"),  # 1.9 * 2**62 folded
+    (2.0 ** 62, 2.0 ** 65, "dgttrs"),  # 2.8 * 2**62 folded
+    (1.0, math.inf, "dgttrs"),
+    (math.nan, 1.0, "dgttrs"),
+], ids=["inside", "at", "above", "left-2**70", "fold-inside", "fold-above",
+        "left-inf", "rows-nan"])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_the_bound_chooses_the_solve(monkeypatch, rows, left, route, cols):
+    calls = _routes(monkeypatch)
+    n = 401
+    ab = frame.banded(n, 0.2, 1.0, -0.5, -0.01, 1.0)
+    assert ab[2, 0] == pytest.approx(-0.225)
+    b = np.random.default_rng(5).uniform(0.0, 1.0,
+                                         n if cols is None else (n, cols))
+    x = frame.factor(ab, rows, left)(b.copy(order="F"))
+    assert calls == [route]
+    if route == "dgttrs":
+        assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    else:
+        np.testing.assert_allclose(x, solve_banded((1, 1), ab, b), rtol=1e-13)

@@ -143,3 +143,40 @@ def test_plotting_commands_run_with_svg_and_hash_the_plots(tmp_path,
     for name, (command, svg) in seen.items():
         assert svg == (command in plotting)
         assert sorted(runs[name]["files"]) == (["plot.svg"] if svg else [])
+
+
+def _first_step_solves(monkeypatch, tmp_path, ini_text):
+    """The LAPACK solves of the first IMEX step of a simulate run's config."""
+    from forcedwaves import cli, frame, pdesim
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(ini_text, encoding="utf-8")
+    cfg = cli.load_config(ini)
+    profile = cli.build_profile(cfg)
+    grid = cli.build_solver_config(cfg, profile).grid()
+    state = pdesim.make_state(profile, cfg["speed"]["c"], grid,
+                              cli._initial_field(cfg, profile, grid))
+    calls = []
+    for name in ("dpttrs", "dgttrs"):
+        def counted(*args, _real=getattr(frame, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(frame, name, counted)
+    pdesim.step(state, pdesim.default_dt(state))
+    return calls
+
+
+def test_the_c4_run_takes_the_pivoted_lu(monkeypatch, tmp_path):
+    # the one golden run whose IMEX step takes frame.factor's LU; the same
+    # bump at the config's own c = 1 takes the symmetric solve
+    runs = {suffix: (command, ini) for suffix, command, ini
+            in golden_run.speed_runs("alg3", golden_run.CONFIGS["alg3"])}
+    command, ini = runs["simulate-bump-c4"]
+    assert command == "simulate"
+    assert re.findall(r"^c = (.*)$", ini, re.M) == ["4.0"]
+    assert _first_step_solves(monkeypatch, tmp_path, ini) == ["dgttrs"]
+    at_c1 = dict((s, i) for s, _, i in golden_run.config_runs(
+        golden_run.CONFIGS["alg3"]))["simulate-bump"]
+    assert _first_step_solves(monkeypatch, tmp_path, at_c1) == ["dpttrs"]
+    assert all(not list(golden_run.speed_runs(name, text))
+               for name, text in golden_run.CONFIGS.items() if name != "alg3")

@@ -2,8 +2,10 @@
 scipy.linalg or calls frame.apply, so the rows and the linear algebra of the
 collocation system are written in one module.  One owner for the output
 files: only forcedwaves.cli imports forcedwaves.tables, so every CSV column
-and JSON field is decided there.  And no module imports another module's
-private (underscore) names."""
+and JSON field is decided there.  One owner for the IMEX solve: pdesim
+names no solve_banded and no numpy.linalg, so frame.factor, which chooses
+the solve, is the only one it calls.  And no module imports another
+module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,50 @@ def test_modules_are_found():
 def test_only_frame_holds_the_discrete_problem(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert _violations(tree) == []
+
+
+def _solves(tree):
+    """(line, what) for each solve_banded named or imported, each import of
+    numpy.linalg and each use of np.linalg: solves other than frame.factor
+    that scipy.linalg's check does not see."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.split(".")[:2] == ["numpy", "linalg"]]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if (module.split(".")[:2] == ["numpy", "linalg"]
+                    or (module == "numpy" and "linalg" in names)
+                    or "solve_banded" in names):
+                out.append((node.lineno, f"from {module} import"))
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("linalg", "solve_banded")):
+            out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "solve_banded":
+            out.append((node.lineno, node.id))
+    return out
+
+
+def test_the_solve_check_sees_each_form():
+    tree = ast.parse("import numpy.linalg\n"
+                     "from numpy.linalg import solve\n"
+                     "from numpy import linalg\n"
+                     "from .frame import solve_banded\n"
+                     "x = frame.solve_banded(ab, b)\n"
+                     "y = np.linalg.solve(m, b)\n"
+                     "z = solve_banded\n"
+                     "w = frame.factor(ab, rows, left)(b)\n")
+    assert sorted(line for line, _ in _solves(tree)) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_pdesim_solves_only_through_frame_factor():
+    tree = ast.parse((SRC / "pdesim.py").read_text(encoding="utf-8"))
+    assert _violations(tree) == [] and _solves(tree) == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "factor"
+               and isinstance(node.value, ast.Name)
+               and node.value.id == "frame" for node in ast.walk(tree))
 
 
 def _tables_imports(tree):

@@ -151,11 +151,12 @@ class TestStepControl:
             self, monkeypatch, exp2, dt, left):
         # a right-hand side bound of 2**63 or more, from dt (about 1/dt) or
         # from the left value folded into row 1, is outside frame.factor's
-        # |b| < 2**64: the step takes the pivoted LU of solve_banded
-        def factored(ab):
-            raise AssertionError("the step factored its matrix")
+        # symmetric contract: the step takes its pivoted LU, with
+        # solve_banded's bits
+        def symmetric(*args, **kwargs):
+            raise AssertionError("the step took the symmetric LDL^T solve")
 
-        monkeypatch.setattr(frame, "factor", factored)
+        monkeypatch.setattr(frame, "dpttrs", symmetric)
         st0 = ps.make_state(exp2, 1.0, GRID, _field("bump"), left_value=left)
         u, a = st0.u, exp2.a(GRID)
         rhs = u + dt * u * (a - u)

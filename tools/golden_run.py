@@ -6,7 +6,9 @@ wave, bump and alpha, plus the bump at dt = 0.3, where every step runs the
 exact dt check) and verify-oracles, plus two runs that must fail
 (simulate with a step too large for the stability limit, fit with a window
 too short) and one wave run per target tag set through [solver] target
-(typed failures included), on five configs, the README exp.ini, an algebraic gamma = 3
+(typed failures included), on five configs, and one simulate run of the
+bump on the algebraic config at c = 4, whose IMEX step takes the pivoted
+LU; the configs are the README exp.ini, an algebraic gamma = 3
 profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
@@ -183,6 +185,14 @@ COMMANDS = (
     ("fit-window", "fit", "\n[fit]\nwindow_fraction = 0.01\n"),
 )
 
+# (config, run suffix, command, [speed] c, INI text appended): runs on one
+# config only, at a speed of their own
+SPEED_RUNS = (
+    # on L = 200, N = 8001 the LDL^T scale of I - dt A would span past
+    # 2**1000 at c = 4, so every step takes frame.factor's pivoted LU
+    ("alg3", "simulate-bump-c4", "simulate", "4.0", SIMULATION.format("bump")),
+)
+
 
 SVG_COMMANDS = ("wave", "family", "sweep", "simulate")
 
@@ -201,6 +211,15 @@ def config_runs(text: str):
                untargeted.replace("[solver]\n", f"[solver]\ntarget = {tag}\n"))
 
 
+def speed_runs(name: str, text: str):
+    """(run suffix, command, INI text) of config name's SPEED_RUNS, each
+    with [speed] c replaced."""
+    for cfg_name, suffix, command, c, extra in SPEED_RUNS:
+        if cfg_name == name:
+            yield suffix, command, re.sub(r"^c = .*$", f"c = {c}", text,
+                                          flags=re.M) + extra
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -210,7 +229,8 @@ def run_all(out: Path, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     runs = {}
     for cfg_name, text in CONFIGS.items():
-        for suffix, command, ini_text in config_runs(text):
+        for suffix, command, ini_text in (*config_runs(text),
+                                          *speed_runs(cfg_name, text)):
             name = f"{cfg_name}-{suffix}"
             rundir = out / name
             rundir.mkdir()

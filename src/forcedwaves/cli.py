@@ -5,10 +5,13 @@ options --config, --out and --svg may come before or after the command.
 Experiments are described by an INI file ('#' comments, UTF-8).  Each value
 is checked once, against _SCHEMA, when the file is parsed: unknown sections
 or keys are rejected, every number must be finite, a key with a range
-(speeds, T, dt, monitor_every, c.steps, bump.width/height, window_fraction)
-must lie in it and a key with named values (tail.kind, target, initial,
-candidates) must name one of them, whatever the command.  family rejects K
-values whose member files would share a name before any solve.  Data
+(speeds, T, dt, monitor_every, c.steps, bump.width/height, window_fraction,
+L > 0, N >= 1001, each K > 0) must lie in it, a list key (K, candidates)
+must name at least one value and a key with named values (tail.kind,
+target, initial, candidates) must name one of them, whatever the command.
+The Run then builds the profile, the solver config and the target once,
+for every command.  family rejects K values whose member files would share
+a name before any solve.  Data
 files (CSV/JSON/SVG) carry no timestamps, so identical configs produce
 byte-identical outputs on one numpy build and one set of CPU features; run
 metadata goes to a separate manifest.json.  This
@@ -87,8 +90,10 @@ _SCHEMA = {
     },
     "speed": {"c": (float, _GT0), "c.start": (float, _GT0),
               "c.stop": (float, _GT0), "c.steps": (int, _GE0)},
-    "solver": {"L": float, "N": int, "target": (str, _one_of(TARGET_TAGS)),
-               "K": "floats"},
+    # N's bound is SolverConfig's own
+    "solver": {"L": (float, _GT0), "N": (int, (lambda v: v >= 1001,
+                                                "must be >= 1001")),
+               "target": (str, _one_of(TARGET_TAGS)), "K": ("floats", _GT0)},
     "simulation": {
         "T": (float, _GT0), "dt": (float, _GT0),
         "initial": (str, _one_of(_INITIAL_FIELDS)),
@@ -102,8 +107,9 @@ _SCHEMA = {
 
 
 def _convert(section: str, key: str, raw: str):
-    """One INI value as its schema type; every float must be finite, and
-    every value must pass its key's check."""
+    """One INI value as its schema type; every float must be finite, a list
+    must name at least one value, and every value must pass its key's
+    check."""
     spec = _SCHEMA[section][key]
     spec, check = spec if isinstance(spec, tuple) else (spec, None)
     if spec is str:
@@ -121,6 +127,8 @@ def _convert(section: str, key: str, raw: str):
         # an int is finite, and past 1e308 too large for math.isfinite
         if spec is not int and not all(map(math.isfinite, vals)):
             raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    if not vals:
+        raise ConfigError(f"[{section}] {key} must name at least one value")
     for v in vals if check else ():
         if not check[0](v):
             raise ConfigError(f"[{section}] {key} {check[1].format(v=v)}")
@@ -186,34 +194,30 @@ def build_profile(cfg: dict) -> EnvironmentProfile:
         raise ConfigError(f"invalid profile: {exc}") from None
 
 
-def build_solver_config(cfg: dict, profile: EnvironmentProfile) -> SolverConfig:
-    sec = cfg.get("solver", {})
-    kw = {k: sec[k] for k in ("L", "N") if k in sec}
-    try:
-        return dataclasses.replace(SolverConfig.default_for(profile), **kw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [solver] section: {exc}") from None
-
-
-def resolve_cli_target(cfg: dict, profile: EnvironmentProfile) -> str:
-    """[solver] target, defaulting at every speed to the tail family's
-    exponential law (environment.minimal_tag)."""
-    return cfg.get("solver", {}).get("target", minimal_tag(profile))
-
-
 # ---------------------------------------------------------------------------
 # the run: config and output files
 # ---------------------------------------------------------------------------
 
 class Run:
-    """One CLI run: its arguments, the parsed config and the output
-    directory, which is created on the first write.  Every file is written
-    through path, json or svg, which record its name for manifest.json."""
+    """One CLI run: its arguments, the parsed config, what every command
+    solves with and the output directory, which is created on the first
+    write.  Every file is written through path, json or svg, which record
+    its name for manifest.json.
+
+    profile is the [profile] section's; solver is SolverConfig.default_for
+    it with [solver] L and N replaced; target is [solver] target, else at
+    every speed the tail family's exponential law (minimal_tag)."""
 
     def __init__(self, args, cfg: dict):
         self.args, self.cfg = args, cfg
         self.dir = Path(args.out or cfg.get("output", {}).get("directory", "out"))
         self.outputs: set[str] = set()
+        self.profile = build_profile(cfg)
+        sec = cfg.get("solver", {})
+        self.solver = dataclasses.replace(
+            SolverConfig.default_for(self.profile),
+            **{k: sec[k] for k in ("L", "N") if k in sec})
+        self.target = sec.get("target", minimal_tag(self.profile))
 
     def path(self, name: str) -> Path:
         """Where to write the output file name, recorded as written."""
@@ -422,7 +426,7 @@ def _ranking_record(ranking: analysis.FitRanking) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(run: Run) -> int:
-    report = classify(build_profile(run.cfg), _require(run.cfg, "speed", "c"))
+    report = classify(run.profile, _require(run.cfg, "speed", "c"))
     # flat profile_* keys here, where the other JSON files nest a "profile"
     # object: either layout change is a change of the output files
     print(run.json("classify.json", {
@@ -437,12 +441,8 @@ def cmd_classify(run: Run) -> int:
 
 
 def cmd_wave(run: Run) -> int:
-    cfg = run.cfg
-    profile = build_profile(cfg)
-    c = _require(cfg, "speed", "c")
-    solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile)
-    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
+    profile, c = run.profile, _require(run.cfg, "speed", "c")
+    wave = wavesolver.solve_wave(profile, c, run.target, run.solver)
     _write_wave_csv(run.path("wave.csv"), wave)
     run.json("wave.json", {**_wave_record(wave),
                            "profile": _profile_record(profile)})
@@ -467,13 +467,8 @@ def _member_file(K: float) -> str:
 
 
 def cmd_family(run: Run) -> int:
-    cfg = run.cfg
-    profile = build_profile(cfg)
-    c = _require(cfg, "speed", "c")
-    solver_cfg = build_solver_config(cfg, profile)
-    K_values = cfg.get("solver", {}).get("K")
-    if not K_values:
-        raise ConfigError("missing required key 'K' in section [solver]")
+    profile, c = run.profile, _require(run.cfg, "speed", "c")
+    K_values = _require(run.cfg, "solver", "K")
     names = {}
     for K in K_values:
         name = _member_file(K)
@@ -482,7 +477,7 @@ def cmd_family(run: Run) -> int:
                               f"name the member file {name}")
         names[name] = K
     try:
-        waves = wavesolver.wave_family(profile, c, K_values, solver_cfg)
+        waves = wavesolver.wave_family(profile, c, K_values, run.solver)
     except AnsatzUnavailableError:
         raise  # a solver failure (exit 4), not a config error
     except ValueError as exc:
@@ -523,20 +518,16 @@ def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
 
 
 def cmd_simulate(run: Run) -> int:
-    cfg = run.cfg
-    profile = build_profile(cfg)
-    c = _require(cfg, "speed", "c")
-    sec = cfg.get("simulation", {})
-    T = _require(cfg, "simulation", "T")
-    solver_cfg = build_solver_config(cfg, profile)
+    profile, c = run.profile, _require(run.cfg, "speed", "c")
+    sec = run.cfg.get("simulation", {})
+    T = _require(run.cfg, "simulation", "T")
 
     if sec.get("initial", "alpha") == "wave":
-        target = resolve_cli_target(cfg, profile)
-        wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
+        wave = wavesolver.solve_wave(profile, c, run.target, run.solver)
         state = pdesim.state_from_wave(wave, profile)
     else:
-        grid = solver_cfg.grid()
-        u0 = _initial_field(cfg, profile, grid)
+        grid = run.solver.grid()
+        u0 = _initial_field(run.cfg, profile, grid)
         state = pdesim.make_state(profile, c, grid, u0)
 
     monitors = {
@@ -586,17 +577,13 @@ def _fit_options(cfg: dict) -> tuple[tuple, float]:
 
 
 def cmd_fit(run: Run) -> int:
-    cfg = run.cfg
-    profile = build_profile(cfg)
-    c = _require(cfg, "speed", "c")
-    solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile)
-    tags, wfrac = _fit_options(cfg)
+    profile, c = run.profile, _require(run.cfg, "speed", "c")
+    tags, wfrac = _fit_options(run.cfg)
     cands = _candidate_ansatz(profile, c, tags)
     if not cands:
         raise ConfigError(f"no fit candidate among {tags} is defined for "
                           "this profile and speed")
-    wave = wavesolver.solve_wave(profile, c, target, solver_cfg)
+    wave = wavesolver.solve_wave(profile, c, run.target, run.solver)
     ranking = analysis.fit_decay(wave, cands, window_fraction=wfrac)
     _write_fit_csv(run.path("fit.csv"), ranking)
     run.json("fit.json", _ranking_record(ranking))
@@ -608,8 +595,7 @@ def cmd_fit(run: Run) -> int:
 
 
 def cmd_verify_oracles(run: Run) -> int:
-    profile = build_profile(run.cfg)
-    c = _require(run.cfg, "speed", "c")
+    profile, c = run.profile, _require(run.cfg, "speed", "c")
     rows = []
     for name, make in oracles.comparison_suite(profile, c):
         try:
@@ -668,17 +654,14 @@ def _sweep_point(profile, outcome, fit_tags, wfrac) -> dict:
 
 
 def cmd_sweep(run: Run) -> int:
-    cfg = run.cfg
-    profile = build_profile(cfg)
+    cfg, profile = run.cfg, run.profile
     start = _require(cfg, "speed", "c.start")
     stop = _require(cfg, "speed", "c.stop")
     steps = _require(cfg, "speed", "c.steps")
-    solver_cfg = build_solver_config(cfg, profile)
-    target = resolve_cli_target(cfg, profile)
     fit_tags, wfrac = _fit_options(cfg)
 
-    res = wavesolver.continuation_in_c(profile, start, stop, steps, target,
-                                       solver_cfg)
+    res = wavesolver.continuation_in_c(profile, start, stop, steps,
+                                       run.target, run.solver)
     # both lists keep the march order, which is ascending or descending in c
     outcomes = sorted(res.solutions + res.failures, key=lambda o: o.c,
                       reverse=start > stop)

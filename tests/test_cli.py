@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from forcedwaves import analysis, cli, pdesim, wavesolver
 from forcedwaves.environment import (TARGET_TAGS, AnsatzUnavailableError,
-                                     resolve_target)
+                                     minimal_tag, resolve_target)
 from forcedwaves.wavesolver import NoPositiveWaveError
 
 EXP_INI = """\
@@ -171,7 +172,7 @@ class TestConfigValidation:
     def test_bad_solver_section(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI.replace("N = 2001", "N = 10"))
         assert run("wave", cfg, outdir) == 2
-        assert "invalid [solver]" in capsys.readouterr().err
+        assert "[solver] N must be >= 1001" in capsys.readouterr().err
 
     def test_bad_target(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, EXP_INI + "target = warp_drive\n")
@@ -271,19 +272,40 @@ class TestConfigValidation:
         assert not outdir.exists()
 
     # checked when the file is read, whatever the command and [simulation]
-    # initial
-    @pytest.mark.parametrize("line, message", [
-        ("[speed]\nc.steps = -1", "[speed] c.steps must be >= 0"),
-        ("[simulation]\nbump.width = 0", "[simulation] bump.width must be positive"),
-        ("[simulation]\nbump.height = -0.5", "[simulation] bump.height must be positive"),
-        ("[fit]\nwindow_fraction = 0", "[fit] window_fraction must lie in (0, 1)"),
-    ], ids=["c-steps", "bump-width", "bump-height", "window-fraction"])
+    # initial; classify and verify-oracles, which neither build a grid nor
+    # read K or candidates, used to exit 0 on the [solver] and [fit] values
+    @pytest.mark.parametrize("command, line, message", [
+        pytest.param("classify", "[speed]\nc.steps = -1",
+                     "[speed] c.steps must be >= 0", id="c-steps"),
+        pytest.param("classify", "[simulation]\nbump.width = 0",
+                     "[simulation] bump.width must be positive",
+                     id="bump-width"),
+        pytest.param("classify", "[simulation]\nbump.height = -0.5",
+                     "[simulation] bump.height must be positive",
+                     id="bump-height"),
+        pytest.param("classify", "[fit]\nwindow_fraction = 0",
+                     "[fit] window_fraction must lie in (0, 1)",
+                     id="window-fraction"),
+        *(pytest.param(command, line, message, id=f"{name}-{command}")
+          for name, line, message in [
+              ("L-negative", "[solver]\nL = -60", "[solver] L must be positive"),
+              ("N-10", "[solver]\nN = 10", "[solver] N must be >= 1001"),
+              ("K-negative", "[solver]\nK = -1.0", "[solver] K must be positive"),
+              ("K-empty", "[solver]\nK =",
+               "[solver] K must name at least one value"),
+              ("candidates-empty", "[fit]\ncandidates =",
+               "[fit] candidates must name at least one value")]
+          for command in ("classify", "verify-oracles")),
+    ])
     def test_ranges_are_checked_on_read(self, tmp_path, outdir, capsys,
-                                        line, message):
-        section = line.split("\n")[0]
-        ini = (EXP_INI.replace(section, line) if section in EXP_INI
-               else EXP_INI + f"\n{line}\n")
-        assert run("classify", cfg_file(tmp_path, ini), outdir) == 2
+                                        command, line, message):
+        section, setting = line.split("\n")
+        # a key EXP_INI sets is replaced, not repeated
+        key = setting.split("=")[0].strip()
+        ini = re.sub(rf"^{re.escape(key)} = .*\n", "", EXP_INI, flags=re.M)
+        ini = (ini.replace(section, line) if section in ini
+               else ini + f"\n{line}\n")
+        assert run(command, cfg_file(tmp_path, ini), outdir) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -483,7 +505,7 @@ class TestFamily:
     def test_family_needs_K(self, tmp_path, outdir, capsys):
         cfg = cfg_file(tmp_path, ALG_INI)
         assert run("family", cfg, outdir) == 2
-        assert "missing required key 'K'" in capsys.readouterr().err
+        assert "missing required section [solver]" in capsys.readouterr().err
 
     def test_family_rejected_outside_slow_regimes(self, tmp_path, outdir,
                                                   capsys):
@@ -715,11 +737,11 @@ class TestManifest:
         ini = (ALG_INI + "\n[solver]\nK = 0.5, 1.0\n" if command == "family"
                else self.INI)
         if mode == "failure":
-            def diverge(cfg):
+            def diverge(run):
                 raise wavesolver.NewtonDivergenceError(
                     "stub", residual_history=[1.0, 0.5])
 
-            monkeypatch.setattr(cli, "build_profile", diverge)
+            monkeypatch.setitem(cli._COMMANDS, command, diverge)
         extra = ["--svg"] if mode == "svg" else []
         code = run(command, cfg_file(tmp_path, ini), outdir, *extra)
         capsys.readouterr()
@@ -805,7 +827,7 @@ class TestFailureContract:
     def test_continuation_records_the_same_kind(self, exp2):
         c = 2.2
         res = wavesolver.continuation_in_c(
-            exp2, c, c, 1, cli.resolve_cli_target({}, exp2),
+            exp2, c, c, 1, minimal_tag(exp2),
             wavesolver.SolverConfig(L=40.0, N=2001))
         assert [f.kind for f in res.failures] == [NoPositiveWaveError.kind]
 

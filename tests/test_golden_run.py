@@ -2,14 +2,16 @@
 gives each differing CSV column's relative difference beside the absolute
 one and names the first differing line of a CSV whose cells parse equal, the
 ACCEPTANCE lines come from the tests beside --src, every target tag gets a
-wave run, the plotting commands run with --svg, and two records of different
-numpy builds get one note line that is not a difference."""
+wave run, the plotting commands run with --svg, two records of different
+numpy builds get one note line that is not a difference, and the edited
+N = 10 run pins the parse-time check of [solver] N."""
 
 import importlib.util
 import json
 import re
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -152,10 +154,10 @@ def _first_step_solves(monkeypatch, tmp_path, ini_text):
     ini = tmp_path / "run.ini"
     ini.write_text(ini_text, encoding="utf-8")
     cfg = cli.load_config(ini)
-    profile = cli.build_profile(cfg)
-    grid = cli.build_solver_config(cfg, profile).grid()
-    state = pdesim.make_state(profile, cfg["speed"]["c"], grid,
-                              cli._initial_field(cfg, profile, grid))
+    run = cli.Run(SimpleNamespace(out=str(tmp_path / "out")), cfg)
+    grid = run.solver.grid()
+    state = pdesim.make_state(run.profile, cfg["speed"]["c"], grid,
+                              cli._initial_field(cfg, run.profile, grid))
     calls = []
     for name in ("dpttrs", "dgttrs"):
         def counted(*args, _real=getattr(frame, name), _name=name, **kwargs):
@@ -180,3 +182,22 @@ def test_the_c4_run_takes_the_pivoted_lu(monkeypatch, tmp_path):
     assert _first_step_solves(monkeypatch, tmp_path, at_c1) == ["dpttrs"]
     assert all(not list(golden_run.speed_runs(name, text))
                for name, text in golden_run.CONFIGS.items() if name != "alg3")
+
+
+def test_the_N10_run_exits_2_when_the_file_is_read(tmp_path, capsys):
+    # classify builds no grid, and used to exit 0 and write classify.json
+    from forcedwaves import cli
+
+    runs = {suffix: (command, ini) for suffix, command, ini
+            in golden_run.edited_runs("exp", golden_run.CONFIGS["exp"])}
+    command, ini = runs["classify-N10"]
+    assert command == "classify"
+    assert re.findall(r"^N = (.*)$", ini, re.M) == ["10"]
+    (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / "run.ini"),
+                     "--out", str(out)]) == 2
+    assert "[solver] N must be >= 1001" in capsys.readouterr().err
+    assert not out.exists()
+    assert all(not list(golden_run.edited_runs(name, text))
+               for name, text in golden_run.CONFIGS.items() if name != "exp")

@@ -4,8 +4,11 @@ collocation system are written in one module.  One owner for the output
 files: only forcedwaves.cli imports forcedwaves.tables, so every CSV column
 and JSON field is decided there.  One owner for the IMEX solve: pdesim
 names no solve_banded and no numpy.linalg, so frame.factor, which chooses
-the solve, is the only one it calls.  And no module imports another
-module's private (underscore) names."""
+the solve, is the only one it calls.  One owner for the experiment's
+inputs: inside cli, only Run.__init__ names build_profile,
+SolverConfig.default_for or minimal_tag, so every command solves with the
+profile, solver config and target its Run built.  And no module imports
+another module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -166,3 +169,48 @@ def test_the_private_import_check_sees_each_form():
 def test_no_module_imports_private_names(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert _private_imports(tree) == []
+
+
+_INPUT_BUILDERS = {"build_profile", "default_for", "minimal_tag"}
+
+
+def _input_builders(tree):
+    """(enclosing function's qualified name, what) for each use of
+    build_profile, a default_for attribute or minimal_tag; a use outside
+    any function is under '<module>'."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name in _INPUT_BUILDERS:
+                out.append((scope or "<module>", name))
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_the_input_check_sees_each_form():
+    tree = ast.parse("p = build_profile(cfg)\n"
+                     "class Run:\n"
+                     "    def __init__(self):\n"
+                     "        s = SolverConfig.default_for(p)\n"
+                     "def cmd_wave(run):\n"
+                     "    t = minimal_tag(run.profile)\n"
+                     "    f = build_profile\n")
+    assert _input_builders(tree) == [
+        ("<module>", "build_profile"), ("Run.__init__", "default_for"),
+        ("cmd_wave", "minimal_tag"), ("cmd_wave", "build_profile")]
+
+
+def test_only_run_builds_the_experiment_inputs():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    uses = _input_builders(tree)
+    assert {name for _, name in uses} == _INPUT_BUILDERS
+    assert {scope for scope, _ in uses} == {"Run.__init__"}

@@ -8,7 +8,9 @@ exact dt check) and verify-oracles, plus two runs that must fail
 too short) and one wave run per target tag set through [solver] target
 (typed failures included), on five configs, and one simulate run of the
 bump on the algebraic config at c = 4, whose IMEX step takes the pivoted
-LU; the configs are the README exp.ini, an algebraic gamma = 3
+LU, and one classify run on the exp config with [solver] N = 10, which
+every command rejects when the file is read; the configs are the README
+exp.ini, an algebraic gamma = 3
 profile, a power-tail profile at c = 0.7, and critical iterated-log profiles
 with k = 1 and k = 2 at c = 1, and writes golden.json with each run's exit
 code and the sha256 of every file it wrote except manifest.json (the only
@@ -193,6 +195,14 @@ SPEED_RUNS = (
     ("alg3", "simulate-bump-c4", "simulate", "4.0", SIMULATION.format("bump")),
 )
 
+# (config, run suffix, command, config line, its replacement): runs on one
+# config only, with one line of it replaced
+EDITED_RUNS = (
+    # fewer nodes than SolverConfig allows: exit 2 when the file is read,
+    # also from classify, which builds no grid
+    ("exp", "classify-N10", "classify", "N = 4001", "N = 10"),
+)
+
 
 SVG_COMMANDS = ("wave", "family", "sweep", "simulate")
 
@@ -220,6 +230,13 @@ def speed_runs(name: str, text: str):
                                           flags=re.M) + extra
 
 
+def edited_runs(name: str, text: str):
+    """(run suffix, command, INI text) of config name's EDITED_RUNS."""
+    for cfg_name, suffix, command, old, new in EDITED_RUNS:
+        if cfg_name == name:
+            yield suffix, command, text.replace(old, new)
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -230,7 +247,8 @@ def run_all(out: Path, src: Path) -> dict:
     runs = {}
     for cfg_name, text in CONFIGS.items():
         for suffix, command, ini_text in (*config_runs(text),
-                                          *speed_runs(cfg_name, text)):
+                                          *speed_runs(cfg_name, text),
+                                          *edited_runs(cfg_name, text)):
             name = f"{cfg_name}-{suffix}"
             rundir = out / name
             rundir.mkdir()

@@ -506,15 +506,19 @@ def cmd_family(run: Run) -> int:
 
 
 def _initial_field(cfg: dict, profile: EnvironmentProfile, grid: np.ndarray):
-    """The [simulation] initial field alpha or bump on grid."""
+    """The [simulation] initial field alpha or bump on grid.  The bump's
+    node 0 holds a(-L), the Dirichlet value every step writes there, so the
+    monitors see the bump move and not the wall jump."""
     sec = cfg.get("simulation", {})
     if sec.get("initial", "alpha") == "alpha":
         return np.full_like(grid, profile.alpha)
     center = sec.get("bump.center", profile.z_star)
     width = sec.get("bump.width", 5.0)
     height = sec.get("bump.height", 0.5 * profile.alpha)
-    u0 = height * np.exp(-((grid - center) / width) ** 2)
-    return np.minimum(u0, profile.alpha)
+    u0 = np.minimum(height * np.exp(-((grid - center) / width) ** 2),
+                    profile.alpha)
+    u0[0] = profile.a(grid[0])
+    return u0
 
 
 def cmd_simulate(run: Run) -> int:

@@ -547,6 +547,19 @@ class TestSimulate:
         assert run("simulate", cfg, outdir) == 0
         assert "evolved to t = 0.5" in capsys.readouterr().out
 
+    # node 0 of the bump used to be ~0 while every step writes a(-L) = 1
+    # there, so final_distance_to_initial read exactly 1.0 (and the drift
+    # 1/T): the wall jump, not the bump's motion
+    def test_bump_starts_at_the_wall_value(self, tmp_path, outdir, capsys):
+        ini = EXP_INI + "\n[simulation]\ninitial = bump\nT = 1.0\n"
+        assert run("simulate", cfg_file(tmp_path, ini), outdir) == 0
+        capsys.readouterr()
+        first = [(outdir / name).read_text().splitlines()[1].split(",")[2]
+                 for name in ("state_initial.csv", "state_final.csv")]
+        assert first[0] == first[1]
+        meta = json.loads((outdir / "simulate.json").read_text())
+        assert 0 < meta["final_distance_to_initial"] < 1
+
     def test_step_rejection_exit_code(self, tmp_path, outdir, capsys):
         ini = EXP_INI + "\n[simulation]\ninitial = alpha\nT = 5.0\ndt = 1.0\n"
         cfg = cfg_file(tmp_path, ini)

@@ -90,7 +90,7 @@ _SCHEMA = {
     },
     "speed": {"c": (float, _GT0), "c.start": (float, _GT0),
               "c.stop": (float, _GT0), "c.steps": (int, _GE0)},
-    # N's bound is SolverConfig's own
+    # N's bound repeats SolverConfig's own check, the library's guard
     "solver": {"L": (float, _GT0), "N": (int, (lambda v: v >= 1001,
                                                 "must be >= 1001")),
                "target": (str, _one_of(TARGET_TAGS)), "K": ("floats", _GT0)},

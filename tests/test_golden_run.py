@@ -172,7 +172,7 @@ def test_the_c4_run_takes_the_pivoted_lu(monkeypatch, tmp_path):
     # the one golden run whose IMEX step takes frame.factor's LU; the same
     # bump at the config's own c = 1 takes the symmetric solve
     runs = {suffix: (command, ini) for suffix, command, ini
-            in golden_run.speed_runs("alg3", golden_run.CONFIGS["alg3"])}
+            in golden_run.one_config_runs("alg3", golden_run.CONFIGS["alg3"])}
     command, ini = runs["simulate-bump-c4"]
     assert command == "simulate"
     assert re.findall(r"^c = (.*)$", ini, re.M) == ["4.0"]
@@ -180,8 +180,9 @@ def test_the_c4_run_takes_the_pivoted_lu(monkeypatch, tmp_path):
     at_c1 = dict((s, i) for s, _, i in golden_run.config_runs(
         golden_run.CONFIGS["alg3"]))["simulate-bump"]
     assert _first_step_solves(monkeypatch, tmp_path, at_c1) == ["dpttrs"]
-    assert all(not list(golden_run.speed_runs(name, text))
-               for name, text in golden_run.CONFIGS.items() if name != "alg3")
+    assert [suffix for name, text in golden_run.CONFIGS.items()
+            for suffix, command, _ in golden_run.one_config_runs(name, text)
+            if command == "simulate"] == ["simulate-bump-c4"]
 
 
 def test_the_N10_run_exits_2_when_the_file_is_read(tmp_path, capsys):
@@ -189,7 +190,7 @@ def test_the_N10_run_exits_2_when_the_file_is_read(tmp_path, capsys):
     from forcedwaves import cli
 
     runs = {suffix: (command, ini) for suffix, command, ini
-            in golden_run.edited_runs("exp", golden_run.CONFIGS["exp"])}
+            in golden_run.one_config_runs("exp", golden_run.CONFIGS["exp"])}
     command, ini = runs["classify-N10"]
     assert command == "classify"
     assert re.findall(r"^N = (.*)$", ini, re.M) == ["10"]
@@ -199,5 +200,3 @@ def test_the_N10_run_exits_2_when_the_file_is_read(tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "[solver] N must be >= 1001" in capsys.readouterr().err
     assert not out.exists()
-    assert all(not list(golden_run.edited_runs(name, text))
-               for name, text in golden_run.CONFIGS.items() if name != "exp")

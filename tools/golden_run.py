@@ -187,20 +187,16 @@ COMMANDS = (
     ("fit-window", "fit", "\n[fit]\nwindow_fraction = 0.01\n"),
 )
 
-# (config, run suffix, command, [speed] c, INI text appended): runs on one
-# config only, at a speed of their own
-SPEED_RUNS = (
+# (config, run suffix, command, key, its value, INI text appended): runs on
+# one config only, with one key's value replaced
+ONE_CONFIG_RUNS = (
     # on L = 200, N = 8001 the LDL^T scale of I - dt A would span past
     # 2**1000 at c = 4, so every step takes frame.factor's pivoted LU
-    ("alg3", "simulate-bump-c4", "simulate", "4.0", SIMULATION.format("bump")),
-)
-
-# (config, run suffix, command, config line, its replacement): runs on one
-# config only, with one line of it replaced
-EDITED_RUNS = (
+    ("alg3", "simulate-bump-c4", "simulate", "c", "4.0",
+     SIMULATION.format("bump")),
     # fewer nodes than SolverConfig allows: exit 2 when the file is read,
     # also from classify, which builds no grid
-    ("exp", "classify-N10", "classify", "N = 4001", "N = 10"),
+    ("exp", "classify-N10", "classify", "N", "10", ""),
 )
 
 
@@ -221,20 +217,13 @@ def config_runs(text: str):
                untargeted.replace("[solver]\n", f"[solver]\ntarget = {tag}\n"))
 
 
-def speed_runs(name: str, text: str):
-    """(run suffix, command, INI text) of config name's SPEED_RUNS, each
-    with [speed] c replaced."""
-    for cfg_name, suffix, command, c, extra in SPEED_RUNS:
+def one_config_runs(name: str, text: str):
+    """(run suffix, command, INI text) of config name's ONE_CONFIG_RUNS."""
+    for cfg_name, suffix, command, key, value, extra in ONE_CONFIG_RUNS:
         if cfg_name == name:
-            yield suffix, command, re.sub(r"^c = .*$", f"c = {c}", text,
+            yield suffix, command, re.sub(rf"^{re.escape(key)} = .*$",
+                                          f"{key} = {value}", text,
                                           flags=re.M) + extra
-
-
-def edited_runs(name: str, text: str):
-    """(run suffix, command, INI text) of config name's EDITED_RUNS."""
-    for cfg_name, suffix, command, old, new in EDITED_RUNS:
-        if cfg_name == name:
-            yield suffix, command, text.replace(old, new)
 
 
 def sha256(path: Path) -> str:
@@ -247,8 +236,7 @@ def run_all(out: Path, src: Path) -> dict:
     runs = {}
     for cfg_name, text in CONFIGS.items():
         for suffix, command, ini_text in (*config_runs(text),
-                                          *speed_runs(cfg_name, text),
-                                          *edited_runs(cfg_name, text)):
+                                          *one_config_runs(cfg_name, text)):
             name = f"{cfg_name}-{suffix}"
             rundir = out / name
             rundir.mkdir()

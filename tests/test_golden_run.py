@@ -3,8 +3,8 @@ gives each differing CSV column's relative difference beside the absolute
 one and names the first differing line of a CSV whose cells parse equal, the
 ACCEPTANCE lines come from the tests beside --src, every target tag gets a
 wave run, the plotting commands run with --svg, two records of different
-numpy builds get one note line that is not a difference, and the edited
-N = 10 run pins the parse-time check of [solver] N."""
+numpy builds get one note line that is not a difference, and the N = 10
+run pins the parse-time check of [solver] N."""
 
 import importlib.util
 import json

@@ -204,9 +204,10 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
 
     ta is the decay weight of `tail` normalized to 1 at z0 = z_switch (exact
     closed forms; for slow_sub it is the profile's own tail), b =
-    int_z^inf ta.  M is grown until M > 2A/c, M b(z_M) = 1 and
-    a_tail(z_M) <= c^2/6, which makes the residual bound
-    A ta^2 (cM/2 - A) > 0 provable.
+    int_z^inf ta.  The constants are the ones the residual bound
+    A ta^2 (cM/2 - A) > 0 needs: z_M = max(z0, z*), where a_tail(z*) = c^2/6,
+    so a_tail <= c^2/6 on the decreasing tail past z_M; M = 1/b(z_M), so
+    u vanishes at z_M; and A = min(A, 0.4 c M), so M >= 2.5 A/c > 2A/c.
     """
     if not tail.tilde_in_L1(c):
         raise ConstructionError("int tilde_a diverges: no slow sub-solution exists")
@@ -216,60 +217,22 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
     def log_ta(z):
         return -(np.asarray(tail.antiderivative(z), dtype=float) - F0) / c
 
-    def log_b(z):
-        return log_ta(z) + np.log(tail.slow_scale(z, c))
-
-    @functools.cache  # halving A re-walks the same exact M lattice 2.5 A/c 2^k
-    def probe(Mv):
-        """z_M for M (A-free): None to try 2M, inf if b > 1/M to the horizon."""
-        if float(log_b(z0)) <= -math.log(Mv):
-            return None  # b already below 1/M at z0: shrink 1/M to recover a root
-        hi = 2.0 * z0
-        while float(log_b(hi)) > -math.log(Mv):
+    cap = c * c / 6.0
+    z_M, hi = z0, 2.0 * z0
+    if float(tail.value(z0)) > cap:
+        while float(tail.value(hi)) > cap:
             hi *= 2.0
             if hi > 1e12:
-                return math.inf
-        zM = float(brentq(lambda s: float(log_b(s)) + math.log(Mv), z0, hi, xtol=1e-12))
-        return zM if float(tail.value(zM)) <= c * c / 6.0 else None
-
-    # z* where a(z*) = c^2/6 (z0 if a(z0) is below already), and
-    # log(1/b(z*)); None if a stays above c^2/6 to the horizon.  On the
-    # decreasing tail z_M is admissible exactly when z_M >= z*, i.e.
-    # M >= 1/b(z*), so lattice points below 1/b(z*) probe to None.
-    cap = c * c / 6.0
-    z_star, hi = z0, 2.0 * z0
-    if float(tail.value(z0)) > cap:
-        while hi <= 1e12 and float(tail.value(hi)) > cap:
-            hi *= 2.0
-        z_star = (float(brentq(lambda s: float(tail.value(s)) - cap, z0, hi))
-                  if hi <= 1e12 else None)
-    log_need = None if z_star is None else -float(log_b(z_star))
-
-    def find_zM(Av):
-        """Smallest (M, z_M) with M > 2Av/c, M b(z_M) = 1 and a(z_M) <= c^2/6,
-        M on the lattice 2.5 Av/c 2^k, k < 80.  The walk starts one point
-        below the first lattice point above 1/b(z*), to absorb the rounding
-        of that jump."""
-        M0 = 2.5 * Av / c
-        k = 0
-        if log_need is not None:
-            k = min(80, max(0, math.ceil((log_need - math.log(M0)) / math.log(2.0)) - 1))
-        while k < 80 and probe(math.ldexp(M0, k)) is None:
-            k += 1
-        Mv = math.ldexp(M0, k)
-        zM = probe(Mv) if k < 80 else None
-        return (None if zM == math.inf else zM), Mv
-
-    # Large amplitudes can push z_M astronomically far out (b decays like
-    # 1/log z for iterated-log tails); halve A until the support is usable.
-    z_M = None
-    for _ in range(60):
-        z_M, M = find_zM(A)
-        if z_M is not None:
-            break
-        A /= 2.0
-    if z_M is None:
-        raise ConstructionError("could not locate a usable z_M at any amplitude")
+                raise ConstructionError(
+                    f"a_tail stays above c^2/6 = {cap:.6g} to z = 1e12")
+        z_M = float(brentq(lambda s: float(tail.value(s)) - cap, z0, hi))
+    log_M = -float(log_ta(z_M) + np.log(tail.slow_scale(z_M, c)))
+    with np.errstate(over="ignore"):
+        M = float(np.exp(log_M))
+    if not math.isfinite(M):
+        raise ConstructionError(
+            f"M = 1/b(z_M) = exp({log_M:.6g}) is not finite at z_M = {z_M:.6g}")
+    A = min(A, 0.4 * c * M)
 
     def jet(z):
         inside = z > z_M
@@ -293,7 +256,9 @@ def _slow_sub_from_tail(profile: EnvironmentProfile, c: float, A: float,
 def slow_sub(profile: EnvironmentProfile, c: float, A: float = 1.0) -> ComparisonFunction:
     """A tilde_a (1 - M b) beyond z_M: the slow sub-solution of the tail family.
 
-    tilde_a is normalized to 1 at z_switch, where the pure tail starts.
+    tilde_a is normalized to 1 at z_switch, where the pure tail starts, and
+    b = int_z^inf tilde_a.  z_M = max(z_switch, z*) with a(z*) = c^2/6,
+    M = 1/b(z_M) and the amplitude is min(A, 0.4 c M).
     """
     if A <= 0 or c <= 0:
         raise ValueError("need A > 0 and c > 0")

@@ -1,6 +1,7 @@
 """tools/golden_run.py: --compare matches ACCEPTANCE lines by number,
 gives each differing CSV column's relative difference beside the absolute
-one and names the first differing line of a CSV whose cells parse equal, the
+one and names the first differing line of a CSV whose cells parse equal,
+names the dotted keys that differ in a JSON file, the
 ACCEPTANCE lines come from the tests beside --src, every target tag gets a
 wave run, the plotting commands run with --svg, two records of different
 numpy builds get one note line that is not a difference, and the N = 10
@@ -54,6 +55,24 @@ def test_column_deltas_give_the_relative_difference(tmp_path):
     b = {"runs": {"run": {"exit": 0, "files": {"state.csv": "sha-b"}}}}
     assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
         "run/state.csv: max |delta| z 0, u 3e-292 (rel 3e-05)"]
+
+
+def test_json_files_name_the_keys_that_differ(tmp_path):
+    # a construction that now applies: its note empties and a check appears
+    records = {
+        "a": {"c": 0.7, "results": [{"construction": "slow_sub", "applicable": False,
+                                     "note": "no z_M"}]},
+        "b": {"c": 0.7, "results": [{"construction": "slow_sub", "applicable": True,
+                                     "note": "", "passed": True}]}}
+    for side, record in records.items():
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "oracles.json").write_text(
+            json.dumps(record), encoding="utf-8")
+    a = {"runs": {"run": {"exit": 0, "files": {"oracles.json": "sha-a"}}}}
+    b = {"runs": {"run": {"exit": 0, "files": {"oracles.json": "sha-b"}}}}
+    assert golden_run.compare(a, b, tmp_path / "a", tmp_path / "b") == [
+        'run/oracles.json: results.0.applicable false -> true, '
+        'results.0.note "no z_M" -> "", results.0.passed (absent) -> true']
 
 
 def test_a_different_numpy_build_is_a_note_not_a_difference(tmp_path, capsys):

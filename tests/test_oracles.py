@@ -16,50 +16,12 @@ import numpy as np
 import pytest
 
 from forcedwaves import oracles as orc
-from forcedwaves.environment import EnvironmentProfile, IteratedLog
+from forcedwaves.environment import EnvironmentProfile, IteratedLog, Power
 from forcedwaves.oracles import ConstructionError
 
 
 def _check(fn, **kw):
     return orc.residual_sign_check(fn, **kw)
-
-
-def _walk_z_M(profile, c, tail):
-    """(A, M, z_M) of the slow sub-solutions by the plain walk: M doubles
-    from 2.5 A/c until its root of M b(z) = 1 has a(z_M) <= c^2/6, and A
-    halves while that root lies past the horizon."""
-    if not tail.tilde_in_L1(c):
-        raise ConstructionError("int tilde_a diverges: no slow sub-solution exists")
-    z0 = profile.z_switch
-    F0 = float(tail.antiderivative(z0))
-
-    def log_b(z):
-        lt = -(np.asarray(tail.antiderivative(z), dtype=float) - F0) / c
-        return float(lt + np.log(tail.slow_scale(z, c)))
-
-    def probe(Mv):
-        if log_b(z0) <= -math.log(Mv):
-            return None
-        hi = 2.0 * z0
-        while log_b(hi) > -math.log(Mv):
-            hi *= 2.0
-            if hi > 1e12:
-                return math.inf
-        zM = float(orc.brentq(lambda s: log_b(s) + math.log(Mv), z0, hi, xtol=1e-12))
-        return zM if float(tail.value(zM)) <= c * c / 6.0 else None
-
-    A = 1.0
-    for _ in range(60):
-        Mv = 2.5 * A / c
-        for _ in range(80):
-            zM = probe(Mv)
-            if zM is not None:
-                break
-            Mv *= 2.0
-        if zM is not None and zM != math.inf:
-            return A, Mv, zM
-        A /= 2.0
-    raise ConstructionError("could not locate a usable z_M at any amplitude")
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +248,9 @@ class TestSlowConstructions:
         fn.residual(orc._sample_support(fn, 1000))
         assert calls == ["a_jet"]
 
-    def test_failing_z_M_search_probes_each_M_once(self, monkeypatch, pow2):
-        # every halving of A re-walks the same M lattice; 3147 brentq solves
-        # when each walk re-solved every M
+    def test_non_finite_M_raises_with_no_search(self, monkeypatch, pow2):
+        # z* = 9e4 is one root-find; 1/b(z*) = e^5897 overflows, and no
+        # other (A, M) is tried
         calls = []
         brentq = orc.brentq
 
@@ -297,45 +259,84 @@ class TestSlowConstructions:
             return brentq(*args, **kwargs)
 
         monkeypatch.setattr(orc, "brentq", counted)
-        with pytest.raises(ConstructionError, match="any amplitude"):
-            orc.slow_sub(pow2, 0.7)
-        assert len(calls) <= 150
+        with pytest.raises(ConstructionError, match=r"M = 1/b\(z_M\) = exp\(5896.6\) "
+                           r"is not finite at z_M = 90000"):
+            orc.slow_sub(pow2, 0.2)
+        assert len(calls) == 1
+
+    def test_tail_above_the_cap_to_the_horizon_raises_at_once(self, monkeypatch):
+        # a = 2 z^-0.1 meets c^2/6 only at z* = 48^10 = 6.5e16: the doubling
+        # bracket gives up at 1e12 with no root-find and no smaller amplitude
+        profile = EnvironmentProfile(2.0, Power(gamma=2.0, p=0.1), 15.0, 10.0)
+        calls = []
+        value = Power.value
+
+        def counted(self, z):
+            calls.append(z)
+            return value(self, z)
+
+        monkeypatch.setattr(orc, "brentq", None)
+        monkeypatch.setattr(Power, "value", counted)
+        with pytest.raises(ConstructionError, match="stays above c\\^2/6 = 0.0416667 "
+                           "to z = 1e12"):
+            orc.slow_sub(profile, 0.5)
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("kind", ["slow_sub", "sub2_slow"])
+    def test_iterated_log_slow_subs_resolve_their_sign(self, itlog, kind):
+        # a(z0) < c^2/6, so the support starts at z0 = 25, near enough for
+        # the sampled residual to clear the tolerance
+        fn = getattr(orc, kind)(itlog, 1.0)
+        assert fn.params["z_M"] == 25.0
+        r = fn.residual(orc._sample_support(fn, 10_000))
+        assert float(np.max(r)) > 1e-9
+        assert _check(fn).passed
 
     @pytest.mark.parametrize("fixture,c,kind,params", [
-        # found after five halvings of A, on M values earlier walks probed
+        # z_M = z0: the amplitude shrinks to 0.4 c M
         ("itlog", 1.0, "slow_sub",
-         {"A": 0.03125, "M": 0.078125, "z_M": 614699263.0325497, "z0": 25.0}),
+         {"A": 0.004970679476476895, "M": 0.012426698691192237, "z_M": 25.0,
+          "z0": 25.0}),
+        # z_M = z*: a = 3/z meets c^2/6 = 1/150 at z* = 450
         ("alg3", 0.2, "slow_sub",
-         {"A": 1.0, "M": 1.4757395258967641e+22, "z_M": 454.88333460986075,
+         {"A": 1.0, "M": 1.2687747812378806e+22, "z_M": 449.9999999999999,
           "z0": 12.0}),
         ("pow2", 0.9, "slow_sub",
-         {"A": 1.0, "M": 1.6012798675095096e+18, "z_M": 220.88956417676036,
+         {"A": 1.0, "M": 1.3004029704173e+18, "z_M": 219.47873799725653,
           "z0": 25.0}),
         ("pow2", 0.6, "sub2_slow",
-         {"A": 1.0, "M": 9382499223688534.0, "z_M": 279.91102124804473,
+         {"A": 1.0, "M": 7611707198039476.0, "z_M": 277.7777777777781,
           "z0": 25.0, "surrogate": {"gamma": 1.0, "p": 0.5}}),
     ])
     def test_z_M_search_params_exact(self, request, fixture, c, kind, params):
-        # exact values: probing each M once must not move any bit
         fn = getattr(orc, kind)(request.getfixturevalue(fixture), c)
         assert fn.params == params
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("fixture", ["exp2", "alg3", "pow2", "itlog"])
     @pytest.mark.parametrize("kind", ["slow_sub", "sub2_slow"])
-    def test_z_M_search_matches_the_lattice_walk(self, request, fixture, c, kind):
-        # the search starts near 1/b(z*); it must land on the (A, M, z_M)
-        # of the walk that probes every lattice point from 2.5 A/c up
+    def test_slow_constants_meet_the_proof(self, request, fixture, c, kind):
+        # A ta^2 (cM/2 - A) > 0 past z_M needs a <= c^2/6 there (z_M = z0,
+        # or a(z_M) = c^2/6 on the decreasing tail), u(z_M) = 0 (M b(z_M) = 1)
+        # and M > 2A/c
         profile = request.getfixturevalue(fixture)
         try:
-            tail = profile.tail if kind == "slow_sub" else orc._surrogate(profile, c)
-            want = _walk_z_M(profile, c, tail)
+            fn = getattr(orc, kind)(profile, c)
         except ConstructionError as exc:
-            with pytest.raises(ConstructionError, match=re.escape(str(exc))):
-                getattr(orc, kind)(profile, c)
+            assert re.search("diverges|no surrogate", str(exc))
             return
-        got = getattr(orc, kind)(profile, c).params
-        assert (got["A"], got["M"], got["z_M"]) == want
+        tail = profile.tail if kind == "slow_sub" else orc._surrogate(profile, c)
+        p, cap = fn.params, c * c / 6.0
+        if p["z_M"] == p["z0"]:
+            assert float(tail.value(p["z0"])) <= cap
+        else:
+            assert float(tail.value(p["z0"])) > cap
+            assert math.isclose(float(tail.value(p["z_M"])), cap, rel_tol=1e-10)
+        log_ta = -float(tail.antiderivative(p["z_M"]) - tail.antiderivative(p["z0"])) / c
+        b = math.exp(log_ta) * float(tail.slow_scale(p["z_M"], c))
+        assert abs(p["M"] * b - 1.0) <= 1e-12
+        assert p["M"] > 2.0 * p["A"] / c
+        assert _check(fn).passed
 
     def test_g1_sub_validates_lambda_window(self, alg05):
         # gamma = 0.5 <= c: lam = (1 + gamma/c)/2 = 0.75 misses (1, gamma/c)

@@ -340,8 +340,7 @@ class TestDefaultStart:
         ("pow2", 0.7, "profile_itself"), ("alg3", 1.0, "slow_maximal")])
     def test_default_start_builds_no_oracle(self, monkeypatch, request,
                                             fixture, c, target):
-        # the default start is the tanh front alone, so no oracle is built;
-        # on pow2 at c = 0.7 a slow_sub start fails after a costly search
+        # the default start is the tanh front alone, so no oracle is built
         profile = request.getfixturevalue(fixture)
         grid = SolverConfig.default_for(profile).grid()
         want = ws.solve_wave(profile, c, target, initial_guess=ws.standard_starts(

@@ -42,7 +42,8 @@ are matched by criterion number, so a criterion that printed no line is
 named alone.  For a differing CSV file that both directories still hold,
 it also prints max |A - B| per numeric column, with the max relative
 difference beside each nonzero one, and, when every cell parses equal, the
-first line whose text differs.
+first line whose text differs.  For a differing JSON file that both
+directories hold, it prints the dotted keys whose values differ, A -> B.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ L = 200
 N = 8001
 K = 0.5, 1.0, 2.0
 """,
-    # case 3 below c = 0.8, where the slow_sub start construction fails;
-    # the sweep starts at 1.2, clear of the power-tail sigma1 crash at low c
+    # case 3 below c = 0.8; the sweep starts at 1.2, clear of the power-tail
+    # sigma1 crash at low c
     "pow2": """
 [profile]
 alpha = 1.0
@@ -305,6 +306,34 @@ def column_deltas(fa: Path, fb: Path) -> str:
     return text
 
 
+def _flatten(value, key=""):
+    """{dotted key: leaf} of a JSON value; list items are keyed by index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {key: value}
+    out = {}
+    for k, v in items:
+        out.update(_flatten(v, f"{key}.{k}" if key else str(k)))
+    return out or {key: value}
+
+
+def key_deltas(fa: Path, fb: Path) -> str:
+    """The dotted keys whose values differ between two JSON files, each as
+    key A -> B (results.3.passed false -> true, say), in the order of A's
+    keys, then B's own; a key that one file lacks reads (absent) there."""
+    ja, jb = (_flatten(json.loads(f.read_text(encoding="utf-8"))) for f in (fa, fb))
+
+    def show(j, k):
+        return json.dumps(j[k]) if k in j else "(absent)"
+
+    keys = list(ja) + [k for k in jb if k not in ja]
+    return ", ".join(f"{k} {show(ja, k)} -> {show(jb, k)}" for k in keys
+                     if show(ja, k) != show(jb, k))
+
+
 def numpy_build() -> dict:
     """numpy's version and the SIMD extensions it dispatches to in this
     environment, as golden.json records them."""
@@ -332,7 +361,8 @@ def build_note(a: dict, b: dict):
 def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:
     """Differing ACCEPTANCE lines, runs and files of two golden.json records
     whose run files are under dir_a and dir_b.  A differing CSV that both
-    directories hold also gets max |A - B| per numeric column."""
+    directories hold also gets max |A - B| per numeric column, and a
+    differing JSON file the dotted keys whose values differ."""
     diffs = []
     if a.get("acceptance_exit") != b.get("acceptance_exit"):
         diffs.append(f"acceptance: exit {a.get('acceptance_exit')} != "
@@ -359,6 +389,8 @@ def compare(a: dict, b: dict, dir_a: Path, dir_b: Path) -> list[str]:
             fa, fb = dir_a / name / f, dir_b / name / f
             if f.endswith(".csv") and fa.is_file() and fb.is_file():
                 diffs.append(f"{name}/{f}: {column_deltas(fa, fb)}")
+            elif f.endswith(".json") and fa.is_file() and fb.is_file():
+                diffs.append(f"{name}/{f}: {key_deltas(fa, fb)}")
             else:
                 diffs.append(f"{name}/{f}")
     return diffs
